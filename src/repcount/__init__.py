@@ -28,6 +28,7 @@ from .intlinalg import (
     SnfResult,
     cokernel_order,
     det,
+    format_int,
     kernel_basis,
     rank,
     smith_normal_form,

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .exterior import GroupKind, degree_of_word_map, special_unitary, unitary
-from .intlinalg import INFINITE, cokernel_order, det
+from .intlinalg import cokernel_order, det, format_int
 from .invariants import (
     MultiIndex,
     PipelineDisagreementError,
@@ -22,6 +21,7 @@ from .invariants import (
     lambda_invariant,
     lambda_polynomial_cylinder,
     multiindex_degree,
+    require_codimension_zero,
 )
 from .oracle import (
     DomainLimitError,
@@ -52,15 +52,6 @@ EXIT_WRONG_MODE = 2
 EXIT_DISAGREEMENT = 3
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    input_path: str | None
-    output_format: str
-    sign_convention_opt_in: bool
-    seed: int | None
-
-
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -68,8 +59,8 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _emit(pairs: list[tuple[str, str]], config: CliConfig, title: str = "") -> None:
-    if config.output_format == "machine":
+def _emit(pairs: list[tuple[str, str]], args: argparse.Namespace, title: str = "") -> None:
+    if args.output_format == "machine":
         for key, value in pairs:
             print(f"{key}={value}")
     else:
@@ -79,95 +70,75 @@ def _emit(pairs: list[tuple[str, str]], config: CliConfig, title: str = "") -> N
             print(f"  {key}: {value if value != '' else '-'}")
 
 
-def _load(config: CliConfig) -> tuple[AdaptedSplitting, GroupKind]:
-    return parse_splitting_document(_read_input(config.input_path))
+def _load(args: argparse.Namespace) -> tuple[AdaptedSplitting, GroupKind]:
+    return parse_splitting_document(_read_input(args.input))
 
 
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def cmd_validate(config: CliConfig) -> int:
-    s, kind = _load(config)
+def cmd_validate(args: argparse.Namespace) -> int:
+    s, kind = _load(args)
     violations = validate(s)
     warnings = validation_warnings(s)
     pairs = [
         ("valid", _bool(not violations)),
-        ("T", str(s.T)),
+        ("T", format_int(s.T)),
         ("violations", "; ".join(violations)),
         ("warnings", "; ".join(warnings)),
     ]
-    _emit(pairs, config, f"validation of {kind.label} splitting")
+    _emit(pairs, args, f"validation of {kind.label} splitting")
     return EXIT_OK if not violations else EXIT_INPUT
 
 
-def _require_valid_t0(s: AdaptedSplitting) -> None:
-    violations = validate(s)
-    if violations:
-        raise InvalidSplittingError(violations)
-    if s.T != 0:
-        raise WrongCodimensionError(
-            f"T={s.T} != 0; this command needs codimension zero. "
-            "For T > 0 use the 'poly' and 'multiindex' commands."
-        )
-
-
-def cmd_invariant(config: CliConfig) -> int:
-    s, kind = _load(config)
-    _require_valid_t0(s)
-    report = lambda_invariant(s, kind, use_sign_convention=config.sign_convention_opt_in)
-    _emit(report.key_values(), config, f"invariant for {kind.label}")
+def cmd_invariant(args: argparse.Namespace) -> int:
+    s, kind = _load(args)
+    report = lambda_invariant(s, kind, use_sign_convention=args.sign_convention)
+    _emit(report.key_values(), args, f"invariant for {kind.label}")
     return EXIT_OK
 
 
-def cmd_homology(config: CliConfig) -> int:
-    s, kind = _load(config)
-    violations = validate(s)
-    if violations:
-        raise InvalidSplittingError(violations)
+def cmd_homology(args: argparse.Namespace) -> int:
+    s, _ = _load(args)
     rep = pair_cohomology(s)
     pairs = [
         ("betti1_M", str(rep.betti1_M)),
-        ("order_H2_M", repr(rep.order_H2_M) if rep.order_H2_M is INFINITE else str(rep.order_H2_M)),
-        ("order_H2_pair", repr(rep.order_H2_pair) if rep.order_H2_pair is INFINITE else str(rep.order_H2_pair)),
+        ("order_H2_M", format_int(rep.order_H2_M)),
+        ("order_H2_pair", format_int(rep.order_H2_pair)),
         ("restriction_iso", _bool(rep.restriction_iso)),
     ]
-    _emit(pairs, config, "pair homology")
+    _emit(pairs, args, "pair homology")
     return EXIT_OK
 
 
-def cmd_degree(config: CliConfig) -> int:
-    s, kind = _load(config)
-    _require_valid_t0(s)
+def cmd_degree(args: argparse.Namespace) -> int:
+    s, kind = _load(args)
+    require_codimension_zero(s)
     degree = degree_of_word_map(assembled_word_map(s), kind)
     pairs = [
         ("group", kind.family.value),
         ("n", str(kind.n)),
-        ("degree", str(degree)),
-        ("magnitude", str(abs(degree))),
+        ("degree", format_int(degree)),
+        ("magnitude", format_int(abs(degree))),
     ]
-    _emit(pairs, config, "exterior-algebra degree of the assembled word map")
+    _emit(pairs, args, "exterior-algebra degree of the assembled word map")
     return EXIT_OK
 
 
-def cmd_stabilize(config: CliConfig) -> int:
-    s, kind = _load(config)
-    violations = validate(s)
-    if violations:
-        raise InvalidSplittingError(violations)
+def cmd_stabilize(args: argparse.Namespace) -> int:
+    s, kind = _load(args)
     sys.stdout.write(format_splitting_document(stabilize(s), kind))
     return EXIT_OK
 
 
-def cmd_oracle(config: CliConfig) -> int:
-    s, kind = _load(config)
-    _require_valid_t0(s)
-    seed = config.seed or 0
+def cmd_oracle(args: argparse.Namespace) -> int:
+    s, kind = _load(args)
     report = lambda_invariant(s, kind)
     pairs: list[tuple[str, str]] = [
         ("group", kind.family.value),
         ("n", str(kind.n)),
-        ("abs_value", str(report.abs_value)),
+        ("abs_value", format_int(report.abs_value)),
     ]
     ok = True
 
@@ -181,12 +152,12 @@ def cmd_oracle(config: CliConfig) -> int:
         for i in range(3):
             for attempt in range(64):
                 try:
-                    target = generic_target(acting, salt=seed + 101 * i + attempt)
+                    target = generic_target(acting, salt=args.seed + 101 * i + attempt)
                     counts.append(numeric_degree_u1(word_map, target))
                     break
                 except NonGenericTargetError:
                     continue
-        pairs.append(("torus_counts", ",".join(str(c) for c in counts)))
+        pairs.append(("torus_counts", ",".join(format_int(c) for c in counts)))
         torus_ok = len(counts) == 3 and all(c == report.abs_value for c in counts)
         pairs.append(("torus_agree", _bool(torus_ok)))
         ok = ok and torus_ok
@@ -197,14 +168,14 @@ def cmd_oracle(config: CliConfig) -> int:
     if coker_applicable:
         expected = cokernel_order(glue)
         enumerated = cokernel_enumeration(glue)
-        pairs.append(("coker_expected", repr(expected) if expected is INFINITE else str(expected)))
-        pairs.append(("coker_enumerated", repr(enumerated) if enumerated is INFINITE else str(enumerated)))
-        coker_ok = expected == enumerated or (expected is INFINITE and enumerated is INFINITE)
+        pairs.append(("coker_expected", format_int(expected)))
+        pairs.append(("coker_enumerated", format_int(enumerated)))
+        coker_ok = expected == enumerated  # INFINITE is a singleton
         pairs.append(("coker_agree", _bool(coker_ok)))
         ok = ok and coker_ok
 
     pairs.append(("agree", _bool(ok)))
-    _emit(pairs, config, "oracle cross-checks")
+    _emit(pairs, args, "oracle cross-checks")
     return EXIT_OK if ok else EXIT_DISAGREEMENT
 
 
@@ -215,23 +186,22 @@ def _kind_from_args(group: str, n: int) -> GroupKind:
         raise DocumentError(str(exc)) from exc
 
 
-def cmd_poly(config: CliConfig, g: int, h: int, group: str, n: int) -> int:
-    kind = _kind_from_args(group, n)
+def cmd_poly(args: argparse.Namespace) -> int:
+    kind = _kind_from_args(args.group, args.n)
     try:
-        value = lambda_polynomial_cylinder(g, h, kind)
+        value = lambda_polynomial_cylinder(args.g, args.h, kind)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    m = g - h
     pairs = [
         ("group", kind.family.value),
         ("n", str(kind.n)),
-        ("g", str(g)),
-        ("h", str(h)),
-        ("value", str(value)),
-        ("magnitude", str(abs(value))),
-        ("note", f"({m}!)^{kind.lie_rank}"),
+        ("g", str(args.g)),
+        ("h", str(args.h)),
+        ("value", format_int(value)),
+        ("magnitude", format_int(abs(value))),
+        ("note", f"({args.g - args.h}!)^{kind.lie_rank}"),
     ]
-    _emit(pairs, config, "product-cylinder polynomial value")
+    _emit(pairs, args, "product-cylinder polynomial value")
     return EXIT_OK
 
 
@@ -250,15 +220,15 @@ def _parse_pairs(text: str, name: str) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def cmd_multiindex(config: CliConfig, i_text: str, j_text: str, group: str | None) -> int:
+def cmd_multiindex(args: argparse.Namespace) -> int:
     try:
-        m = MultiIndex(I=_parse_pairs(i_text, "I"), J=_parse_pairs(j_text, "J"))
+        m = MultiIndex(I=_parse_pairs(args.I, "I"), J=_parse_pairs(args.J, "J"))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    pairs = [("T", str(multiindex_degree(m)))]
-    if group == "SU":
+    pairs = [("T", format_int(multiindex_degree(m)))]
+    if args.group == "SU":
         pairs.append(("su_admissible", _bool(m.is_special_unitary_admissible())))
-    _emit(pairs, config, "multi-index degree")
+    _emit(pairs, args, "multi-index degree")
     return EXIT_OK
 
 
@@ -270,35 +240,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
+    def add_command(name, func, help, with_input=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         if with_input:
             p.add_argument("input", help="splitting document path, or '-' for stdin")
         p.add_argument("--format", choices=("text", "machine"), default="text",
                        dest="output_format")
+        return p
 
-    p = sub.add_parser("validate", help="check a splitting document")
-    add_common(p)
-    p = sub.add_parser("invariant", help="compute the T=0 invariant (all pipelines)")
-    add_common(p)
+    add_command("validate", cmd_validate, "check a splitting document")
+    p = add_command("invariant", cmd_invariant, "compute the T=0 invariant (all pipelines)")
     p.add_argument("--sign-convention", action="store_true",
                    help="report the convention-relative sign instead of UNDETERMINED")
-    p = sub.add_parser("homology", help="pair homology report")
-    add_common(p)
-    p = sub.add_parser("degree", help="exterior degree of the assembled word map")
-    add_common(p)
-    p = sub.add_parser("stabilize", help="write the stabilized document to stdout")
-    add_common(p)
-    p = sub.add_parser("oracle", help="run the applicable brute-force oracles")
-    add_common(p)
+    add_command("homology", cmd_homology, "pair homology report")
+    add_command("degree", cmd_degree, "exterior degree of the assembled word map")
+    add_command("stabilize", cmd_stabilize, "write the stabilized document to stdout")
+    p = add_command("oracle", cmd_oracle, "run the applicable brute-force oracles")
     p.add_argument("--seed", type=int, default=0, help="salt for oracle targets")
-    p = sub.add_parser("poly", help="product-cylinder polynomial example value")
-    add_common(p, with_input=False)
+    p = add_command("poly", cmd_poly, "product-cylinder polynomial example value",
+                    with_input=False)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--group", choices=("U", "SU"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p = sub.add_parser("multiindex", help="degree T of a multi-index (I, J)")
-    add_common(p, with_input=False)
+    p = add_command("multiindex", cmd_multiindex, "degree T of a multi-index (I, J)",
+                    with_input=False)
     p.add_argument("--I", default="", help="comma list of index:multiplicity")
     p.add_argument("--J", default="", help="comma list of index:multiplicity")
     p.add_argument("--group", choices=("U", "SU"))
@@ -307,31 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = CliConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        output_format=args.output_format,
-        sign_convention_opt_in=getattr(args, "sign_convention", False),
-        seed=getattr(args, "seed", None),
-    )
     try:
-        if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "invariant":
-            return cmd_invariant(config)
-        if args.command == "homology":
-            return cmd_homology(config)
-        if args.command == "degree":
-            return cmd_degree(config)
-        if args.command == "stabilize":
-            return cmd_stabilize(config)
-        if args.command == "oracle":
-            return cmd_oracle(config)
-        if args.command == "poly":
-            return cmd_poly(config, args.g, args.h, args.group, args.n)
-        if args.command == "multiindex":
-            return cmd_multiindex(config, args.I, args.J, args.group)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.func(args)
     except (DocumentError, InvalidSplittingError, OSError,
             SingularMatrixError, DomainLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

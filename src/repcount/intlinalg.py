@@ -8,6 +8,11 @@ unimodular row/column operations with a minimal-absolute-value pivot rule,
 which bounds intermediate coefficient growth without affecting the (unique)
 invariant factors.
 
+A matrix is factored once: ``SnfResult`` reads its rank, cokernel order and
+kernel basis off the one factorization, so a caller needing several of them
+pays for one SNF.  The functions ``rank``, ``cokernel_order`` and
+``kernel_basis`` are shorthands for a single reading.
+
 Degenerate shapes are legal throughout: ``det`` of a 0x0 matrix is 1 and the
 cokernel of the empty map Z^0 -> Z^0 has order 1, which is what degenerate
 splittings produce.
@@ -17,7 +22,9 @@ Matrices are immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Sequence
 
 __all__ = [
@@ -25,6 +32,7 @@ __all__ = [
     "SnfResult",
     "INFINITE",
     "ShapeError",
+    "format_int",
     "det",
     "smith_normal_form",
     "cokernel_order",
@@ -52,6 +60,20 @@ class _Infinite:
 
 
 INFINITE = _Infinite()
+
+
+def format_int(x) -> str:
+    """Exact decimal text of an int of any length, or ``'INFINITE'``.
+
+    ``str`` refuses ints past CPython's int-to-str digit limit (4,300 by
+    default); the decimal module's conversion has no such limit.  Raising
+    the limit instead would be process-wide and would also lift the guard
+    that stops the parsers reading overlong numbers.
+
+    >>> format_int(-36), format_int(INFINITE)
+    ('-36', 'INFINITE')
+    """
+    return repr(x) if x is INFINITE else str(Decimal(x))
 
 
 class IntMat:
@@ -185,12 +207,31 @@ class SnfResult:
 
     ``diag`` lists the diagonal of D (length min(rows, cols)); nonzero
     entries form a divisibility chain d1 | d2 | ... with trailing zeros.
+    The properties below are read from ``diag`` and ``V`` without
+    factoring again.
     """
 
     U: IntMat
     D: IntMat
     V: IntMat
     diag: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        """Rank over Q: the number of nonzero invariant factors."""
+        return sum(1 for x in self.diag if x != 0)
+
+    @property
+    def cokernel_order(self):
+        """Order of Z^rows / (column span of A), or INFINITE."""
+        # Full row rank leaves exactly ``rows`` factors, all nonzero.
+        return INFINITE if self.rank < self.D.rows else math.prod(self.diag)
+
+    @property
+    def kernel_basis(self) -> IntMat:
+        """The last ``cols - rank`` columns of V: a Z-basis of ker A."""
+        r = self.rank
+        return IntMat([row[r:] for row in self.V.data], cols=self.V.cols - r)
 
 
 def smith_normal_form(a: IntMat) -> SnfResult:
@@ -303,7 +344,7 @@ def smith_normal_form(a: IntMat) -> SnfResult:
 
 def rank(a: IntMat) -> int:
     """Rank over Q, read off as the number of nonzero invariant factors."""
-    return sum(1 for x in smith_normal_form(a).diag if x != 0)
+    return smith_normal_form(a).rank
 
 
 def cokernel_order(a: IntMat):
@@ -314,14 +355,7 @@ def cokernel_order(a: IntMat):
     >>> cokernel_order(IntMat([[1, 0], [0, 0]]))
     INFINITE
     """
-    diag = smith_normal_form(a).diag
-    nonzero = [x for x in diag if x != 0]
-    if len(nonzero) < a.rows:
-        return INFINITE
-    order = 1
-    for x in nonzero:
-        order *= x
-    return order
+    return smith_normal_form(a).cokernel_order
 
 
 def kernel_basis(a: IntMat) -> IntMat:
@@ -329,10 +363,4 @@ def kernel_basis(a: IntMat) -> IntMat:
 
     The result has ``a.cols`` rows and ``a.cols - rank(a)`` columns.
     """
-    s = smith_normal_form(a)
-    r = sum(1 for x in s.diag if x != 0)
-    width = a.cols - r
-    return IntMat(
-        [[s.V[i, j] for j in range(r, a.cols)] for i in range(a.cols)],
-        cols=width,
-    )
+    return smith_normal_form(a).kernel_basis

@@ -24,6 +24,14 @@ is chosen so that one stabilization flips the convention sign by exactly
 by (-1)^(lie_rank * u_hat_genus) then makes the reported sign stable under
 stabilization.  Reversing the ambient orientation multiplies the sign by
 (-1)^lie_rank.
+
+Vanishing reason.  A zero invariant must come with a rational reason,
+read from P3's own report: ``H2_nonzero`` when H^2(M, Q) != 0 (|H^2(M)|
+is INFINITE), else ``restriction_not_iso`` when H^1(M, Q) -> H^1(S1, Q)
+is not an isomorphism.  Reading it there loses no check: a separate
+vanishing test would factor the same matrices with the same deterministic
+Smith normal form, so it could never disagree with P3.  The check that
+stays is that a zero from all three pipelines has such a reason.
 """
 
 from __future__ import annotations
@@ -32,13 +40,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exterior import GroupKind, cylinder_monomial_value, degree_of_word_map
-from .intlinalg import INFINITE, IntMat, det, kernel_basis, rank
+from .intlinalg import INFINITE, det, format_int
 from .splitting import (
     AdaptedSplitting,
     InvalidSplittingError,
+    PairHomologyReport,
     assembled_word_map,
     glue_matrix,
-    mayer_vietoris_matrix,
     pair_cohomology,
     validate,
 )
@@ -51,6 +59,7 @@ __all__ = [
     "PipelineDisagreementError",
     "UNDETERMINED",
     "lambda_invariant",
+    "require_codimension_zero",
     "vanishing_check",
     "orientation_flip_sign",
     "multiindex_degree",
@@ -105,12 +114,12 @@ class InvariantReport:
             ("group", self.kind.family.value),
             ("n", str(self.kind.n)),
             ("T", str(self.T)),
-            ("abs_value", str(self.abs_value)),
+            ("abs_value", format_int(self.abs_value)),
             ("sign", sign_text),
-            ("K", repr(self.K) if self.K is INFINITE else str(self.K)),
-            ("pipeline_det", str(self.pipelines.det_power)),
-            ("pipeline_ext", str(self.pipelines.ext_magnitude)),
-            ("pipeline_K", str(self.pipelines.k_power)),
+            ("K", format_int(self.K)),
+            ("pipeline_det", format_int(self.pipelines.det_power)),
+            ("pipeline_ext", format_int(self.pipelines.ext_magnitude)),
+            ("pipeline_K", format_int(self.pipelines.k_power)),
             ("agree", "true" if self.pipelines.agree else "false"),
             ("vanishing_reason", self.vanishing_reason or ""),
         ]
@@ -125,29 +134,40 @@ def _domain_orientation_sign(s: AdaptedSplitting, lie_rank: int) -> int:
     return -1 if exponent % 2 else 1
 
 
+def _vanishing_reason(pair: PairHomologyReport) -> Optional[str]:
+    if pair.order_H2_M is INFINITE:
+        return VANISH_H2_NONZERO
+    if not pair.restriction_iso:
+        return VANISH_RESTRICTION
+    return None
+
+
 def vanishing_check(s: AdaptedSplitting) -> Optional[str]:
     """Rational vanishing criteria; a reason here forces the invariant to 0.
 
     Returns ``"H2_nonzero"`` when H^2(M, Q) != 0 (the Mayer-Vietoris matrix
     is not of full row rank), ``"restriction_not_iso"`` when
-    H^1(M, Q) -> H^1(S1, Q) fails to be an isomorphism, else None.
+    H^1(M, Q) -> H^1(S1, Q) fails to be an isomorphism, else None.  Both
+    are read from :func:`pair_cohomology`.
+    """
+    return _vanishing_reason(pair_cohomology(s))
+
+
+def require_codimension_zero(s: AdaptedSplitting) -> None:
+    """Raise unless ``s`` is valid and has T == 0.
+
+    Raises :class:`InvalidSplittingError` for violations, then
+    :class:`WrongCodimensionError` for T != 0.
     """
     violations = validate(s)
     if violations:
         raise InvalidSplittingError(violations)
-    bc = mayer_vietoris_matrix(s)
-    if rank(bc) < s.u:
-        return VANISH_H2_NONZERO
-    kb = kernel_basis(bc)
-    if kb.cols != s.g1:
-        return VANISH_RESTRICTION
-    restriction = IntMat(
-        [[kb[r, c] for c in range(kb.cols)] for r in range(s.g1)],
-        cols=kb.cols,
-    )
-    if rank(restriction) < s.g1:
-        return VANISH_RESTRICTION
-    return None
+    if s.T != 0:
+        raise WrongCodimensionError(
+            f"T={s.T} != 0: the numerical invariant lives at codimension zero; "
+            "for T > 0 use the polynomial path (multi-index degrees, cylinder "
+            "example: the 'multiindex' and 'poly' commands)"
+        )
 
 
 def lambda_invariant(
@@ -161,14 +181,7 @@ def lambda_invariant(
     report.  ``use_sign_convention=True`` opts into the declared sign
     convention; otherwise the sign is reported UNDETERMINED.
     """
-    violations = validate(s)
-    if violations:
-        raise InvalidSplittingError(violations)
-    if s.T != 0:
-        raise WrongCodimensionError(
-            f"T={s.T} != 0: the numerical invariant lives at codimension zero; "
-            "use the polynomial path (multi-index degrees, cylinder example) instead"
-        )
+    require_codimension_zero(s)
     lie_rank = kind.lie_rank
 
     glue = glue_matrix(s)
@@ -190,7 +203,7 @@ def lambda_invariant(
 
     reason = None
     if p1 == 0:
-        reason = vanishing_check(s)
+        reason = _vanishing_reason(pair)
         if reason is None:
             raise PipelineDisagreementError(
                 "vanishing invariant without a rational vanishing reason"

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import intlinalg
 from .exterior import GroupKind, special_unitary, unitary
-from .intlinalg import INFINITE, IntMat, cokernel_order, kernel_basis, rank
+from .intlinalg import INFINITE, IntMat
 from .words import (
     FreeHom,
     MalformedWordError,
@@ -181,8 +182,8 @@ def homology_of_M(s: AdaptedSplitting):
     From the reduced Mayer-Vietoris sequence, H^1(M) is the kernel of
     (b - c) and H^2(M) its cokernel; returns (betti1, order or INFINITE).
     """
-    bc = mayer_vietoris_matrix(s)
-    return kernel_basis(bc).cols, cokernel_order(bc)
+    mv = intlinalg.smith_normal_form(mayer_vietoris_matrix(s))
+    return mv.kernel_basis.cols, mv.cokernel_order
 
 
 @dataclass(frozen=True)
@@ -195,39 +196,33 @@ class PairHomologyReport:
     restriction_iso: bool
 
 
-def _restriction_matrix(s: AdaptedSplitting) -> IntMat:
-    # Composite H^1(M) -> H^1(S1): kernel vectors of (b - c) projected to
-    # the first g1 coordinates of the H1 block.
-    bc = mayer_vietoris_matrix(s)
-    kb = kernel_basis(bc)
-    return IntMat(
-        [[kb[r, c] for c in range(kb.cols)] for r in range(s.g1)],
-        cols=kb.cols,
-    )
-
-
 def pair_cohomology(s: AdaptedSplitting) -> PairHomologyReport:
     """Compute |H^2| of the pair via the restriction-to-surface factorization.
 
     |H^2(pair)| = |H^2(M)| * |H^1(S1) / image of H^1(M)| when both factors
     are finite, INFINITE otherwise.  ``restriction_iso`` records whether
     the rational restriction H^1(M, Q) -> H^1(S1, Q) is an isomorphism.
+    Each of the two matrices, Mayer-Vietoris and restriction, is factored
+    once.
     """
-    _require_valid(s)
-    betti1, order_h2 = homology_of_M(s)
-    mi = _restriction_matrix(s)
-    mi_rank = rank(mi)
-    restriction_iso = betti1 == s.g1 and mi_rank == s.g1
-    quotient = cokernel_order(mi)
+    # The factorization is looked up on the module at call time, so a
+    # wrapper installed there (a counter or a trace) sees every call.
+    mv = intlinalg.smith_normal_form(mayer_vietoris_matrix(s))
+    kb = mv.kernel_basis
+    # Composite H^1(M) -> H^1(S1): kernel vectors of (b - c) projected to
+    # the first g1 coordinates of the H1 block.
+    restriction = intlinalg.smith_normal_form(IntMat(kb.data[: s.g1], cols=kb.cols))
+    order_h2 = mv.cokernel_order
+    quotient = restriction.cokernel_order
     if order_h2 is INFINITE or quotient is INFINITE:
         order_pair = INFINITE
     else:
         order_pair = order_h2 * quotient
     return PairHomologyReport(
-        betti1_M=betti1,
+        betti1_M=kb.cols,
         order_H2_M=order_h2,
         order_H2_pair=order_pair,
-        restriction_iso=restriction_iso,
+        restriction_iso=kb.cols == s.g1 and restriction.rank == s.g1,
     )
 
 

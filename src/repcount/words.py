@@ -234,14 +234,21 @@ def parse_word(text: str) -> Word:
     """Parse the word text syntax: whitespace-separated ``g3^-2`` tokens.
 
     ``g3`` means exponent +1 and the empty string is the identity word.
+    A number past CPython's str-to-int digit limit (4,300 digits by
+    default) is rejected with :class:`MalformedWordError`.
     """
     letters = []
     for token in text.split():
         m = _TOKEN.match(token)
         if m is None:
             raise MalformedWordError(f"bad word token {token!r}")
-        exponent = int(m.group(2)) if m.group(2) is not None else 1
-        letters.append((int(m.group(1)), exponent))
+        try:
+            letters.append((int(m.group(1)), int(m.group(2) or 1)))
+        except ValueError as exc:
+            # Only CPython's str-to-int digit limit can fail on these digits.
+            raise MalformedWordError(
+                f"word token of {len(token)} characters has a number too long to read"
+            ) from exc
     return free_reduce(letters)
 
 

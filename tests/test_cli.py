@@ -1,3 +1,4 @@
+import decimal
 import io
 
 import pytest
@@ -70,6 +71,36 @@ class TestInvariantCommand:
         assert code == 2
         assert "poly" in err
 
+    @pytest.mark.parametrize("command", ["degree", "oracle"])
+    def test_wrong_codimension_other_commands(self, capsys, tmp_path, command):
+        p = tmp_path / "t1.split"
+        p.write_text(DET6_DOCUMENT.replace("h1 = 2", "h1 = 3"))
+        code, _, err = run(capsys, command, str(p))
+        assert code == 2
+        assert "poly" in err
+
+    def test_output_past_str_digit_limit(self, capsys, tmp_path):
+        # |det| = E, so abs_value = E^2 has 4,400 digits: past the limit of
+        # str(int), printed exactly anyway.
+        exponent = "7" * 2200
+        p = tmp_path / "huge.split"
+        p.write_text(TRIVIAL_DOCUMENT.replace("l_map = g1", f"l_map = g1^{exponent}"))
+        code, out, err = run(capsys, "invariant", str(p), "--format", "machine")
+        assert code == 0 and err == ""
+        kv = machine_dict(out)
+        assert kv["K"] == exponent
+        with decimal.localcontext(decimal.Context(prec=10_000)):
+            assert decimal.Decimal(kv["abs_value"]) == decimal.Decimal(exponent) ** 2
+        assert kv["pipeline_det"] == kv["pipeline_ext"] == kv["pipeline_K"] == kv["abs_value"]
+
+    @pytest.mark.parametrize("command", ["validate", "invariant"])
+    def test_overlong_exponent_exit_1(self, capsys, tmp_path, command):
+        p = tmp_path / "long.split"
+        p.write_text(TRIVIAL_DOCUMENT.replace("l_map = g1", "l_map = g1^" + "3" * 4400))
+        code, _, err = run(capsys, command, str(p))
+        assert code == 1
+        assert err.startswith("error: l_map:")
+
     def test_parse_error_exit_1(self, capsys, tmp_path):
         p = tmp_path / "bad.split"
         p.write_text("not a document\n")
@@ -119,6 +150,15 @@ class TestValidateCommand:
         kv = machine_dict(out)
         assert kv["valid"] == "false"
         assert "S1 generators exceed H1 rank" in kv["violations"]
+
+
+@pytest.mark.parametrize("command", ["homology", "stabilize"])
+def test_invalid_splitting_exit_1(capsys, tmp_path, command):
+    p = tmp_path / "invalid.split"
+    p.write_text(TRIVIAL_DOCUMENT.replace("g1 = 1", "g1 = 3"))
+    code, out, err = run(capsys, command, str(p))
+    assert code == 1 and out == ""
+    assert "S1 generators exceed H1 rank" in err
 
 
 class TestHomologyCommand:

@@ -11,6 +11,7 @@ from repcount import (
     ShapeError,
     cokernel_order,
     det,
+    format_int,
     kernel_basis,
     rank,
     smith_normal_form,
@@ -215,3 +216,21 @@ class TestRank:
 
     def test_dependent_rows(self):
         assert rank(IntMat([[2, 4], [1, 2]])) == 1
+
+
+class TestFormatInt:
+    def test_small_and_infinite(self):
+        assert [format_int(x) for x in (0, 7, -36, INFINITE)] == ["0", "7", "-36", "INFINITE"]
+
+    def test_past_str_digit_limit(self):
+        # str() refuses ints of more than 4,300 digits; compare against
+        # base-10**1000 chunks, each short enough for str().
+        x = 7**6000
+        chunks, rest = [], x
+        while rest:
+            rest, low = divmod(rest, 10**1000)
+            chunks.append(low)
+        expected = str(chunks[-1]) + "".join(f"{c:01000d}" for c in reversed(chunks[:-1]))
+        assert len(expected) > 5000
+        assert format_int(x) == expected
+        assert format_int(-x) == "-" + expected

@@ -5,6 +5,7 @@ import pytest
 
 from repcount import (
     INFINITE,
+    intlinalg,
     AdaptedSplitting,
     FreeHom,
     InvalidSplittingError,
@@ -15,6 +16,7 @@ from repcount import (
     lambda_polynomial_cylinder,
     multiindex_degree,
     orientation_flip_sign,
+    pair_cohomology,
     parse_word,
     special_unitary,
     unitary,
@@ -151,6 +153,38 @@ class TestVanishingCheck:
             rep = lambda_invariant(s, unitary(1))
             assert rep.abs_value == 0
             assert rep.vanishing_reason == vanishing_check(s)
+
+
+class TestFactorOnce:
+    """P3 factors the Mayer-Vietoris and the restriction matrix once each,
+    and the vanishing reason is read from that report."""
+
+    @pytest.fixture
+    def snf_calls(self, monkeypatch):
+        calls = []
+        original = intlinalg.smith_normal_form
+
+        def counted(a):
+            calls.append((a.rows, a.cols))
+            return original(a)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+        return calls
+
+    FIXTURES = [det6_splitting, restriction_degenerate_splitting, h2_degenerate_splitting]
+
+    @pytest.mark.parametrize("make", FIXTURES)
+    def test_pair_cohomology(self, snf_calls, make):
+        s = make()
+        pair_cohomology(s)
+        assert len(snf_calls) == 2
+        assert snf_calls[0] == (s.u, s.h1 + s.h2)  # Mayer-Vietoris
+        assert snf_calls[1][0] == s.g1  # restriction to the marked surface
+
+    @pytest.mark.parametrize("make", FIXTURES)
+    def test_lambda_invariant(self, snf_calls, make):
+        lambda_invariant(make(), unitary(2))
+        assert len(snf_calls) == 2
 
 
 class TestStabilizationBehavior:

@@ -167,6 +167,13 @@ class TestTextSyntax:
         with pytest.raises(MalformedWordError):
             parse_word(bad)
 
+    @pytest.mark.parametrize("bad", ["g1^" + "3" * 4400, "g" + "2" * 4400],
+                             ids=["exponent", "generator"])
+    def test_parse_rejects_overlong_number(self, bad):
+        # Past CPython's str-to-int digit limit int() raises a bare ValueError.
+        with pytest.raises(MalformedWordError, match="too long"):
+            parse_word(bad)
+
     def test_roundtrip(self):
         rng = random.Random(3)
         for _ in range(50):
