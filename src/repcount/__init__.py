@@ -11,6 +11,7 @@ power) that must agree; brute-force oracles cross-check the ingredients.
 from .exterior import (
     AmbientMismatchError,
     ExtElement,
+    ExteriorWorkLimitError,
     GeneratorRangeError,
     GroupFamily,
     GroupKind,

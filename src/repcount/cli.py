@@ -1,10 +1,10 @@
 """Command-line surface: validate, invariant, homology, degree, stabilize,
 oracle, poly, multiindex.
 
-Exit status: 0 success, 1 parse/validation error, 2 wrong mode (T != 0 for
-a codimension-zero command), 3 internal cross-check disagreement.  Machine
-output is line-oriented ``key=value`` and deterministic for a given input
-and seed.
+Exit status: 0 success, 1 parse/validation error or an input past a
+declared size box, 2 wrong mode (T != 0 for a codimension-zero command),
+3 internal cross-check disagreement.  Machine output is line-oriented
+``key=value`` and deterministic for a given input and seed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .exterior import GroupKind, degree_of_word_map, special_unitary, unitary
+from .exterior import (
+    ExteriorWorkLimitError,
+    GroupKind,
+    degree_of_word_map,
+    special_unitary,
+    unitary,
+)
 from .intlinalg import cokernel_order, det, format_int
 from .invariants import (
     MultiIndex,
@@ -24,6 +30,9 @@ from .invariants import (
     require_codimension_zero,
 )
 from .oracle import (
+    COKER_MAX_DIM,
+    COKER_MAX_ENTRY,
+    TORUS_MAX_DET,
     DomainLimitError,
     NonGenericTargetError,
     SingularMatrixError,
@@ -143,7 +152,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     ok = True
 
     glue = glue_matrix(s)
-    torus_applicable = kind.n == 1 and det(glue) != 0
+    torus_applicable = kind.n == 1 and 0 < abs(det(glue)) <= TORUS_MAX_DET
     pairs.append(("torus_applicable", _bool(torus_applicable)))
     if torus_applicable:
         word_map = assembled_word_map(s)
@@ -163,7 +172,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         ok = ok and torus_ok
 
     max_entry = max((abs(x) for row in glue.data for x in row), default=0)
-    coker_applicable = glue.rows <= 3 and glue.cols <= 3 and max_entry <= 4
+    coker_applicable = (glue.rows <= COKER_MAX_DIM and glue.cols <= COKER_MAX_DIM
+                        and max_entry <= COKER_MAX_ENTRY)
     pairs.append(("coker_applicable", _bool(coker_applicable)))
     if coker_applicable:
         expected = cokernel_order(glue)
@@ -276,8 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, InvalidSplittingError, OSError,
-            SingularMatrixError, DomainLimitError) as exc:
+    except (DocumentError, InvalidSplittingError, OSError, SingularMatrixError,
+            DomainLimitError, ExteriorWorkLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except WrongCodimensionError as exc:

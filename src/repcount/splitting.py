@@ -46,6 +46,7 @@ __all__ = [
     "PairHomologyReport",
     "InvalidSplittingError",
     "DocumentError",
+    "MAX_DOCUMENT_RANK",
     "validate",
     "validation_warnings",
     "glue_matrix",
@@ -280,6 +281,8 @@ def assembled_word_map(s: AdaptedSplitting) -> FreeHom:
 
 _REQUIRED_FIELDS = ("n", "group", "h1", "h2", "u", "g1", "k_map", "l_map")
 _OPTIONAL_FIELDS = ("u_hat_genus", "orientation_reversed")
+# Largest |value| of a rank or genus field (h1, h2, u, g1, u_hat_genus).
+MAX_DOCUMENT_RANK = 1000
 
 
 def _parse_word_list(value: str, expected: int, target_rank: int, field: str) -> FreeHom:
@@ -338,8 +341,14 @@ def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
-    h1, h2, u, g1 = (int_field(k) for k in ("h1", "h2", "u", "g1"))
-    u_hat = int_field("u_hat_genus") if "u_hat_genus" in fields else None
+    def rank_field(key: str) -> int:
+        value = int_field(key)
+        if abs(value) > MAX_DOCUMENT_RANK:
+            raise DocumentError(f"field {key!r} is past the rank limit {MAX_DOCUMENT_RANK}")
+        return value
+
+    h1, h2, u, g1 = (rank_field(k) for k in ("h1", "h2", "u", "g1"))
+    u_hat = rank_field("u_hat_genus") if "u_hat_genus" in fields else None
     reversed_flag = False
     if "orientation_reversed" in fields:
         flag = fields["orientation_reversed"]

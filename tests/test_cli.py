@@ -1,5 +1,6 @@
 import decimal
 import io
+import time
 
 import pytest
 
@@ -176,6 +177,50 @@ class TestDegreeCommand:
         assert code == 0
         kv = machine_dict(out)
         assert kv["magnitude"] == "36"
+
+
+class TestSizeBoxes:
+    def test_p2_work_box_exit_1(self, capsys, tmp_path):
+        u = 30
+        p = tmp_path / "wide.split"
+        p.write_text(
+            f"n = 1\ngroup = U\nh1 = {u}\nh2 = 1\nu = {u}\ng1 = 1\n"
+            "k_map = " + " ; ".join(f"g{i}" for i in range(1, u + 1)) + "\n"
+            "l_map = " + " ; ".join(["g1"] * u) + "\n"
+        )
+        for command in ("invariant", "degree", "oracle"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, str(p))
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == ""
+            assert err.startswith("error: degree expansion") and "Traceback" not in err
+
+    def test_torus_box(self, capsys, tmp_path):
+        p = tmp_path / "long.split"
+        p.write_text(TRIVIAL_DOCUMENT.replace("n = 2", "n = 1")
+                     .replace("l_map = g1", "l_map = g1^600000"))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "oracle", str(p), "--format", "machine")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        kv = machine_dict(out)
+        assert kv["abs_value"] == "600000"
+        assert kv["torus_applicable"] == "false" and "torus_counts" not in kv
+        assert kv["coker_applicable"] == "false"
+        assert kv["agree"] == "true"
+
+    @pytest.mark.parametrize("command", ["validate", "invariant", "degree", "oracle",
+                                         "stabilize", "homology"])
+    def test_rank_box_exit_1(self, capsys, tmp_path, command):
+        nines = "9" * 4300
+        p = tmp_path / "ranks.split"
+        p.write_text(f"n = 1\ngroup = U\nh1 = {nines}\nh2 = {nines}\nu = 1\ng1 = 0\n"
+                     "k_map = g1\nl_map = g1\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(p))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: field 'h1'") and "Traceback" not in err
 
 
 class TestStabilizeCommand:

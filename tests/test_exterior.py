@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repcount import (
     AmbientMismatchError,
+    ExteriorWorkLimitError,
     ExtElement,
     FreeHom,
     GeneratorRangeError,
@@ -24,6 +27,7 @@ from repcount import (
     unitary,
     wedge,
 )
+from repcount import exterior
 from support import random_free_hom
 
 U1, U2, U3 = unitary(1), unitary(2), unitary(3)
@@ -218,3 +222,112 @@ class TestCylinderMonomialValue:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cylinder_monomial_value(0, U2)
+
+
+def reference_degree(f, kind):
+    """Top coefficient of the factor-major pullback product, without wedge.
+
+    Expanding prod_i prod_j sum_k m[i][k] x[j]-of-factor-k leaves only the
+    choices where, for each generator j, k = sigma_j(i) is a permutation of
+    the factors; each such term is a monomial in factor-major order.
+    """
+    m = abelianize(f).transpose()
+    n = m.rows
+    perms = list(itertools.permutations(range(n)))
+    weight = {sigma: math.prod(m[i, sigma[i]] for i in range(n)) for sigma in perms}
+    live = [sigma for sigma in perms if weight[sigma]]
+    gens = kind.generator_indices
+    total = 0
+    for sigmas in itertools.product(live, repeat=len(gens)):
+        coeff = math.prod(weight[sigma] for sigma in sigmas)
+        pairs = [(sigma[i] + 1, j) for i in range(n) for sigma, j in zip(sigmas, gens)]
+        total += sum(ExtElement.monomial(kind, n, coeff, pairs).terms.values())
+    return total
+
+
+def dense_hom(rng, n):
+    """A word map whose exponent-sum matrix has no zero entry."""
+    images = []
+    for _ in range(n):
+        letters = []
+        for g in range(1, n + 1):
+            e = rng.choice((-3, -2, -1, 1, 2, 3))
+            letters += [(g, 1 if e > 0 else -1)] * abs(e)
+        rng.shuffle(letters)
+        images.append(free_reduce(letters))
+    return FreeHom(n, n, tuple(images))
+
+
+class TestBlockOrderDegree:
+    @pytest.mark.parametrize("kind", [U1, U2, U3, SU2, SU3, special_unitary(4)],
+                             ids=lambda k: k.label)
+    def test_matches_permutation_expansion(self, kind):
+        rng = random.Random(31 + kind.n)
+        top = 5 if kind.lie_rank <= 2 else 4
+        for n in range(1, top + 1):
+            maps = [random_free_hom(rng, n, n, max_len=6) for _ in range(3)]
+            maps += [dense_hom(rng, n) for _ in range(3 if n < top else 1)]
+            for f in maps:
+                assert degree_of_word_map(f, kind) == reference_degree(f, kind)
+
+    def test_one_form_wedge_matches_monomials(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            kind = rng.choice((U2, U3, SU3))
+            n = rng.randint(1, 4)
+            pairs = [(k, j) for k in range(1, n + 1) for j in kind.generator_indices]
+            a = ExtElement.zero(kind, n)
+            for _ in range(rng.randint(0, 4)):
+                picked = rng.sample(pairs, rng.randint(0, min(3, len(pairs))))
+                a = a + ExtElement.monomial(kind, n, rng.randint(-3, 3), picked)
+            b = ExtElement.zero(kind, n)
+            for pair in rng.sample(pairs, rng.randint(1, len(pairs))):
+                b = b + ExtElement.monomial(kind, n, rng.randint(-3, 3), [pair])
+            expected = ExtElement.zero(kind, n)
+            for key, ca in a.terms.items():
+                for (pair,), cb in b.terms.items():
+                    expected = expected + ExtElement.monomial(
+                        kind, n, ca * cb, list(key) + [pair])
+            assert a.wedge(b) == expected
+
+    def test_one_form_wedge_repeated_pair(self):
+        a = ExtElement.monomial(U2, 2, 3, [(2, 1), (1, 0)])
+        b = gen(U2, 2, 1, 0) + 5 * gen(U2, 2, 2, 0)
+        # (1, 0) repeats and drops out; (2, 0) moves past (2, 1): one swap.
+        assert a.wedge(b) == ExtElement.monomial(U2, 2, 15, [(2, 1), (1, 0), (2, 0)])
+        assert a.wedge(gen(U2, 2, 1, 0)).is_zero
+
+    def test_one_form_wedge_skips_general_merge(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("general merge used for a 1-form")
+        monkeypatch.setattr(exterior, "_merge_sign", fail)
+        f = dense_hom(random.Random(43), 4)
+        assert abs(degree_of_word_map(f, U3)) == abs(det(abelianize(f))) ** 3
+
+    def test_peak_terms_dense_u3_rank8(self, monkeypatch):
+        sizes = []
+        original = ExtElement.wedge
+
+        def recording(self, other):
+            result = original(self, other)
+            sizes.append(len(result.terms))
+            return result
+
+        monkeypatch.setattr(ExtElement, "wedge", recording)
+        f = dense_hom(random.Random(47), 8)
+        d = det(abelianize(f))
+        assert d != 0
+        assert abs(degree_of_word_map(f, U3)) == abs(d) ** 3
+        assert len(sizes) == 8 * 3
+        assert max(sizes) <= math.comb(8, 4) == 70
+
+    def test_work_box_above_benchmark_rungs(self):
+        for kind, n in ((U2, 8), (SU3, 8), (U3, 6), (unitary(4), 5)):
+            assert kind.lie_rank * n * 2 ** n <= exterior.MAX_EXTERIOR_WORK
+
+    @pytest.mark.parametrize("n", [24, 30, 10_000])
+    def test_work_box_refuses_before_expanding(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ExteriorWorkLimitError):
+            degree_of_word_map(FreeHom.identity(n), U1)
+        assert time.perf_counter() - start < 1.0

@@ -23,6 +23,7 @@ from repcount import (
     torus_preimage_count,
     unitary,
 )
+from repcount.oracle import TORUS_MAX_DET
 from support import det6_splitting, random_int_mat, random_t0_splitting
 
 
@@ -57,6 +58,14 @@ class TestTorusPreimageCount:
         # x = 0 solves A x == 0 and sits on the domain boundary
         with pytest.raises(NonGenericTargetError):
             torus_preimage_count(IntMat([[2]]), (Fraction(0),))
+
+    def test_torus_det_limit(self):
+        with pytest.raises(DomainLimitError):
+            torus_preimage_count(IntMat([[600000]]), (Fraction(1, 7),))
+        with pytest.raises(DomainLimitError):
+            torus_preimage_count(IntMat([[TORUS_MAX_DET + 1]]), (Fraction(1, 7),))
+        a = IntMat([[1, 1], [-100, 100]])
+        assert torus_preimage_count(a, generic_target(a)).count == 200
 
     def test_negative_determinant(self):
         a = IntMat([[-3]])

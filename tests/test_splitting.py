@@ -24,6 +24,7 @@ from repcount import (
     validate,
     validation_warnings,
 )
+from repcount.splitting import MAX_DOCUMENT_RANK
 from support import (
     DET6_DOCUMENT,
     TRIVIAL_DOCUMENT,
@@ -277,6 +278,15 @@ class TestDocumentFormat:
     def test_parse_errors(self, mutation, message):
         with pytest.raises(DocumentError, match=message):
             parse_splitting_document(mutation(TRIVIAL_DOCUMENT))
+
+    @pytest.mark.parametrize("field", ["h1", "h2", "u", "g1", "u_hat_genus"])
+    def test_rank_box(self, field):
+        lines = [line for line in TRIVIAL_DOCUMENT.splitlines()
+                 if not line.startswith(field + " ")]
+        for value in (MAX_DOCUMENT_RANK + 1, -MAX_DOCUMENT_RANK - 1):
+            text = "\n".join(lines + [f"{field} = {value}"]) + "\n"
+            with pytest.raises(DocumentError, match=f"'{field}' is past the rank limit"):
+                parse_splitting_document(text)
 
     def test_su_document(self):
         text = TRIVIAL_DOCUMENT.replace("group = U", "group = SU").replace("n = 2", "n = 3")
