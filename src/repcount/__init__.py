@@ -29,6 +29,7 @@ from .intlinalg import (
     SnfResult,
     cokernel_order,
     det,
+    echelon,
     format_int,
     kernel_basis,
     rank,

@@ -25,8 +25,10 @@ odd 1-forms and contributes the closed-form sign
 The expansion is done in full here, never shortcut to a determinant power:
 every block is expanded term by term, none is computed once and raised to
 the rank-th power, so that it stays an independent pipeline and produces
-an orientation sign.  Its work is about rank * N * 2^N term steps, and
-inputs past ``MAX_EXTERIOR_WORK`` are refused before expanding.
+an orientation sign.  It takes about rank * N * 2^N term steps, on keys of
+up to rank * N pairs, so its work is counted as rank^2 * N * 2^N, and
+inputs past ``MAX_EXTERIOR_WORK`` are refused before expanding.  The
+product-cylinder value is boxed the same way, with N = g - h.
 
 Signs are relative to the lexicographic ordering of (factor, generator)
 pairs; no claim is made about a preferred global orientation.
@@ -73,13 +75,27 @@ class AmbientMismatchError(ValueError):
 
 
 class ExteriorWorkLimitError(ValueError):
-    """The degree expansion would exceed ``MAX_EXTERIOR_WORK`` term steps."""
+    """An expansion would exceed ``MAX_EXTERIOR_WORK`` term steps."""
 
 
-# Term steps (rank * N * 2^N) the degree expansion may take.  A step took
-# about 1 us under CPython 3.11 on a 3.3 GHz AMD EPYC vCPU, so the box
+# Work (rank^2 * N * 2^N) an expansion may take.  A unit of it took at
+# most about 1 us under CPython 3.11 on a 3.3 GHz AMD EPYC vCPU, so the box
 # stops a single expansion near ten seconds there.
 MAX_EXTERIOR_WORK = 10_000_000
+
+
+def _require_work_in_box(kind: GroupKind, n: int, what: str) -> None:
+    """Raise :class:`ExteriorWorkLimitError` when rank^2 * n * 2^n is past
+    ``MAX_EXTERIOR_WORK``: rank blocks of about n * 2^n term steps each, on
+    keys that grow to rank * n pairs."""
+    rank = kind.lie_rank
+    # From n = bit_length on, 2^n alone is past the limit; testing n first
+    # keeps a huge n from building a huge estimate.
+    if n >= MAX_EXTERIOR_WORK.bit_length() or rank * rank * n << n > MAX_EXTERIOR_WORK:
+        raise ExteriorWorkLimitError(
+            f"{what} for {kind.label} at N = {n} is past the limit of "
+            f"{MAX_EXTERIOR_WORK} term steps (rank^2 * N * 2^N)"
+        )
 
 
 @dataclass(frozen=True)
@@ -103,11 +119,15 @@ class GroupKind:
         return self.n - 1
 
     @property
+    def generator_range(self) -> range:
+        """Indices j of the primitive generators x[j], of degree 2j+1, as a
+        range: membership costs O(1) whatever n is."""
+        return range(0 if self.family is GroupFamily.UNITARY else 1, self.n)
+
+    @property
     def generator_indices(self) -> tuple[int, ...]:
-        """Indices j of the primitive generators x[j], of degree 2j+1."""
-        if self.family is GroupFamily.UNITARY:
-            return tuple(range(self.n))
-        return tuple(range(1, self.n))
+        """The indices of :attr:`generator_range` as a tuple."""
+        return tuple(self.generator_range)
 
     @property
     def label(self) -> str:
@@ -176,7 +196,7 @@ class ExtElement:
         for k, j in seq:
             if not 1 <= k <= n_factors:
                 raise GeneratorRangeError(f"factor {k} outside 1..{n_factors}")
-            if j not in kind.generator_indices:
+            if j not in kind.generator_range:
                 raise GeneratorRangeError(
                     f"generator index {j} invalid for {kind.label}"
                 )
@@ -292,7 +312,7 @@ def pullback_primitive(m: IntMat, i: int, j: int, kind: GroupKind) -> ExtElement
     sum_k m[i][k] x[j]-of-factor-k, the same coefficient vector for every
     valid j.
     """
-    if j not in kind.generator_indices:
+    if j not in kind.generator_range:
         raise GeneratorRangeError(f"generator index {j} invalid for {kind.label}")
     if not 1 <= i <= m.rows:
         raise GeneratorRangeError(f"target factor {i} outside 1..{m.rows}")
@@ -307,7 +327,7 @@ def pullback_primitive(m: IntMat, i: int, j: int, kind: GroupKind) -> ExtElement
 
 def _top_key(kind: GroupKind, n_factors: int) -> tuple:
     return tuple(sorted((k, j) for k in range(1, n_factors + 1)
-                 for j in kind.generator_indices))
+                 for j in kind.generator_range))
 
 
 def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
@@ -324,25 +344,18 @@ def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
     generators.
 
     Raises :class:`ExteriorWorkLimitError` before expanding when
-    rank * N * 2^N exceeds ``MAX_EXTERIOR_WORK``.
+    rank^2 * N * 2^N exceeds ``MAX_EXTERIOR_WORK``.
     """
     if f.source_rank != f.target_rank:
         raise ShapeError(
             f"word map must be endomorphism-shaped, got {f.source_rank} -> {f.target_rank}"
         )
     n_factors = f.source_rank
+    _require_work_in_box(kind, n_factors, "degree expansion")
     rank = kind.lie_rank
-    # From N = bit_length on, rank * N * 2^N is past the limit for any rank;
-    # testing N first keeps a huge N from building a huge estimate.
-    if (n_factors >= MAX_EXTERIOR_WORK.bit_length()
-            or rank * n_factors << n_factors > MAX_EXTERIOR_WORK):
-        raise ExteriorWorkLimitError(
-            f"degree expansion for {kind.label} on {n_factors} factors is past "
-            f"the limit of {MAX_EXTERIOR_WORK} term steps (rank * N * 2^N)"
-        )
     m_rows = abelianize(f).transpose()
     acc = ExtElement.unit(kind, n_factors)
-    for j in kind.generator_indices:
+    for j in kind.generator_range:
         for i in range(1, n_factors + 1):
             acc = acc.wedge(pullback_primitive(m_rows, i, j, kind))
             if acc.is_zero:
@@ -361,13 +374,18 @@ def cylinder_monomial_value(g_minus_h: int, kind: GroupKind) -> int:
     y_j = sum_p a_j^(p) ^ b_j^(p) is formed; the value is the coefficient
     of the top monomial in prod_j y_j^(g-h).  Its absolute value is
     ((g-h)!)^lie_rank.
+
+    Each y_j^(g-h) holds up to C(g-h, (g-h)/2) terms, so this raises
+    :class:`ExteriorWorkLimitError` before expanding when
+    rank^2 * (g-h) * 2^(g-h) exceeds ``MAX_EXTERIOR_WORK``.
     """
     if g_minus_h < 1:
         raise ValueError("g_minus_h must be at least 1")
+    _require_work_in_box(kind, g_minus_h, "product-cylinder expansion")
     m = g_minus_h
     n_factors = 2 * m
     acc = ExtElement.unit(kind, n_factors)
-    for j in kind.generator_indices:
+    for j in kind.generator_range:
         y_j = ExtElement.zero(kind, n_factors)
         for p in range(1, m + 1):
             y_j = y_j + ExtElement.monomial(

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: determinants, Smith normal form, kernels.
+"""Exact integer linear algebra: determinants, echelon forms, Smith normal form.
 
 Everything here is arbitrary precision.  Entries are Python ints and no
 operation ever rounds.  Determinants use fraction-free (Bareiss) elimination
@@ -8,10 +8,14 @@ unimodular row/column operations with a minimal-absolute-value pivot rule,
 which bounds intermediate coefficient growth without affecting the (unique)
 invariant factors.
 
-A matrix is factored once: ``SnfResult`` reads its rank, cokernel order and
-kernel basis off the one factorization, so a caller needing several of them
-pays for one SNF.  The functions ``rank``, ``cokernel_order`` and
-``kernel_basis`` are shorthands for a single reading.
+A matrix is reduced once.  ``echelon`` row-reduces without building a
+transform, so its entries stay small; a lattice index, a rank and the
+image of a kernel under a projection are read off its pivots and its zero
+rows, which is all the cohomology computation needs.  ``SnfResult`` reads
+its rank, cokernel order and kernel basis off one factorization with both
+transforms, so a caller needing several of them pays for one SNF.  The
+functions ``rank``, ``cokernel_order`` and ``kernel_basis`` are shorthands
+for a single reading.
 
 Degenerate shapes are legal throughout: ``det`` of a 0x0 matrix is 1 and the
 cokernel of the empty map Z^0 -> Z^0 has order 1, which is what degenerate
@@ -34,6 +38,7 @@ __all__ = [
     "ShapeError",
     "format_int",
     "det",
+    "echelon",
     "smith_normal_form",
     "cokernel_order",
     "kernel_basis",
@@ -199,6 +204,53 @@ def det(a: IntMat) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def echelon(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
+    """Row-reduce the first ``ncols`` columns of ``a`` to echelon form.
+
+    The row operations are unimodular: Euclid down each column, the row of
+    least nonzero |entry| as pivot, with no transform accumulated and no
+    back-reduction.  Returns the absolute pivots, one per column that has
+    one, and the rows left zero in the first ``ncols`` columns, as an
+    ``IntMat`` of their trailing ``a.cols - ncols`` entries.
+
+    The pivots number the rank of those columns, and their product is the
+    index of the row lattice when the rank is ``ncols``.  Because the
+    operations are unimodular, the rows left zero hold a Z-basis of the
+    left kernel of the first ``ncols`` columns, carried through the rest:
+    echelon ``[A^T | I]`` over ``A.rows`` columns and they are a basis of
+    ker A.  Here A = [[2, 4]], with cokernel Z/2 and kernel spanned by
+    (-2, 1):
+
+    >>> echelon(IntMat([[2, 1, 0], [4, 0, 1]]), 1)
+    ((2,), IntMat[-2 1])
+    """
+    if not 0 <= ncols <= a.cols:
+        raise ShapeError(f"cannot echelon {ncols} columns of a {a.rows}x{a.cols} matrix")
+    width = a.cols
+    active = [list(row) for row in a.data]
+    pivots = []
+    for c in range(ncols):
+        column = [row for row in active if row[c]]
+        if not column:
+            continue
+        while len(column) > 1:
+            pivot = min(column, key=lambda row: abs(row[c]))
+            p = pivot[c]
+            left = [pivot]
+            for row in column:
+                if row is not pivot:
+                    q = row[c] // p
+                    # Columns before c are zero in every active row.
+                    row[c:] = [x - q * y for x, y in zip(row[c:], pivot[c:])]
+                    if row[c]:
+                        left.append(row)
+            column = left
+        pivot = column[0]
+        pivots.append(abs(pivot[c]))
+        active = [row for row in active if row is not pivot]
+    return tuple(pivots), IntMat([row[ncols:] for row in active], cols=width - ncols)
 
 
 @dataclass(frozen=True)

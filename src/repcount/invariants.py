@@ -184,12 +184,14 @@ def lambda_invariant(
     require_codimension_zero(s)
     lie_rank = kind.lie_rank
 
+    # P2 first: its work box refuses a huge Lie rank before P1 raises
+    # |det| to it.
+    degree = degree_of_word_map(assembled_word_map(s), kind)
+    p2 = abs(degree)
+
     glue = glue_matrix(s)
     glue_det = det(glue)
     p1 = abs(glue_det) ** lie_rank
-
-    degree = degree_of_word_map(assembled_word_map(s), kind)
-    p2 = abs(degree)
 
     pair = pair_cohomology(s)
     k_order = pair.order_H2_pair

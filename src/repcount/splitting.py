@@ -16,7 +16,10 @@ data.
 
 Cohomology is contravariant, so the pullback maps b, c on first cohomology
 are the transposes of the pi_1-level abelianizations.  That orientation of
-the maps is fixed once here and reused by the invariant pipelines.
+the maps is fixed once here and reused by the invariant pipelines.  The
+cohomology of M and of the pair is read off two transform-free integer
+echelon forms (``intlinalg.echelon``), one per matrix, so no Smith
+normal form is built and the entries stay small.
 
 The codimension count is T = (h1 + h2 - u) - g1, the difference of Euler
 characteristics of the marked surface and of M.  The numerical invariant
@@ -25,6 +28,7 @@ lives at T = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import intlinalg
@@ -177,14 +181,35 @@ def mayer_vietoris_matrix(s: AdaptedSplitting) -> IntMat:
     return IntMat(rows, cols=s.h1 + s.h2)
 
 
+def _mayer_vietoris_echelon(s: AdaptedSplitting):
+    """Echelon ``[MV^T | E]`` over its first u columns.
+
+    MV^T is (h1+h2) x u, and E is the first g1 columns of the (h1+h2)
+    identity: the H^1(S1) coordinates.  Returns |H^2(M)| (the product of
+    the pivots, or INFINITE when there are fewer than u) and the rows left
+    zero, whose g1 entries span the image of ker(b - c) = H^1(M) in
+    H^1(S1).
+    """
+    mvt = mayer_vietoris_matrix(s).transpose()
+    g1 = s.g1
+    augmented = IntMat(
+        [row + tuple(int(i == j) for j in range(g1)) for i, row in enumerate(mvt.data)],
+        cols=s.u + g1,
+    )
+    # Looked up on the module at call time, so a wrapper installed there
+    # (a counter or a trace) sees every call.
+    pivots, rest = intlinalg.echelon(augmented, s.u)
+    return (math.prod(pivots) if len(pivots) == s.u else INFINITE), rest
+
+
 def homology_of_M(s: AdaptedSplitting):
     """First Betti number and |H^2| of the glued manifold.
 
     From the reduced Mayer-Vietoris sequence, H^1(M) is the kernel of
     (b - c) and H^2(M) its cokernel; returns (betti1, order or INFINITE).
     """
-    mv = intlinalg.smith_normal_form(mayer_vietoris_matrix(s))
-    return mv.kernel_basis.cols, mv.cokernel_order
+    order_h2, kernel = _mayer_vietoris_echelon(s)
+    return kernel.rows, order_h2
 
 
 @dataclass(frozen=True)
@@ -203,27 +228,22 @@ def pair_cohomology(s: AdaptedSplitting) -> PairHomologyReport:
     |H^2(pair)| = |H^2(M)| * |H^1(S1) / image of H^1(M)| when both factors
     are finite, INFINITE otherwise.  ``restriction_iso`` records whether
     the rational restriction H^1(M, Q) -> H^1(S1, Q) is an isomorphism.
-    Each of the two matrices, Mayer-Vietoris and restriction, is factored
-    once.
+    Each matrix is reduced once, by a transform-free echelon: the
+    Mayer-Vietoris matrix together with the H^1(S1) coordinates, then the
+    image of H^1(M) in H^1(S1) that the first one leaves.
     """
-    # The factorization is looked up on the module at call time, so a
-    # wrapper installed there (a counter or a trace) sees every call.
-    mv = intlinalg.smith_normal_form(mayer_vietoris_matrix(s))
-    kb = mv.kernel_basis
-    # Composite H^1(M) -> H^1(S1): kernel vectors of (b - c) projected to
-    # the first g1 coordinates of the H1 block.
-    restriction = intlinalg.smith_normal_form(IntMat(kb.data[: s.g1], cols=kb.cols))
-    order_h2 = mv.cokernel_order
-    quotient = restriction.cokernel_order
+    order_h2, kernel = _mayer_vietoris_echelon(s)
+    pivots, _ = intlinalg.echelon(kernel, s.g1)
+    quotient = math.prod(pivots) if len(pivots) == s.g1 else INFINITE
     if order_h2 is INFINITE or quotient is INFINITE:
         order_pair = INFINITE
     else:
         order_pair = order_h2 * quotient
     return PairHomologyReport(
-        betti1_M=kb.cols,
+        betti1_M=kernel.rows,
         order_H2_M=order_h2,
         order_H2_pair=order_pair,
-        restriction_iso=kb.cols == s.g1 and restriction.rank == s.g1,
+        restriction_iso=kernel.rows == s.g1 and len(pivots) == s.g1,
     )
 
 

@@ -218,13 +218,12 @@ def abelianize(f: FreeHom) -> IntMat:
     equal to the exponent sum of target generator k in the image of source
     generator i; column i is the exponent vector of f(y_i).
     """
-    return IntMat(
-        [
-            [exponent_sum(f.images[i], k) for i in range(f.source_rank)]
-            for k in range(1, f.target_rank + 1)
-        ],
-        cols=f.source_rank,
-    )
+    rows = [[0] * f.source_rank for _ in range(f.target_rank)]
+    # One pass per word: each letter adds its exponent to its row.
+    for i, w in enumerate(f.images):
+        for g, e in w.letters:
+            rows[g - 1][i] += e
+    return IntMat(rows, cols=f.source_rank)
 
 
 _TOKEN = re.compile(r"g([1-9][0-9]*)(?:\^(-?[0-9]+))?\Z")

@@ -195,6 +195,26 @@ class TestSizeBoxes:
             assert code == 1 and out == ""
             assert err.startswith("error: degree expansion") and "Traceback" not in err
 
+    @pytest.mark.parametrize("n,l_map", [(20000, "g1"), (10 ** 9, "g1^3")])
+    def test_lie_rank_work_box_exit_1(self, capsys, tmp_path, n, l_map):
+        # With |det| = 3 the box must refuse before P1 raises 3 to the rank.
+        p = tmp_path / "rank.split"
+        p.write_text(TRIVIAL_DOCUMENT.replace("n = 2", f"n = {n}")
+                     .replace("l_map = g1", f"l_map = {l_map}"))
+        for command in ("invariant", "degree", "oracle"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, str(p))
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == ""
+            assert err.startswith("error: degree expansion") and "Traceback" not in err
+
+    def test_poly_work_box_exit_1(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "poly", "--g", "30", "--h", "2", "--group", "U", "--n", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: product-cylinder expansion") and "Traceback" not in err
+
     def test_torus_box(self, capsys, tmp_path):
         p = tmp_path / "long.split"
         p.write_text(TRIVIAL_DOCUMENT.replace("n = 2", "n = 1")

@@ -223,6 +223,14 @@ class TestCylinderMonomialValue:
         with pytest.raises(ValueError):
             cylinder_monomial_value(0, U2)
 
+    @pytest.mark.parametrize("m,kind", [(28, U1), (10 ** 9, U1), (1, unitary(3000))],
+                             ids=["g-h=28", "g-h=1e9", "U(3000)"])
+    def test_work_box_refuses_before_expanding(self, m, kind):
+        start = time.perf_counter()
+        with pytest.raises(ExteriorWorkLimitError, match="product-cylinder"):
+            cylinder_monomial_value(m, kind)
+        assert time.perf_counter() - start < 1.0
+
 
 def reference_degree(f, kind):
     """Top coefficient of the factor-major pullback product, without wedge.
@@ -324,6 +332,30 @@ class TestBlockOrderDegree:
     def test_work_box_above_benchmark_rungs(self):
         for kind, n in ((U2, 8), (SU3, 8), (U3, 6), (unitary(4), 5)):
             assert kind.lie_rank * n * 2 ** n <= exterior.MAX_EXTERIOR_WORK
+
+    # The largest degree inputs of this suite and every rung of the
+    # benchmark's exterior ladder; identity maps expand in a few terms.
+    INSIDE_BOX = [(U1, 8), (U2, 8), (U3, 8), (SU2, 8), (SU3, 8),
+                  (special_unitary(4), 5), (unitary(4), 5), (U2, 6), (U2, 7),
+                  (U3, 4), (U3, 5), (U3, 6), (SU3, 7), (unitary(4), 4)]
+
+    @pytest.mark.parametrize("kind,n", INSIDE_BOX, ids=lambda x: getattr(x, "label", x))
+    def test_work_box_admits_suite_and_benchmark_inputs(self, kind, n):
+        assert degree_of_word_map(FreeHom.identity(n), kind) == 1
+
+    @pytest.mark.parametrize("n", [2237, 20_000, 10 ** 9])
+    def test_work_box_grows_with_rank_squared(self, n):
+        # rank * N * 2^N is only 2n here; the keys grow to n pairs.
+        start = time.perf_counter()
+        with pytest.raises(ExteriorWorkLimitError, match=r"rank\^2"):
+            degree_of_word_map(FreeHom.identity(1), unitary(n))
+        assert time.perf_counter() - start < 1.0
+
+    def test_generator_membership_is_a_range(self):
+        kind = unitary(10 ** 12)
+        assert 10 ** 12 - 1 in kind.generator_range
+        assert 0 not in special_unitary(3).generator_range
+        assert tuple(SU3.generator_range) == SU3.generator_indices
 
     @pytest.mark.parametrize("n", [24, 30, 10_000])
     def test_work_box_refuses_before_expanding(self, n):

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -11,6 +12,7 @@ from repcount import (
     ShapeError,
     cokernel_order,
     det,
+    echelon,
     format_int,
     kernel_basis,
     rank,
@@ -96,6 +98,76 @@ class TestDet:
         if a.rows != b.rows:
             b = IntMat.identity(a.rows)
         assert det(a @ b) == det(a) * det(b)
+
+
+def low_rank_strategy(max_dim=5, bound=4):
+    """m x n products of an m x k and a k x n matrix, k in 0..max_dim: every
+    shape from 0 rows or 0 columns up, and rank deficient whenever k is
+    below min(m, n)."""
+    def build(shape):
+        m, n, k = shape
+        entries = st.integers(-bound, bound)
+        left = st.lists(st.lists(entries, min_size=k, max_size=k), min_size=m, max_size=m)
+        right = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k)
+        return st.tuples(left, right).map(
+            lambda lr: IntMat(lr[0], cols=k) @ IntMat(lr[1], cols=n))
+
+    dims = st.integers(0, max_dim)
+    return st.tuples(dims, dims, dims).flatmap(build)
+
+
+def with_identity(a: IntMat) -> IntMat:
+    """``[A^T | I]``: its echelon over ``a.rows`` columns carries ker A."""
+    n = a.cols
+    return IntMat([row + tuple(int(i == j) for j in range(n))
+                   for i, row in enumerate(a.transpose().data)], cols=a.rows + n)
+
+
+class TestEchelon:
+    @settings(max_examples=200)
+    @given(st.one_of(low_rank_strategy(), low_rank_strategy(max_dim=3, bound=30)))
+    def test_against_smith_normal_form(self, a):
+        snf = smith_normal_form(a)
+        pivots, rest = echelon(with_identity(a), a.rows)
+        assert len(pivots) == snf.rank
+        assert all(p > 0 for p in pivots)
+        order = math.prod(pivots) if len(pivots) == a.rows else INFINITE
+        assert order == snf.cokernel_order
+        # The rows left zero lie in ker A and number its rank.  ker A is
+        # saturated, so they span the same lattice as the SNF kernel basis
+        # exactly when their own lattice is saturated: all invariant
+        # factors 1.
+        kb = snf.kernel_basis
+        assert (rest.rows, rest.cols) == (kb.cols, a.cols)
+        assert a @ rest.transpose() == IntMat.zeros(a.rows, rest.rows)
+        assert smith_normal_form(rest).diag == (1,) * rest.rows
+        assert smith_normal_form(kb.transpose()).diag == (1,) * kb.cols
+
+    def test_pivots_without_trailing_columns(self):
+        pivots, rest = echelon(IntMat([[2, 1], [0, 3]]).transpose(), 2)
+        assert math.prod(pivots) == 6
+        assert (rest.rows, rest.cols) == (0, 0)
+
+    def test_zero_columns_keep_every_row(self):
+        a = IntMat([[1, 2], [3, 4]])
+        assert echelon(a, 0) == ((), a)
+
+    def test_empty(self):
+        assert echelon(IntMat([], cols=3), 2) == ((), IntMat([], cols=1))
+
+    def test_zero_matrix(self):
+        assert echelon(IntMat.zeros(3, 2), 2) == ((), IntMat([[], [], []], cols=0))
+
+    @pytest.mark.parametrize("ncols", [-1, 3])
+    def test_bad_column_count(self, ncols):
+        with pytest.raises(ShapeError):
+            echelon(IntMat.zeros(2, 2), ncols)
+
+    def test_input_unchanged(self):
+        a = IntMat([[4, 6, 1], [6, 9, 0]])
+        data = a.data
+        echelon(a, 2)
+        assert a.data == data
 
 
 class TestSmithNormalForm:

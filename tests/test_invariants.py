@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -8,21 +9,35 @@ from repcount import (
     intlinalg,
     AdaptedSplitting,
     FreeHom,
+    IntMat,
     InvalidSplittingError,
     MultiIndex,
+    PairHomologyReport,
     Word,
     WrongCodimensionError,
+    det,
+    free_reduce,
+    glue_matrix,
+    homology_of_M,
     lambda_invariant,
     lambda_polynomial_cylinder,
+    mayer_vietoris_matrix,
     multiindex_degree,
     orientation_flip_sign,
     pair_cohomology,
     parse_word,
+    smith_normal_form,
     special_unitary,
+    stabilize,
     unitary,
     vanishing_check,
 )
-from support import det6_splitting, random_t0_splitting, trivial_splitting
+from support import (
+    det6_splitting,
+    random_free_hom,
+    random_t0_splitting,
+    trivial_splitting,
+)
 
 KINDS = [unitary(1), unitary(2), unitary(3), special_unitary(2), special_unitary(3)]
 
@@ -156,35 +171,158 @@ class TestVanishingCheck:
 
 
 class TestFactorOnce:
-    """P3 factors the Mayer-Vietoris and the restriction matrix once each,
-    and the vanishing reason is read from that report."""
+    """P3 reduces the Mayer-Vietoris and the restriction matrix once each,
+    by a transform-free echelon and no Smith normal form, and the
+    vanishing reason is read from that report."""
 
     @pytest.fixture
-    def snf_calls(self, monkeypatch):
-        calls = []
-        original = intlinalg.smith_normal_form
+    def calls(self, monkeypatch):
+        calls = {"echelon": [], "snf": []}
+        echelon, snf = intlinalg.echelon, intlinalg.smith_normal_form
 
-        def counted(a):
-            calls.append((a.rows, a.cols))
-            return original(a)
+        def counted_echelon(a, ncols):
+            calls["echelon"].append((a.rows, a.cols, ncols))
+            return echelon(a, ncols)
 
-        monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+        def counted_snf(a):
+            calls["snf"].append((a.rows, a.cols))
+            return snf(a)
+
+        monkeypatch.setattr(intlinalg, "echelon", counted_echelon)
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counted_snf)
         return calls
 
     FIXTURES = [det6_splitting, restriction_degenerate_splitting, h2_degenerate_splitting]
 
     @pytest.mark.parametrize("make", FIXTURES)
-    def test_pair_cohomology(self, snf_calls, make):
+    def test_pair_cohomology(self, calls, make):
         s = make()
-        pair_cohomology(s)
-        assert len(snf_calls) == 2
-        assert snf_calls[0] == (s.u, s.h1 + s.h2)  # Mayer-Vietoris
-        assert snf_calls[1][0] == s.g1  # restriction to the marked surface
+        rep = pair_cohomology(s)
+        assert calls["snf"] == []
+        assert calls["echelon"] == [
+            # [MV^T | E] over its u columns: MV^T with the H^1(S1) coordinates.
+            (s.h1 + s.h2, s.u + s.g1, s.u),
+            # The image of H^1(M) in H^1(S1) over its g1 columns.
+            (rep.betti1_M, s.g1, s.g1),
+        ]
 
     @pytest.mark.parametrize("make", FIXTURES)
-    def test_lambda_invariant(self, snf_calls, make):
+    def test_lambda_invariant(self, calls, make):
         lambda_invariant(make(), unitary(2))
-        assert len(snf_calls) == 2
+        assert calls["snf"] == []
+        assert len(calls["echelon"]) == 2
+
+
+def snf_reference(s):
+    """The Smith-normal-form route to P3, as a reference: factor the
+    Mayer-Vietoris matrix, take its kernel basis, and factor that basis
+    projected to the g1 coordinates of H^1(S1).  Returns the report and
+    homology_of_M's pair."""
+    mv = smith_normal_form(mayer_vietoris_matrix(s))
+    kb = mv.kernel_basis
+    restriction = smith_normal_form(IntMat(kb.data[: s.g1], cols=kb.cols))
+    order_h2, quotient = mv.cokernel_order, restriction.cokernel_order
+    order_pair = INFINITE if INFINITE in (order_h2, quotient) else order_h2 * quotient
+    report = PairHomologyReport(
+        betti1_M=kb.cols,
+        order_H2_M=order_h2,
+        order_H2_pair=order_pair,
+        restriction_iso=kb.cols == s.g1 and restriction.rank == s.g1,
+    )
+    return report, (kb.cols, order_h2)
+
+
+def random_splitting(rng, max_rank, max_word_len, g1=None):
+    """A valid splitting of any codimension T >= 0; ``g1`` fixed if given."""
+    while True:
+        h1, h2 = rng.randint(1, max_rank), rng.randint(1, max_rank)
+        s_g1 = rng.randint(0, h1) if g1 is None else g1
+        u = rng.randint(1, max_rank)
+        if s_g1 <= h1 and h1 + h2 - u - s_g1 >= 0:
+            break
+    return AdaptedSplitting(
+        h1=h1, h2=h2, u=u, g1=s_g1,
+        k_map=random_free_hom(rng, u, h1, max_word_len),
+        l_map=random_free_hom(rng, u, h2, max_word_len),
+    )
+
+
+def letters_splitting(rng, u, letters):
+    """A T = 0 splitting of rank u whose words have ``letters`` random
+    single letters each."""
+    g1 = rng.randint(0, 2 * u // 3)
+    h1 = rng.randint(max(1, g1), min(u, u + g1 - 1))
+    h2 = u + g1 - h1
+
+    def words(rank):
+        return tuple(
+            free_reduce([(rng.randint(1, rank), rng.choice((-1, 1))) for _ in range(letters)])
+            for _ in range(u))
+
+    return AdaptedSplitting(h1=h1, h2=h2, u=u, g1=g1,
+                            k_map=FreeHom(u, h1, words(h1)),
+                            l_map=FreeHom(u, h2, words(h2)))
+
+
+class TestEchelonRoute:
+    """pair_cohomology and homology_of_M on the echelon route give what the
+    Smith-normal-form route gives."""
+
+    def assert_matches(self, s):
+        report, homology = snf_reference(s)
+        assert pair_cohomology(s) == report
+        assert homology_of_M(s) == homology
+
+    @pytest.mark.parametrize("make", [
+        trivial_splitting, det6_splitting,
+        restriction_degenerate_splitting, h2_degenerate_splitting,
+    ])
+    def test_fixtures(self, make):
+        self.assert_matches(make())
+        self.assert_matches(stabilize(stabilize(make())))
+
+    def test_seeded_t0_splittings(self):
+        rng = random.Random(51)
+        g1_zero = 0
+        for _ in range(300):
+            s = random_t0_splitting(rng, max_rank=rng.choice((3, 5, 8)),
+                                    max_word_len=rng.choice((4, 8, 14)))
+            g1_zero += s.g1 == 0
+            self.assert_matches(s)
+        assert g1_zero >= 20
+
+    def test_seeded_any_codimension(self):
+        rng = random.Random(52)
+        for _ in range(200):
+            self.assert_matches(random_splitting(rng, 6, 10))
+
+    def test_g1_zero(self):
+        rng = random.Random(53)
+        for _ in range(100):
+            s = random_splitting(rng, 6, 10, g1=0)
+            assert s.g1 == 0
+            self.assert_matches(s)
+
+    def test_stabilized(self):
+        rng = random.Random(54)
+        for _ in range(100):
+            s = random_t0_splitting(rng)
+            for _ in range(rng.randint(1, 3)):
+                s = stabilize(s)
+            self.assert_matches(s)
+
+    def test_u60_long_words_under_a_second(self):
+        # Words of 30 letters at u = 60: entries of the SNF transforms
+        # explode here, the echelon's stay small.
+        rng = random.Random(60)
+        for _ in range(4):
+            s = letters_splitting(rng, 60, 30)
+            start = time.perf_counter()
+            report = pair_cohomology(s)
+            assert time.perf_counter() - start < 1.0
+            glue_det = abs(det(glue_matrix(s)))
+            assert report.order_H2_pair == (glue_det if glue_det else INFINITE)
+            assert homology_of_M(s)[1] == report.order_H2_M
 
 
 class TestStabilizationBehavior:
