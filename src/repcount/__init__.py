@@ -31,8 +31,6 @@ from .intlinalg import (
     det,
     echelon,
     format_int,
-    kernel_basis,
-    rank,
     smith_normal_form,
 )
 from .invariants import (
@@ -82,7 +80,6 @@ from .words import (
     Word,
     abelianize,
     compose,
-    exponent_sum,
     format_word,
     free_reduce,
     parse_word,

@@ -19,7 +19,7 @@ from .exterior import (
     special_unitary,
     unitary,
 )
-from .intlinalg import cokernel_order, det, format_int
+from .intlinalg import cokernel_order, format_int
 from .invariants import (
     MultiIndex,
     PipelineDisagreementError,
@@ -51,7 +51,6 @@ from .splitting import (
     pair_cohomology,
     parse_splitting_document,
     stabilize,
-    validate,
     validation_warnings,
 )
 
@@ -88,12 +87,16 @@ def _bool(value: bool) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    s, kind = _load(args)
-    violations = validate(s)
-    warnings = validation_warnings(s)
+    # Invalid data fails to construct; its error carries the report.
+    try:
+        s, kind = _load(args)
+    except InvalidSplittingError as exc:
+        violations, T, warnings, kind = exc.violations, exc.T, exc.warnings, exc.kind
+    else:
+        violations, T, warnings = [], s.T, validation_warnings(s)
     pairs = [
         ("valid", _bool(not violations)),
-        ("T", format_int(s.T)),
+        ("T", format_int(T)),
         ("violations", "; ".join(violations)),
         ("warnings", "; ".join(warnings)),
     ]
@@ -151,8 +154,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     ]
     ok = True
 
-    glue = glue_matrix(s)
-    torus_applicable = kind.n == 1 and 0 < abs(det(glue)) <= TORUS_MAX_DET
+    # For n = 1 the Lie rank is 1, so abs_value is |det| of the glue matrix.
+    torus_applicable = kind.n == 1 and 0 < report.abs_value <= TORUS_MAX_DET
     pairs.append(("torus_applicable", _bool(torus_applicable)))
     if torus_applicable:
         word_map = assembled_word_map(s)
@@ -171,6 +174,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         pairs.append(("torus_agree", _bool(torus_ok)))
         ok = ok and torus_ok
 
+    glue = glue_matrix(s)
     max_entry = max((abs(x) for row in glue.data for x in row), default=0)
     coker_applicable = (glue.rows <= COKER_MAX_DIM and glue.cols <= COKER_MAX_DIM
                         and max_entry <= COKER_MAX_ENTRY)

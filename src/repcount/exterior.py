@@ -125,11 +125,6 @@ class GroupKind:
         return range(0 if self.family is GroupFamily.UNITARY else 1, self.n)
 
     @property
-    def generator_indices(self) -> tuple[int, ...]:
-        """The indices of :attr:`generator_range` as a tuple."""
-        return tuple(self.generator_range)
-
-    @property
     def label(self) -> str:
         return f"{self.family.value}({self.n})"
 

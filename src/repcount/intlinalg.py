@@ -13,9 +13,7 @@ transform, so its entries stay small; a lattice index, a rank and the
 image of a kernel under a projection are read off its pivots and its zero
 rows, which is all the cohomology computation needs.  ``SnfResult`` reads
 its rank, cokernel order and kernel basis off one factorization with both
-transforms, so a caller needing several of them pays for one SNF.  The
-functions ``rank``, ``cokernel_order`` and ``kernel_basis`` are shorthands
-for a single reading.
+transforms, so a caller needing several of them pays for one SNF.
 
 Degenerate shapes are legal throughout: ``det`` of a 0x0 matrix is 1 and the
 cokernel of the empty map Z^0 -> Z^0 has order 1, which is what degenerate
@@ -41,8 +39,6 @@ __all__ = [
     "echelon",
     "smith_normal_form",
     "cokernel_order",
-    "kernel_basis",
-    "rank",
 ]
 
 
@@ -129,9 +125,6 @@ class IntMat:
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -394,11 +387,6 @@ def smith_normal_form(a: IntMat) -> SnfResult:
     )
 
 
-def rank(a: IntMat) -> int:
-    """Rank over Q, read off as the number of nonzero invariant factors."""
-    return smith_normal_form(a).rank
-
-
 def cokernel_order(a: IntMat):
     """Order of Z^rows / (column span of ``a``), or INFINITE.
 
@@ -409,10 +397,3 @@ def cokernel_order(a: IntMat):
     """
     return smith_normal_form(a).cokernel_order
 
-
-def kernel_basis(a: IntMat) -> IntMat:
-    """Columns form a Z-basis of the integer kernel of ``a``.
-
-    The result has ``a.cols`` rows and ``a.cols - rank(a)`` columns.
-    """
-    return smith_normal_form(a).kernel_basis

@@ -6,8 +6,9 @@ computed three times, by routes that share no algebra:
   P1  |det| of the glue matrix, raised to the Lie rank (exact elimination);
   P2  the magnitude of the symbolic exterior-algebra degree of the
       assembled word map;
-  P3  the order of H^2 of the pair, raised to the Lie rank (Smith normal
-      form of the Mayer-Vietoris matrix plus the restriction quotient).
+  P3  the order of H^2 of the pair, raised to the Lie rank (integer
+      echelon forms of the Mayer-Vietoris matrix and of the restriction
+      quotient).
 
 The three values must agree exactly; disagreement is an internal fault,
 never expected.  P3 is always computed even though P1 is cheaper: the
@@ -29,9 +30,9 @@ Vanishing reason.  A zero invariant must come with a rational reason,
 read from P3's own report: ``H2_nonzero`` when H^2(M, Q) != 0 (|H^2(M)|
 is INFINITE), else ``restriction_not_iso`` when H^1(M, Q) -> H^1(S1, Q)
 is not an isomorphism.  Reading it there loses no check: a separate
-vanishing test would factor the same matrices with the same deterministic
-Smith normal form, so it could never disagree with P3.  The check that
-stays is that a zero from all three pipelines has such a reason.
+vanishing test would reduce the same matrices with the same deterministic
+echelon, so it could never disagree with P3.  The check that stays is
+that a zero from all three pipelines has such a reason.
 """
 
 from __future__ import annotations
@@ -43,12 +44,10 @@ from .exterior import GroupKind, cylinder_monomial_value, degree_of_word_map
 from .intlinalg import INFINITE, det, format_int
 from .splitting import (
     AdaptedSplitting,
-    InvalidSplittingError,
     PairHomologyReport,
     assembled_word_map,
     glue_matrix,
     pair_cohomology,
-    validate,
 )
 
 __all__ = [
@@ -154,14 +153,7 @@ def vanishing_check(s: AdaptedSplitting) -> Optional[str]:
 
 
 def require_codimension_zero(s: AdaptedSplitting) -> None:
-    """Raise unless ``s`` is valid and has T == 0.
-
-    Raises :class:`InvalidSplittingError` for violations, then
-    :class:`WrongCodimensionError` for T != 0.
-    """
-    violations = validate(s)
-    if violations:
-        raise InvalidSplittingError(violations)
+    """Raise :class:`WrongCodimensionError` unless ``s`` has T == 0."""
     if s.T != 0:
         raise WrongCodimensionError(
             f"T={s.T} != 0: the numerical invariant lives at codimension zero; "
@@ -175,7 +167,7 @@ def lambda_invariant(
     kind: GroupKind,
     use_sign_convention: bool = False,
 ) -> InvariantReport:
-    """Compute the counting invariant for a valid T == 0 splitting.
+    """Compute the counting invariant for a T == 0 splitting.
 
     Runs all three pipelines, asserts exact agreement, and assembles the
     report.  ``use_sign_convention=True`` opts into the declared sign

@@ -65,11 +65,19 @@ __all__ = [
 
 
 class InvalidSplittingError(ValueError):
-    """Operation applied to a splitting with validation violations."""
+    """A splitting was constructed from data with validation violations.
 
-    def __init__(self, violations: list[str]):
+    Carries the validation report: ``violations``, the codimension ``T``
+    and its ``warnings``.  The document parser also sets ``kind``, the
+    document's group (None otherwise).
+    """
+
+    def __init__(self, violations: list[str], T: int, warnings: list[str]):
         super().__init__("invalid splitting: " + "; ".join(violations))
         self.violations = violations
+        self.T = T
+        self.warnings = warnings
+        self.kind = None
 
 
 class DocumentError(ValueError):
@@ -84,6 +92,11 @@ class AdaptedSplitting:
     is user-supplied data (defaulted to u) because it is not derivable from
     the free rank alone without boundary-circle information.
     ``orientation_reversed`` models replacing the manifold by its mirror.
+
+    Construction runs :func:`validate` and raises
+    :class:`InvalidSplittingError` on any violation, so every splitting,
+    including those from ``dataclasses.replace`` and :func:`stabilize`, is
+    valid and nothing downstream checks again.
     """
 
     h1: int
@@ -98,6 +111,9 @@ class AdaptedSplitting:
     def __post_init__(self):
         if self.u_hat_genus is None:
             object.__setattr__(self, "u_hat_genus", self.u)
+        violations = validate(self)
+        if violations:
+            raise InvalidSplittingError(violations, self.T, validation_warnings(self))
 
     @property
     def T(self) -> int:
@@ -105,7 +121,13 @@ class AdaptedSplitting:
 
 
 def validate(s: AdaptedSplitting) -> list[str]:
-    """Return the list of violations; an empty list means valid."""
+    """Return the list of violations; an empty list means valid.
+
+    Construction runs this check and raises on a violation, so it returns
+    an empty list for every :class:`AdaptedSplitting` that exists.
+    Generators past a map's target rank are refused earlier still, by
+    :class:`FreeHom`.
+    """
     v: list[str] = []
     if s.h1 < 1:
         v.append(f"h1 must be positive, got {s.h1}")
@@ -125,13 +147,9 @@ def validate(s: AdaptedSplitting) -> list[str]:
         v.append(f"l_map source rank {s.l_map.source_rank} != u={s.u}")
     if s.l_map.target_rank != s.h2:
         v.append(f"l_map target rank {s.l_map.target_rank} != h2={s.h2}")
-    for name, hom in (("k_map", s.k_map), ("l_map", s.l_map)):
-        for idx, w in enumerate(hom.images, start=1):
-            if w.max_index() > hom.target_rank:
-                v.append(f"{name} word {idx} uses out-of-range generator")
     if s.T < 0:
         v.append(f"negative codimension T={s.T}")
-    if s.u_hat_genus is not None and s.u_hat_genus < 0:
+    if s.u_hat_genus < 0:
         v.append(f"u_hat_genus must be nonnegative, got {s.u_hat_genus}")
     return v
 
@@ -144,10 +162,16 @@ def validation_warnings(s: AdaptedSplitting) -> list[str]:
     return w
 
 
-def _require_valid(s: AdaptedSplitting) -> None:
-    violations = validate(s)
-    if violations:
-        raise InvalidSplittingError(violations)
+def _mayer_vietoris_rows(s: AdaptedSplitting) -> list[tuple[int, ...]]:
+    """The h1 + h2 rows of MV^T, the matrix of (b - c)^T.
+
+    The rows of ``abelianize(k_map)``, one per H1 generator (the g1
+    marked-surface generators first), then the negated rows of
+    ``abelianize(l_map)``, one per H2 generator; each row has u entries.
+    """
+    return list(abelianize(s.k_map).data) + [
+        tuple(-x for x in row) for row in abelianize(s.l_map).data
+    ]
 
 
 def glue_matrix(s: AdaptedSplitting) -> IntMat:
@@ -155,30 +179,15 @@ def glue_matrix(s: AdaptedSplitting) -> IntMat:
 
     The first h1-g1 columns are the pullback through U -> H1 restricted to
     the complement of the marked-surface generators; the last h2 columns
-    are minus the pullback through U -> H2.  Square exactly when T == 0.
+    are minus the pullback through U -> H2: the Mayer-Vietoris matrix
+    without its first g1 columns.  Square exactly when T == 0.
     """
-    _require_valid(s)
-    bt = abelianize(s.k_map).transpose()  # u x h1
-    ct = abelianize(s.l_map).transpose()  # u x h2
-    rows = []
-    for i in range(s.u):
-        row = [bt[i, c] for c in range(s.g1, s.h1)]
-        row.extend(-ct[i, c] for c in range(s.h2))
-        rows.append(row)
-    return IntMat(rows, cols=(s.h1 - s.g1) + s.h2)
+    return IntMat(_mayer_vietoris_rows(s)[s.g1:], cols=s.u).transpose()
 
 
 def mayer_vietoris_matrix(s: AdaptedSplitting) -> IntMat:
     """The u x (h1+h2) matrix of (b - c) on full first cohomology."""
-    _require_valid(s)
-    bt = abelianize(s.k_map).transpose()
-    ct = abelianize(s.l_map).transpose()
-    rows = []
-    for i in range(s.u):
-        row = list(bt.row(i))
-        row.extend(-x for x in ct.row(i))
-        rows.append(row)
-    return IntMat(rows, cols=s.h1 + s.h2)
+    return IntMat(_mayer_vietoris_rows(s), cols=s.u).transpose()
 
 
 def _mayer_vietoris_echelon(s: AdaptedSplitting):
@@ -190,10 +199,10 @@ def _mayer_vietoris_echelon(s: AdaptedSplitting):
     zero, whose g1 entries span the image of ker(b - c) = H^1(M) in
     H^1(S1).
     """
-    mvt = mayer_vietoris_matrix(s).transpose()
     g1 = s.g1
     augmented = IntMat(
-        [row + tuple(int(i == j) for j in range(g1)) for i, row in enumerate(mvt.data)],
+        [row + tuple(int(i == j) for j in range(g1))
+         for i, row in enumerate(_mayer_vietoris_rows(s))],
         cols=s.u + g1,
     )
     # Looked up on the module at call time, so a wrapper installed there
@@ -253,7 +262,6 @@ def stabilize(s: AdaptedSplitting) -> AdaptedSplitting:
     The new separating-surface generator maps to the new H1 generator and
     to the identity in H2; all prior data is unchanged, so T is preserved.
     """
-    _require_valid(s)
     new_k_images = tuple(s.k_map.images) + (Word(((s.h1 + 1, 1),)),)
     new_l_images = tuple(s.l_map.images) + (Word(),)
     return AdaptedSplitting(
@@ -277,7 +285,6 @@ def assembled_word_map(s: AdaptedSplitting) -> FreeHom:
     times (its H2 image, re-indexed, inverted).  The abelianization of the
     result is the transpose of :func:`glue_matrix`.
     """
-    _require_valid(s)
     free1 = s.h1 - s.g1
     images = []
     for i in range(s.u):
@@ -327,7 +334,11 @@ def _parse_word_list(value: str, expected: int, target_rank: int, field: str) ->
 
 
 def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
-    """Parse a splitting document; returns the splitting and the group kind."""
+    """Parse a splitting document; returns the splitting and the group kind.
+
+    Data that parses but fails :func:`validate` raises
+    :class:`InvalidSplittingError` with its ``kind`` set.
+    """
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -378,10 +389,14 @@ def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
 
     k_map = _parse_word_list(fields["k_map"], u, h1, "k_map")
     l_map = _parse_word_list(fields["l_map"], u, h2, "l_map")
-    splitting = AdaptedSplitting(
-        h1=h1, h2=h2, u=u, g1=g1, k_map=k_map, l_map=l_map,
-        u_hat_genus=u_hat, orientation_reversed=reversed_flag,
-    )
+    try:
+        splitting = AdaptedSplitting(
+            h1=h1, h2=h2, u=u, g1=g1, k_map=k_map, l_map=l_map,
+            u_hat_genus=u_hat, orientation_reversed=reversed_flag,
+        )
+    except InvalidSplittingError as exc:
+        exc.kind = kind
+        raise
     return splitting, kind
 
 

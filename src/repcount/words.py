@@ -29,7 +29,6 @@ __all__ = [
     "MalformedWordError",
     "RankMismatchError",
     "free_reduce",
-    "exponent_sum",
     "abelianize",
     "compose",
     "parse_word",
@@ -73,34 +72,12 @@ class Word:
                 raise MalformedWordError("adjacent letters share a generator; not reduced")
             prev = index
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def max_index(self) -> int:
         """Largest generator index used, 0 for the identity word."""
         return max((g for g, _ in self.letters), default=0)
 
-    def length(self) -> int:
-        """Number of single letters, counting multiplicity."""
-        return sum(abs(e) for _, e in self.letters)
-
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not isinstance(other, Word):
-            return NotImplemented
-        return free_reduce(self.letters + other.letters)
-
-    def __pow__(self, e: int) -> "Word":
-        if e == 0:
-            return Word()
-        base = self if e > 0 else self.inverse()
-        letters: list[tuple[int, int]] = []
-        for _ in range(abs(e)):
-            letters.extend(base.letters)
-        return free_reduce(letters)
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
@@ -133,17 +110,6 @@ def free_reduce(letters: Iterable[tuple[int, int]]) -> Word:
         else:
             stack.append([index, exponent])
     return Word(tuple((g, e) for g, e in stack))
-
-
-def exponent_sum(w: Word, k: int) -> int:
-    """Total signed exponent of generator ``k`` in ``w``.
-
-    Invariant under free reduction; a ``k`` beyond the ambient rank simply
-    never occurs and gives 0.
-    """
-    if k < 1:
-        raise MalformedWordError(f"generator index {k} is not positive")
-    return sum(e for g, e in w.letters if g == k)
 
 
 @dataclass(frozen=True)

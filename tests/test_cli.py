@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repcount.cli import main
+from repcount.oracle import TORUS_MAX_DET
 from support import DET6_DOCUMENT, TRIVIAL_DOCUMENT
 
 
@@ -152,6 +153,21 @@ class TestValidateCommand:
         assert kv["valid"] == "false"
         assert "S1 generators exceed H1 rank" in kv["violations"]
 
+    def test_full_report_for_invalid_odd_t(self, capsys, tmp_path):
+        # T = 1 is odd and positive; u_hat_genus = -1 is the violation.
+        p = tmp_path / "invalid.split"
+        p.write_text(DET6_DOCUMENT.replace("h1 = 2", "h1 = 3").replace("group = U", "group = SU")
+                     + "u_hat_genus = -1\n")
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 1 and err == ""
+        assert out.splitlines() == [
+            "validation of SU(2) splitting",
+            "  valid: false",
+            "  T: 1",
+            "  violations: u_hat_genus must be nonnegative, got -1",
+            "  warnings: odd positive codimension T=1",
+        ]
+
 
 @pytest.mark.parametrize("command", ["homology", "stabilize"])
 def test_invalid_splitting_exit_1(capsys, tmp_path, command):
@@ -228,6 +244,16 @@ class TestSizeBoxes:
         assert kv["torus_applicable"] == "false" and "torus_counts" not in kv
         assert kv["coker_applicable"] == "false"
         assert kv["agree"] == "true"
+
+    def test_torus_box_edge(self, capsys, tmp_path):
+        # The box admits |det| == TORUS_MAX_DET, read off U(1)'s abs_value.
+        p = tmp_path / "edge.split"
+        for power, applicable in ((TORUS_MAX_DET, "true"), (TORUS_MAX_DET + 1, "false")):
+            p.write_text(TRIVIAL_DOCUMENT.replace("n = 2", "n = 1")
+                         .replace("l_map = g1", f"l_map = g1^{power}"))
+            code, out, _ = run(capsys, "oracle", str(p), "--format", "machine")
+            assert code == 0
+            assert machine_dict(out)["torus_applicable"] == applicable
 
     @pytest.mark.parametrize("command", ["validate", "invariant", "degree", "oracle",
                                          "stabilize", "homology"])

@@ -98,13 +98,12 @@ class TestLambdaInvariant:
             lambda_invariant(s, unitary(2))
 
     def test_invalid_splitting(self):
-        s = AdaptedSplitting(
-            h1=1, h2=1, u=1, g1=2,
-            k_map=FreeHom(1, 1, (Word(((1, 1),)),)),
-            l_map=FreeHom(1, 1, (Word(((1, 1),)),)),
-        )
-        with pytest.raises(InvalidSplittingError):
-            lambda_invariant(s, unitary(2))
+        with pytest.raises(InvalidSplittingError, match="S1 generators exceed H1 rank"):
+            AdaptedSplitting(
+                h1=1, h2=1, u=1, g1=2,
+                k_map=FreeHom(1, 1, (Word(((1, 1),)),)),
+                l_map=FreeHom(1, 1, (Word(((1, 1),)),)),
+            )
 
     def test_sign_undetermined_without_opt_in(self):
         rep = lambda_invariant(det6_splitting(), unitary(2))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from repcount import (
     AdaptedSplitting,
     DocumentError,
     FreeHom,
+    IntMat,
     InvalidSplittingError,
     Word,
     abelianize,
@@ -15,10 +17,13 @@ from repcount import (
     format_splitting_document,
     glue_matrix,
     homology_of_M,
+    invariants,
+    lambda_invariant,
     mayer_vietoris_matrix,
     pair_cohomology,
     parse_splitting_document,
     parse_word,
+    splitting,
     stabilize,
     unitary,
     validate,
@@ -41,12 +46,12 @@ class TestValidate:
         assert s.T == 0
 
     def test_g1_exceeds_h1(self):
-        s = AdaptedSplitting(
-            h1=1, h2=1, u=1, g1=2,
-            k_map=FreeHom(1, 1, (Word(((1, 1),)),)),
-            l_map=FreeHom(1, 1, (Word(((1, 1),)),)),
-        )
-        assert any("S1 generators exceed H1 rank" in v for v in validate(s))
+        with pytest.raises(InvalidSplittingError, match="S1 generators exceed H1 rank"):
+            AdaptedSplitting(
+                h1=1, h2=1, u=1, g1=2,
+                k_map=FreeHom(1, 1, (Word(((1, 1),)),)),
+                l_map=FreeHom(1, 1, (Word(((1, 1),)),)),
+            )
 
     def test_spec_arithmetic_instance(self):
         # (2 + 2 - 3) - 1 == 0
@@ -59,20 +64,41 @@ class TestValidate:
         assert s.T == 0
 
     def test_rank_mismatch_reported(self):
-        s = AdaptedSplitting(
-            h1=2, h2=1, u=2, g1=1,
-            k_map=FreeHom(2, 1, (Word(((1, 1),)), Word())),   # target rank 1 != h1
-            l_map=FreeHom(2, 1, (Word(((1, 1),)), Word())),
-        )
-        assert any("k_map target rank" in v for v in validate(s))
+        with pytest.raises(InvalidSplittingError, match="k_map target rank"):
+            AdaptedSplitting(
+                h1=2, h2=1, u=2, g1=1,
+                k_map=FreeHom(2, 1, (Word(((1, 1),)), Word())),   # target rank 1 != h1
+                l_map=FreeHom(2, 1, (Word(((1, 1),)), Word())),
+            )
 
     def test_negative_t(self):
-        s = AdaptedSplitting(
-            h1=1, h2=1, u=3, g1=1,
-            k_map=FreeHom(3, 1, (Word(),) * 3),
-            l_map=FreeHom(3, 1, (Word(),) * 3),
-        )
-        assert any("negative codimension" in v for v in validate(s))
+        with pytest.raises(InvalidSplittingError, match="negative codimension") as info:
+            AdaptedSplitting(
+                h1=1, h2=1, u=3, g1=1,
+                k_map=FreeHom(3, 1, (Word(),) * 3),
+                l_map=FreeHom(3, 1, (Word(),) * 3),
+            )
+        assert info.value.T == -2
+
+    def test_replace_is_validated(self):
+        s = det6_splitting()
+        with pytest.raises(InvalidSplittingError, match="S1 generators exceed H1 rank"):
+            dataclasses.replace(s, g1=s.h1 + 1)
+
+    def test_no_validation_after_construction(self, monkeypatch):
+        calls = []
+        original = splitting.validate
+        counted = lambda s: calls.append(s) or original(s)
+        # Also where a pipeline module could import it by name.
+        for module in (splitting, invariants):
+            monkeypatch.setattr(module, "validate", counted, raising=False)
+        s = det6_splitting()
+        assert len(calls) == 1
+        lambda_invariant(s, unitary(2))
+        pair_cohomology(s)
+        glue_matrix(s)
+        assembled_word_map(s)
+        assert len(calls) == 1
 
     def test_odd_positive_t_is_warning_not_violation(self):
         s = AdaptedSplitting(
@@ -122,13 +148,20 @@ class TestGlueMatrix:
             assert (m.rows, m.cols) == (s.u, (s.h1 - s.g1) + s.h2)
 
     def test_invalid_rejected(self):
-        s = AdaptedSplitting(
-            h1=1, h2=1, u=1, g1=2,
-            k_map=FreeHom(1, 1, (Word(((1, 1),)),)),
-            l_map=FreeHom(1, 1, (Word(((1, 1),)),)),
-        )
-        with pytest.raises(InvalidSplittingError):
-            glue_matrix(s)
+        with pytest.raises(InvalidSplittingError, match="S1 generators exceed H1 rank"):
+            AdaptedSplitting(
+                h1=1, h2=1, u=1, g1=2,
+                k_map=FreeHom(1, 1, (Word(((1, 1),)),)),
+                l_map=FreeHom(1, 1, (Word(((1, 1),)),)),
+            )
+
+    def test_mayer_vietoris_without_surface_columns(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            s = random_t0_splitting(rng)
+            mv = mayer_vietoris_matrix(s)
+            assert glue_matrix(s) == IntMat([row[s.g1:] for row in mv.data],
+                                            cols=mv.cols - s.g1)
 
 
 class TestHomology:
