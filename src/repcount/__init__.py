@@ -20,7 +20,6 @@ from .exterior import (
     pullback_primitive,
     special_unitary,
     unitary,
-    wedge,
 )
 from .intlinalg import (
     INFINITE,
@@ -65,7 +64,6 @@ from .splitting import (
     assembled_word_map,
     format_splitting_document,
     glue_matrix,
-    homology_of_M,
     mayer_vietoris_matrix,
     pair_cohomology,
     parse_splitting_document,

@@ -13,20 +13,17 @@ independently of j.  The mapping degree of a word map is therefore a finite
 symbolic expansion: pull the top class back factor by factor and read off
 the coefficient of the top monomial.
 
-The expansion runs in block order: for each generator j in turn, the
-pullbacks of x[j] on factors 1..N are wedged onto the running product.
-Within a block only x[j] pairs are new, so each finished block leaves a
-single monomial, and the product never holds more than C(N, N//2) terms.
-The top class is the
-factor-major wedge, so block order is a transpose of the N x rank grid of
-odd 1-forms and contributes the closed-form sign
-(-1)^(C(N,2) * C(rank,2)).
+The expansion runs one block per generator: for each x[j], the pullbacks
+of x[j] on factors 1..N are wedged onto the unit.  A block holds only x[j]
+pairs, so it ends as a single monomial, its keys never exceed N pairs, and
+it never holds more than C(N, N//2) terms.  The degree is the product of
+the blocks' top coefficients: moving the top class from factor-major to
+block-major order and back applies the same sign twice, so no sign is left.
 
 The expansion is done in full here, never shortcut to a determinant power:
-every block is expanded term by term, none is computed once and raised to
-the rank-th power, so that it stays an independent pipeline and produces
-an orientation sign.  It takes about rank * N * 2^N term steps, on keys of
-up to rank * N pairs, so its work is counted as rank^2 * N * 2^N, and
+every block is expanded term by term, none is reused or raised to the
+rank-th power, so that it stays an independent pipeline and produces
+an orientation sign.  It takes about rank * N * 2^N term steps, and
 inputs past ``MAX_EXTERIOR_WORK`` are refused before expanding.  The
 product-cylinder value is boxed the same way, with N = g - h.
 
@@ -54,7 +51,6 @@ __all__ = [
     "GeneratorRangeError",
     "ExteriorWorkLimitError",
     "MAX_EXTERIOR_WORK",
-    "wedge",
     "pullback_primitive",
     "degree_of_word_map",
     "cylinder_monomial_value",
@@ -80,14 +76,16 @@ class ExteriorWorkLimitError(ValueError):
 
 # Work (rank^2 * N * 2^N) an expansion may take.  A unit of it took at
 # most about 1 us under CPython 3.11 on a 3.3 GHz AMD EPYC vCPU, so the box
-# stops a single expansion near ten seconds there.
+# stops a single expansion near ten seconds there.  The rank^2 factor is
+# for the product-cylinder expansion, whose keys grow to rank * N pairs;
+# P2's block keys hold at most N pairs.
 MAX_EXTERIOR_WORK = 10_000_000
 
 
 def _require_work_in_box(kind: GroupKind, n: int, what: str) -> None:
     """Raise :class:`ExteriorWorkLimitError` when rank^2 * n * 2^n is past
     ``MAX_EXTERIOR_WORK``: rank blocks of about n * 2^n term steps each, on
-    keys that grow to rank * n pairs."""
+    keys of up to rank * n pairs in the product-cylinder expansion."""
     rank = kind.lie_rank
     # From n = bit_length on, 2^n alone is past the limit; testing n first
     # keeps a huge n from building a huge estimate.
@@ -137,22 +135,6 @@ def special_unitary(n: int) -> GroupKind:
     return GroupKind(GroupFamily.SPECIAL_UNITARY, n)
 
 
-def _merge_sign(s: tuple, t: tuple) -> int:
-    # Koszul sign for merging two disjoint sorted tuples of odd generators:
-    # parity of the number of transpositions needed to interleave them.
-    inversions = 0
-    i = 0
-    for x in t:
-        while i < len(s) and s[i] < x:
-            i += 1
-        inversions += len(s) - i
-    return -1 if inversions % 2 else 1
-
-
-def _merge_key(s: tuple, t: tuple) -> tuple:
-    return tuple(sorted(s + t))
-
-
 class ExtElement:
     """Element of the exterior algebra of H*(G^N, Z).
 
@@ -187,7 +169,7 @@ class ExtElement:
         """Build ``coeff`` times the wedge of the given (factor, generator)
         pairs, in the order given; sorting contributes the permutation sign
         and a repeated pair collapses the monomial to zero."""
-        seq = list(pairs)
+        seq = tuple(pairs)
         for k, j in seq:
             if not 1 <= k <= n_factors:
                 raise GeneratorRangeError(f"factor {k} outside 1..{n_factors}")
@@ -195,17 +177,7 @@ class ExtElement:
                 raise GeneratorRangeError(
                     f"generator index {j} invalid for {kind.label}"
                 )
-        if len(set(seq)) != len(seq):
-            return cls.zero(kind, n_factors)
-        sign = 1
-        # Insertion sort; each adjacent swap of odd generators flips the sign.
-        for i in range(1, len(seq)):
-            pos = i
-            while pos > 0 and seq[pos - 1] > seq[pos]:
-                seq[pos - 1], seq[pos] = seq[pos], seq[pos - 1]
-                sign = -sign
-                pos -= 1
-        return cls(kind, n_factors, {tuple(seq): sign * coeff})
+        return cls(kind, n_factors, cls._wedge_terms({(): coeff}, {seq: 1}))
 
     @property
     def is_zero(self) -> bool:
@@ -240,31 +212,33 @@ class ExtElement:
         return ExtElement(self.kind, self.n_factors,
                           {k: scalar * c for k, c in self.terms.items()})
 
+    @staticmethod
+    def _wedge_terms(a: Mapping[tuple, int], b: Mapping[tuple, int]) -> dict[tuple, int]:
+        """Product of two term maps.  Each pair of a ``b`` monomial, in the
+        order given, is inserted at its sorted position in the ``a``
+        monomial: the sign flips once per pair it moves past, and a repeated
+        pair drops the term."""
+        out: dict[tuple, int] = {}
+        for key_a, ca in a.items():
+            for key_b, cb in b.items():
+                key, coeff = key_a, ca * cb
+                for pair in key_b:
+                    pos = bisect_left(key, pair)
+                    size = len(key)
+                    if pos < size and key[pos] == pair:
+                        break
+                    if (size - pos) % 2:
+                        coeff = -coeff
+                    key = key[:pos] + (pair,) + key[pos:]
+                else:
+                    out[key] = out.get(key, 0) + coeff
+        return out
+
     def wedge(self, other: "ExtElement") -> "ExtElement":
         """Graded-commutative product; repeated pairs annihilate."""
         self._check_ambient(other)
-        out: dict[tuple, int] = {}
-        if all(len(key) == 1 for key in other.terms):
-            # Wedge by a 1-form: insert each pair at its sorted position,
-            # with the sign of the pairs it moves past.
-            for key_a, ca in self.terms.items():
-                size = len(key_a)
-                for (pair,), cb in other.terms.items():
-                    pos = bisect_left(key_a, pair)
-                    if pos < size and key_a[pos] == pair:
-                        continue
-                    key = key_a[:pos] + (pair,) + key_a[pos:]
-                    coeff = ca * cb if (size - pos) % 2 == 0 else -ca * cb
-                    out[key] = out.get(key, 0) + coeff
-            return ExtElement(self.kind, self.n_factors, out)
-        for key_a, ca in self.terms.items():
-            set_a = set(key_a)
-            for key_b, cb in other.terms.items():
-                if set_a.intersection(key_b):
-                    continue
-                key = _merge_key(key_a, key_b)
-                out[key] = out.get(key, 0) + _merge_sign(key_a, key_b) * ca * cb
-        return ExtElement(self.kind, self.n_factors, out)
+        return ExtElement(self.kind, self.n_factors,
+                          self._wedge_terms(self.terms, other.terms))
 
     def wedge_power(self, e: int) -> "ExtElement":
         if e < 0:
@@ -291,10 +265,6 @@ class ExtElement:
             factors = "^".join(f"x{j}[{k}]" for k, j in key) or "1"
             parts.append(f"{self.terms[key]}*{factors}")
         return "ExtElement(" + " + ".join(parts) + ")"
-
-
-def wedge(a: ExtElement, b: ExtElement) -> ExtElement:
-    return a.wedge(b)
 
 
 def pullback_primitive(m: IntMat, i: int, j: int, kind: GroupKind) -> ExtElement:
@@ -329,14 +299,14 @@ def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
     """Signed mapping degree of the self-map of G^N induced by ``f``.
 
     Computed by pulling the top cohomology class back through the map and
-    expanding symbolically, in block order: all N factors of generator j,
-    then the next j, so each finished block is one monomial.  Every block
-    is expanded; none is reused as a power, so this stays an expansion,
-    not a determinant power.  The factor-major top class differs from the block-order
-    product by the transpose sign (-1)^(C(N,2) * C(rank,2)).  The sign is
-    relative to the lexicographic generator ordering; the absolute value
-    equals |det| of the abelianization raised to the number of primitive
-    generators.
+    expanding symbolically, one block per generator j: the unit wedged
+    with the pullbacks of x[j] on all N factors, which leaves one
+    monomial.  The degree is the product of the blocks' top coefficients,
+    each read at ((1, j), ..., (N, j)); no reordering sign is left over.
+    Every block is expanded; none is reused as a power, so this stays an
+    expansion, not a determinant power.  The sign is relative to the
+    lexicographic generator ordering; the absolute value equals |det| of
+    the abelianization raised to the number of primitive generators.
 
     Raises :class:`ExteriorWorkLimitError` before expanding when
     rank^2 * N * 2^N exceeds ``MAX_EXTERIOR_WORK``.
@@ -347,17 +317,16 @@ def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
         )
     n_factors = f.source_rank
     _require_work_in_box(kind, n_factors, "degree expansion")
-    rank = kind.lie_rank
     m_rows = abelianize(f).transpose()
-    acc = ExtElement.unit(kind, n_factors)
+    degree = 1
     for j in kind.generator_range:
+        block = ExtElement.unit(kind, n_factors)
         for i in range(1, n_factors + 1):
-            acc = acc.wedge(pullback_primitive(m_rows, i, j, kind))
-            if acc.is_zero:
+            block = block.wedge(pullback_primitive(m_rows, i, j, kind))
+            if block.is_zero:
                 return 0
-    transpose_sign = -1 if (n_factors * (n_factors - 1) // 2
-                            * (rank * (rank - 1) // 2)) % 2 else 1
-    return transpose_sign * acc.terms.get(_top_key(kind, n_factors), 0)
+        degree *= block.terms.get(tuple((k, j) for k in range(1, n_factors + 1)), 0)
+    return degree
 
 
 def cylinder_monomial_value(g_minus_h: int, kind: GroupKind) -> int:

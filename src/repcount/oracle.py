@@ -15,6 +15,7 @@ membership tests are exact; floating point never appears.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -119,9 +120,7 @@ def torus_preimage_count(a: IntMat, t: Sequence[Fraction | int]) -> LatticeCount
 
     # Integerize: x_i = (base_i + sum_j w[i][j] k_j) / scale with
     # scale = den * det_a, via the adjugate adj = det_a * inv.
-    den = 1
-    for x in target:
-        den = den * x.denominator // _gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in target))
     adj = [[inv[i][j] * det_a for j in range(n)] for i in range(n)]
     for row in adj:
         assert all(x.denominator == 1 for x in row)
@@ -139,7 +138,7 @@ def torus_preimage_count(a: IntMat, t: Sequence[Fraction | int]) -> LatticeCount
     for i in range(n):
         lo = sum(min(0, a[i, j]) for j in range(n)) - target[i]
         hi = sum(max(0, a[i, j]) for j in range(n)) - target[i]
-        ranges.append((_ceil(lo), _floor(hi)))
+        ranges.append((math.ceil(lo), math.floor(hi)))
     if any(lo_k > hi_k for lo_k, hi_k in ranges):
         return LatticeCountResult(count=0, target=target)
 
@@ -186,20 +185,6 @@ def torus_preimage_count(a: IntMat, t: Sequence[Fraction | int]) -> LatticeCount
 
     walk(0, base)
     return LatticeCountResult(count=count, target=target)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 def _is_prime(p: int) -> bool:

@@ -55,7 +55,6 @@ __all__ = [
     "validation_warnings",
     "glue_matrix",
     "mayer_vietoris_matrix",
-    "homology_of_M",
     "pair_cohomology",
     "stabilize",
     "assembled_word_map",
@@ -190,37 +189,6 @@ def mayer_vietoris_matrix(s: AdaptedSplitting) -> IntMat:
     return IntMat(_mayer_vietoris_rows(s), cols=s.u).transpose()
 
 
-def _mayer_vietoris_echelon(s: AdaptedSplitting):
-    """Echelon ``[MV^T | E]`` over its first u columns.
-
-    MV^T is (h1+h2) x u, and E is the first g1 columns of the (h1+h2)
-    identity: the H^1(S1) coordinates.  Returns |H^2(M)| (the product of
-    the pivots, or INFINITE when there are fewer than u) and the rows left
-    zero, whose g1 entries span the image of ker(b - c) = H^1(M) in
-    H^1(S1).
-    """
-    g1 = s.g1
-    augmented = IntMat(
-        [row + tuple(int(i == j) for j in range(g1))
-         for i, row in enumerate(_mayer_vietoris_rows(s))],
-        cols=s.u + g1,
-    )
-    # Looked up on the module at call time, so a wrapper installed there
-    # (a counter or a trace) sees every call.
-    pivots, rest = intlinalg.echelon(augmented, s.u)
-    return (math.prod(pivots) if len(pivots) == s.u else INFINITE), rest
-
-
-def homology_of_M(s: AdaptedSplitting):
-    """First Betti number and |H^2| of the glued manifold.
-
-    From the reduced Mayer-Vietoris sequence, H^1(M) is the kernel of
-    (b - c) and H^2(M) its cokernel; returns (betti1, order or INFINITE).
-    """
-    order_h2, kernel = _mayer_vietoris_echelon(s)
-    return kernel.rows, order_h2
-
-
 @dataclass(frozen=True)
 class PairHomologyReport:
     """Homological summary of the pair (M, marked surface)."""
@@ -237,13 +205,26 @@ def pair_cohomology(s: AdaptedSplitting) -> PairHomologyReport:
     |H^2(pair)| = |H^2(M)| * |H^1(S1) / image of H^1(M)| when both factors
     are finite, INFINITE otherwise.  ``restriction_iso`` records whether
     the rational restriction H^1(M, Q) -> H^1(S1, Q) is an isomorphism.
-    Each matrix is reduced once, by a transform-free echelon: the
-    Mayer-Vietoris matrix together with the H^1(S1) coordinates, then the
-    image of H^1(M) in H^1(S1) that the first one leaves.
+    Each matrix is reduced once, by a transform-free echelon.  First
+    ``[MV^T | E]`` over its u columns, where MV^T is (h1+h2) x u and E is
+    the first g1 columns of the (h1+h2) identity, the H^1(S1)
+    coordinates: by Mayer-Vietoris, |H^2(M)| is the product of its pivots
+    (INFINITE when there are fewer than u), and the rows it leaves zero
+    span, in their g1 entries, the image of ker(b - c) = H^1(M) in
+    H^1(S1).  Then that image, over its g1 columns.
     """
-    order_h2, kernel = _mayer_vietoris_echelon(s)
-    pivots, _ = intlinalg.echelon(kernel, s.g1)
-    quotient = math.prod(pivots) if len(pivots) == s.g1 else INFINITE
+    g1 = s.g1
+    augmented = IntMat(
+        [row + tuple(int(i == j) for j in range(g1))
+         for i, row in enumerate(_mayer_vietoris_rows(s))],
+        cols=s.u + g1,
+    )
+    # Looked up on the module at call time, so a wrapper installed there
+    # (a counter or a trace) sees every call.
+    pivots, kernel = intlinalg.echelon(augmented, s.u)
+    order_h2 = math.prod(pivots) if len(pivots) == s.u else INFINITE
+    pivots, _ = intlinalg.echelon(kernel, g1)
+    quotient = math.prod(pivots) if len(pivots) == g1 else INFINITE
     if order_h2 is INFINITE or quotient is INFINITE:
         order_pair = INFINITE
     else:
@@ -252,7 +233,7 @@ def pair_cohomology(s: AdaptedSplitting) -> PairHomologyReport:
         betti1_M=kernel.rows,
         order_H2_M=order_h2,
         order_H2_pair=order_pair,
-        restriction_iso=kernel.rows == s.g1 and len(pivots) == s.g1,
+        restriction_iso=kernel.rows == g1 and len(pivots) == g1,
     )
 
 

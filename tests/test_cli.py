@@ -4,8 +4,9 @@ import time
 
 import pytest
 
+from repcount import glue_matrix, parse_splitting_document
 from repcount.cli import main
-from repcount.oracle import TORUS_MAX_DET
+from repcount.oracle import COKER_MAX_DIM, COKER_MAX_ENTRY, TORUS_MAX_DET
 from support import DET6_DOCUMENT, TRIVIAL_DOCUMENT
 
 
@@ -254,6 +255,23 @@ class TestSizeBoxes:
             code, out, _ = run(capsys, "oracle", str(p), "--format", "machine")
             assert code == 0
             assert machine_dict(out)["torus_applicable"] == applicable
+
+    def test_coker_box_by_dimension(self, capsys, tmp_path):
+        # A 4x4 glue matrix with entries in [-1, 1]: refused for its size
+        # alone, while the torus oracle still runs.
+        p = tmp_path / "square4.split"
+        p.write_text("n = 1\ngroup = U\nh1 = 4\nh2 = 4\nu = 4\ng1 = 4\n"
+                     "k_map = g1 ; g2 ; g3 ; g4\n"
+                     "l_map = g1 g2 ; g2 ; g3 g4^-1 ; g4\n")
+        glue = glue_matrix(parse_splitting_document(p.read_text())[0])
+        assert glue.rows == glue.cols == 4 > COKER_MAX_DIM
+        assert max(abs(x) for row in glue.data for x in row) <= COKER_MAX_ENTRY
+        code, out, err = run(capsys, "oracle", str(p), "--format", "machine")
+        assert code == 0 and err == ""
+        kv = machine_dict(out)
+        assert kv["torus_applicable"] == "true" and kv["torus_agree"] == "true"
+        assert kv["coker_applicable"] == "false" and "coker_expected" not in kv
+        assert kv["agree"] == "true"
 
     @pytest.mark.parametrize("command", ["validate", "invariant", "degree", "oracle",
                                          "stabilize", "homology"])

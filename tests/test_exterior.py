@@ -25,7 +25,6 @@ from repcount import (
     pullback_primitive,
     special_unitary,
     unitary,
-    wedge,
 )
 from repcount import exterior
 from support import random_free_hom
@@ -70,24 +69,24 @@ class TestGroupKind:
 class TestWedge:
     def test_exterior_square_vanishes(self):
         x = gen(U2, 2, 1, 0)
-        assert wedge(x, x).is_zero
+        assert x.wedge(x).is_zero
 
     def test_anticommute(self):
         a = gen(U2, 2, 1, 0)
         b = gen(U2, 2, 2, 1)
-        assert wedge(a, b) == -wedge(b, a)
+        assert a.wedge(b) == -b.wedge(a)
 
     def test_square_of_sum_expands_to_zero(self):
         a = gen(U2, 2, 1, 0)
         b = gen(U2, 2, 2, 1)
         s = a + b
-        assert wedge(s, s).is_zero
+        assert s.wedge(s).is_zero
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatchError):
-            wedge(gen(U2, 2, 1, 0), gen(U2, 3, 1, 0))
+            gen(U2, 2, 1, 0).wedge(gen(U2, 3, 1, 0))
         with pytest.raises(AmbientMismatchError):
-            wedge(gen(U2, 2, 1, 0), gen(U3, 2, 1, 0))
+            gen(U2, 2, 1, 0).wedge(gen(U3, 2, 1, 0))
 
     def test_monomial_sign_normalization(self):
         swapped = ExtElement.monomial(U2, 2, 1, [(2, 0), (1, 0)])
@@ -106,13 +105,13 @@ class TestWedge:
     @settings(max_examples=60)
     @given(elements(), elements(), elements())
     def test_associative(self, a, b, c):
-        assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+        assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
 
     @settings(max_examples=60)
     @given(elements(), elements())
     def test_distributive(self, a, b):
         c = gen(U2, 3, 1, 0)
-        assert wedge(a + b, c) == wedge(a, c) + wedge(b, c)
+        assert (a + b).wedge(c) == a.wedge(c) + b.wedge(c)
 
     @settings(max_examples=40)
     @given(elements())
@@ -122,7 +121,7 @@ class TestWedge:
             key: c for key, c in a.terms.items()
             if len(key) == 1 and key[0][1] == 0
         })
-        assert wedge(odd_part, odd_part).is_zero
+        assert odd_part.wedge(odd_part).is_zero
 
 
 class TestPullbackPrimitive:
@@ -305,20 +304,14 @@ class TestBlockOrderDegree:
         assert a.wedge(b) == ExtElement.monomial(U2, 2, 15, [(2, 1), (1, 0), (2, 0)])
         assert a.wedge(gen(U2, 2, 1, 0)).is_zero
 
-    def test_one_form_wedge_skips_general_merge(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("general merge used for a 1-form")
-        monkeypatch.setattr(exterior, "_merge_sign", fail)
-        f = dense_hom(random.Random(43), 4)
-        assert abs(degree_of_word_map(f, U3)) == abs(det(abelianize(f))) ** 3
-
     def test_peak_terms_dense_u3_rank8(self, monkeypatch):
-        sizes = []
+        sizes, key_lengths = [], []
         original = ExtElement.wedge
 
         def recording(self, other):
             result = original(self, other)
             sizes.append(len(result.terms))
+            key_lengths.extend(map(len, result.terms))
             return result
 
         monkeypatch.setattr(ExtElement, "wedge", recording)
@@ -328,6 +321,8 @@ class TestBlockOrderDegree:
         assert abs(degree_of_word_map(f, U3)) == abs(d) ** 3
         assert len(sizes) == 8 * 3
         assert max(sizes) <= math.comb(8, 4) == 70
+        # Blocks are expanded separately: a key holds one generator's pairs.
+        assert max(key_lengths) == 8
 
     def test_work_box_above_benchmark_rungs(self):
         for kind, n in ((U2, 8), (SU3, 8), (U3, 6), (unitary(4), 5)):
@@ -345,7 +340,8 @@ class TestBlockOrderDegree:
 
     @pytest.mark.parametrize("n", [2237, 20_000, 10 ** 9])
     def test_work_box_grows_with_rank_squared(self, n):
-        # rank * N * 2^N is only 2n here; the keys grow to n pairs.
+        # rank * N * 2^N is only 2n here; the box also counts the keys of
+        # the product-cylinder expansion, which grow to rank * N pairs.
         start = time.perf_counter()
         with pytest.raises(ExteriorWorkLimitError, match=r"rank\^2"):
             degree_of_word_map(FreeHom.identity(1), unitary(n))

@@ -16,7 +16,6 @@ from repcount import (
     det,
     format_splitting_document,
     glue_matrix,
-    homology_of_M,
     invariants,
     lambda_invariant,
     mayer_vietoris_matrix,
@@ -166,9 +165,9 @@ class TestGlueMatrix:
 
 class TestHomology:
     def test_trivial_cylinder_like(self):
-        betti1, order = homology_of_M(trivial_splitting())
-        assert betti1 == 1  # == g1
-        assert order == 1
+        rep = pair_cohomology(trivial_splitting())
+        assert rep.betti1_M == 1  # == g1
+        assert rep.order_H2_M == 1
 
     def test_torsion_instance(self):
         # (b - c) with invariant factors (1, 2): H^2 of order 2
@@ -178,9 +177,9 @@ class TestHomology:
             l_map=FreeHom(2, 1, (Word(), parse_word("g1^-1"))),
         )
         assert validate(s) == [] and s.T == 0
-        betti1, order = homology_of_M(s)
-        assert order == 2
-        assert betti1 == 0
+        rep = pair_cohomology(s)
+        assert rep.order_H2_M == 2
+        assert rep.betti1_M == 0
 
     def test_rank_deficient_gives_infinite(self):
         s = AdaptedSplitting(
@@ -188,8 +187,7 @@ class TestHomology:
             k_map=FreeHom(1, 1, (Word(),)),
             l_map=FreeHom(1, 1, (Word(),)),
         )
-        _, order = homology_of_M(s)
-        assert order is INFINITE
+        assert pair_cohomology(s).order_H2_M is INFINITE
 
 
 class TestPairCohomology:
@@ -256,8 +254,8 @@ class TestStabilize:
         rng = random.Random(4)
         for _ in range(30):
             s = random_t0_splitting(rng)
+            # The report holds betti1_M and order_H2_M as well.
             assert pair_cohomology(stabilize(s)) == pair_cohomology(s)
-            assert homology_of_M(stabilize(s)) == homology_of_M(s)
 
     def test_validity_preserved(self):
         rng = random.Random(5)
