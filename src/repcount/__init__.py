@@ -51,7 +51,6 @@ from .oracle import (
     NonGenericTargetError,
     SingularMatrixError,
     cokernel_enumeration,
-    count_with_generic_target,
     generic_target,
     numeric_degree_u1,
     torus_preimage_count,
@@ -64,6 +63,7 @@ from .splitting import (
     assembled_word_map,
     format_splitting_document,
     glue_matrix,
+    group_kind,
     mayer_vietoris_matrix,
     pair_cohomology,
     parse_splitting_document,

@@ -23,7 +23,7 @@ block-major order and back applies the same sign twice, so no sign is left.
 The expansion is done in full here, never shortcut to a determinant power:
 every block is expanded term by term, none is reused or raised to the
 rank-th power, so that it stays an independent pipeline and produces
-an orientation sign.  It takes about rank * N * 2^N term steps, and
+an orientation sign.  Its work box is rank^2 * N * 2^N term steps, and
 inputs past ``MAX_EXTERIOR_WORK`` are refused before expanding.  The
 product-cylinder value is boxed the same way, with N = g - h.
 

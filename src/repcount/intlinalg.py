@@ -13,7 +13,10 @@ transform, so its entries stay small; a lattice index, a rank and the
 image of a kernel under a projection are read off its pivots and its zero
 rows, which is all the cohomology computation needs.  ``SnfResult`` reads
 its rank, cokernel order and kernel basis off one factorization with both
-transforms, so a caller needing several of them pays for one SNF.
+transforms, so a caller needing several of them pays for one SNF.  No
+pipeline or CLI command calls ``smith_normal_form`` or ``cokernel_order``:
+they serve the SNF property suite (criterion 8 of the acceptance tests)
+and the tests' independent reference values.
 
 Degenerate shapes are legal throughout: ``det`` of a 0x0 matrix is 1 and the
 cokernel of the empty map Z^0 -> Z^0 has order 1, which is what degenerate

@@ -4,7 +4,9 @@ Nothing here imports the determinant, Smith normal form, or exterior
 algebra code: the point of an oracle is to disagree loudly if those are
 wrong.  Rational linear algebra is done locally with ``fractions.Fraction``
 (exact Gauss-Jordan), and lattice-quotient counting uses plain Euclidean
-column reduction plus exhaustive point enumeration.
+column reduction plus exhaustive point enumeration.  That reduction's
+basis is also the rank test: a row left without a pivot is a free
+direction of the cokernel.
 
 The torus oracle realizes the n = 1 case of the degree law: the self-map
 of a torus induced by a word map has |degree| preimages over any generic
@@ -33,15 +35,14 @@ __all__ = [
     "COKER_MAX_ENTRY",
     "torus_preimage_count",
     "generic_target",
-    "count_with_generic_target",
     "numeric_degree_u1",
     "cokernel_enumeration",
 ]
 
 
 class NonGenericTargetError(ValueError):
-    """A preimage landed on the fundamental-domain boundary; retry with a
-    new target."""
+    """A preimage landed on the fundamental-domain boundary; the target is
+    not generic (never the case for :func:`generic_target`'s)."""
 
 
 class SingularMatrixError(ValueError):
@@ -66,8 +67,9 @@ class LatticeCountResult:
     target: tuple[Fraction, ...]
 
 
-def _fraction_inverse(a: IntMat) -> tuple[int, list[list[Fraction]]]:
-    """Exact determinant and inverse by Gauss-Jordan over the rationals.
+def _det_and_adjugate(a: IntMat) -> tuple[int, list[list[int]]]:
+    """Exact determinant and integer adjugate, by Gauss-Jordan over the
+    rationals.
 
     Deliberately a different algorithm from the fraction-free elimination
     used elsewhere; raises SingularMatrixError on rank deficiency.
@@ -93,8 +95,9 @@ def _fraction_inverse(a: IntMat) -> tuple[int, list[list[Fraction]]]:
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
                 inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    assert d.denominator == 1
-    return d.numerator, inv
+    adj = [[x * d for x in row] for row in inv]
+    assert d.denominator == 1 and all(x.denominator == 1 for row in adj for x in row)
+    return d.numerator, [[x.numerator for x in row] for row in adj]
 
 
 def torus_preimage_count(a: IntMat, t: Sequence[Fraction | int]) -> LatticeCountResult:
@@ -111,7 +114,7 @@ def torus_preimage_count(a: IntMat, t: Sequence[Fraction | int]) -> LatticeCount
     target = tuple(Fraction(x) for x in t)
     if len(target) != n:
         raise ValueError(f"target length {len(target)} != {n}")
-    det_a, inv = _fraction_inverse(a)
+    det_a, adj = _det_and_adjugate(a)
     if abs(det_a) > TORUS_MAX_DET:
         raise DomainLimitError(f"|det| exceeds the torus limit {TORUS_MAX_DET}")
 
@@ -119,19 +122,15 @@ def torus_preimage_count(a: IntMat, t: Sequence[Fraction | int]) -> LatticeCount
         return LatticeCountResult(count=1, target=target)
 
     # Integerize: x_i = (base_i + sum_j w[i][j] k_j) / scale with
-    # scale = den * det_a, via the adjugate adj = det_a * inv.
+    # scale = den * det_a, via the adjugate adj = det_a * a^-1.
     den = math.lcm(*(x.denominator for x in target))
-    adj = [[inv[i][j] * det_a for j in range(n)] for i in range(n)]
-    for row in adj:
-        assert all(x.denominator == 1 for x in row)
-    adj_int = [[int(x) for x in row] for row in adj]
     c = [int(x * den) for x in target]
 
     scale = den * det_a
     flip = 1 if scale > 0 else -1
     scale *= flip
-    base = [flip * sum(adj_int[i][j] * c[j] for j in range(n)) for i in range(n)]
-    weight = [[flip * den * adj_int[i][j] for j in range(n)] for i in range(n)]
+    base = [flip * sum(adj[i][j] * c[j] for j in range(n)) for i in range(n)]
+    weight = [[flip * den * adj[i][j] for j in range(n)] for i in range(n)]
 
     # Offset ranges: a @ x for x in [0,1]^N stays in a per-row interval.
     ranges = []
@@ -201,17 +200,20 @@ def _is_prime(p: int) -> bool:
 def generic_target(a: IntMat, salt: int = 0) -> tuple[Fraction, ...]:
     """A provably generic target: components c_j / p for a prime p > |det|.
 
-    A preimage coordinate can land on the fundamental-domain boundary only
-    when some adjugate row is orthogonal to the numerator vector mod p, so
-    the numerators (powers of a base, a Vandermonde pattern) are chosen to
-    dodge every row; each row's polynomial has few roots mod p, and p grows
-    with the salt, so the search below always terminates.
+    Over the denominator p * |det|, preimage coordinate i has a numerator
+    congruent to +-adj_i . c mod p, and it sits on the fundamental-domain
+    boundary only when that numerator is 0 or p * |det|, so only when
+    adj_i . c is 0 mod p.  The numerators c (powers of a base, a
+    Vandermonde pattern) are chosen so that no adjugate row is orthogonal
+    to c mod p, so :func:`torus_preimage_count` never raises
+    :class:`NonGenericTargetError` on the result.  Each row's polynomial
+    has few roots mod p, and p grows with the salt, so the search below
+    always terminates.
     """
-    det_a, inv = _fraction_inverse(a)
+    det_a, adj = _det_and_adjugate(a)
     n = a.rows
     if n == 0:
         return ()
-    adj = [[int(inv[i][j] * det_a) for j in range(n)] for i in range(n)]
     p = max(abs(det_a), n, 2) + 1 + salt
     while True:
         while not _is_prime(p):
@@ -226,18 +228,6 @@ def generic_target(a: IntMat, salt: int = 0) -> tuple[Fraction, ...]:
         p += 1
 
 
-def count_with_generic_target(
-    a: IntMat, salt: int = 0, max_attempts: int = 64
-) -> LatticeCountResult:
-    """Retry loop around :func:`torus_preimage_count` for boundary hits."""
-    for attempt in range(max_attempts):
-        try:
-            return torus_preimage_count(a, generic_target(a, salt + attempt))
-        except NonGenericTargetError:
-            continue
-    raise NonGenericTargetError(f"no generic target found in {max_attempts} attempts")
-
-
 def numeric_degree_u1(f: FreeHom, t: Sequence[Fraction | int]) -> int:
     """Preimage count of the circle-group map induced by ``f``.
 
@@ -247,29 +237,11 @@ def numeric_degree_u1(f: FreeHom, t: Sequence[Fraction | int]) -> int:
     return torus_preimage_count(abelianize(f), t).count
 
 
-def _rational_row_rank(a: IntMat) -> int:
-    m = [[Fraction(x) for x in row] for row in a.data]
-    r = 0
-    for col in range(a.cols):
-        pivot = next((i for i in range(r, a.rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        lead = m[r][col]
-        m[r] = [x / lead for x in m[r]]
-        for i in range(a.rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == a.rows:
-            break
-    return r
-
-
-def _triangular_lattice_basis(a: IntMat) -> list[list[int]]:
-    """Lower-triangular generating set of the column lattice, full row rank
-    assumed.  Plain Euclidean column reduction, one pivot row at a time."""
+def _triangular_lattice_basis(a: IntMat) -> list[list[int] | None]:
+    """Lower-triangular basis of the column lattice: plain Euclidean column
+    reduction, one pivot row at a time.  A row the lattice has no pivot in
+    gets None, so the lattice has full row rank exactly when no entry is
+    None."""
     cols = [list(a.column(j)) for j in range(a.cols)]
     basis = []
     for r in range(a.rows):
@@ -293,18 +265,15 @@ def _triangular_lattice_basis(a: IntMat) -> list[list[int]]:
             if pivot[r] < 0:
                 pivot = [-x for x in pivot]
             basis.append(pivot)
-            cols = rest
         else:
             basis.append(None)
-            cols = rest
+        cols = rest
     return basis
 
 
 def _canonical_residue(point: Sequence[int], basis: list[list[int]]) -> tuple[int, ...]:
     v = list(point)
     for r, b in enumerate(basis):
-        if b is None:
-            continue
         q = v[r] // b[r]
         if q:
             for i in range(r, len(v)):
@@ -316,11 +285,11 @@ def cokernel_enumeration(a: IntMat):
     """Class count of Z^rows modulo the column lattice, by enumeration.
 
     Admissible inputs are at most COKER_MAX_DIM x COKER_MAX_DIM with entries
-    in [-COKER_MAX_ENTRY, COKER_MAX_ENTRY].  A free
-    direction (rational row rank below the row count) gives INFINITE;
-    otherwise every residue class has a representative in the bounding box
-    of side 2*(max|entry|*cols + 1), and distinct classes are told apart by
-    an exact canonical-reduction label.
+    in [-COKER_MAX_ENTRY, COKER_MAX_ENTRY].  A free direction (a row
+    without a pivot in the Euclidean lattice basis, i.e. rank below the row
+    count) gives INFINITE; otherwise every residue class has a
+    representative in the bounding box of side 2*(max|entry|*cols + 1), and
+    distinct classes are told apart by an exact canonical-reduction label.
     """
     if a.rows > COKER_MAX_DIM or a.cols > COKER_MAX_DIM:
         raise DomainLimitError(
@@ -328,9 +297,9 @@ def cokernel_enumeration(a: IntMat):
     max_entry = max((abs(x) for row in a.data for x in row), default=0)
     if max_entry > COKER_MAX_ENTRY:
         raise DomainLimitError(f"entry magnitude {max_entry} exceeds {COKER_MAX_ENTRY}")
-    if _rational_row_rank(a) < a.rows:
-        return INFINITE
     basis = _triangular_lattice_basis(a)
+    if None in basis:
+        return INFINITE
     bound = max_entry * a.cols + 1
     labels = set()
     for point in itertools.product(range(-bound, bound + 1), repeat=a.rows):

@@ -51,6 +51,7 @@ __all__ = [
     "InvalidSplittingError",
     "DocumentError",
     "MAX_DOCUMENT_RANK",
+    "group_kind",
     "validate",
     "validation_warnings",
     "glue_matrix",
@@ -293,6 +294,14 @@ _OPTIONAL_FIELDS = ("u_hat_genus", "orientation_reversed")
 MAX_DOCUMENT_RANK = 1000
 
 
+def group_kind(group: str, n: int) -> GroupKind:
+    """U(n) for group "U", else SU(n); a bad n raises :class:`DocumentError`."""
+    try:
+        return unitary(n) if group == "U" else special_unitary(n)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
+
+
 def _parse_word_list(value: str, expected: int, target_rank: int, field: str) -> FreeHom:
     # An empty chunk is the identity word, so `k_map =  ; g1` is two words.
     chunks = [] if expected == 0 else value.split(";")
@@ -347,11 +356,7 @@ def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
     group_text = fields["group"]
     if group_text not in ("U", "SU"):
         raise DocumentError(f"group must be 'U' or 'SU', got {group_text!r}")
-    n = int_field("n")
-    try:
-        kind = unitary(n) if group_text == "U" else special_unitary(n)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    kind = group_kind(group_text, int_field("n"))
 
     def rank_field(key: str) -> int:
         value = int_field(key)

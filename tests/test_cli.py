@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repcount import glue_matrix, parse_splitting_document
+from repcount import glue_matrix, intlinalg, parse_splitting_document
 from repcount.cli import main
 from repcount.oracle import COKER_MAX_DIM, COKER_MAX_ENTRY, TORUS_MAX_DET
 from support import DET6_DOCUMENT, TRIVIAL_DOCUMENT
@@ -325,6 +325,31 @@ class TestOracleCommand:
         assert kv["torus_applicable"] == "false"
         assert kv["coker_applicable"] == "true"
         assert kv["agree"] == "true"
+
+    def test_singular_document(self, capsys, tmp_path):
+        # glue matrix [[1, 2], [0, 0]]: det 0, so K and the cokernel are INFINITE
+        p = tmp_path / "singular.split"
+        p.write_text(DET6_DOCUMENT.replace("k_map = g2^2 ; g1", "k_map = g1 ; g1^2"))
+        code, out, _ = run(capsys, "oracle", str(p), "--format", "machine")
+        assert code == 0
+        kv = machine_dict(out)
+        assert kv["torus_applicable"] == "false"
+        assert kv["coker_expected"] == "INFINITE"
+        assert kv["coker_enumerated"] == "INFINITE"
+        assert kv["coker_agree"] == "true"
+        assert kv["agree"] == "true"
+
+    def test_coker_expected_is_invariant_k(self, capsys, det6_path, monkeypatch):
+        # the cokernel oracle checks P3's K, not a Smith normal form of its own
+        calls = []
+        snf = intlinalg.smith_normal_form
+        monkeypatch.setattr(intlinalg, "smith_normal_form",
+                            lambda *a, **k: calls.append(1) or snf(*a, **k))
+        code, out, _ = run(capsys, "oracle", det6_path, "--format", "machine")
+        assert code == 0
+        assert calls == []
+        _, inv_out, _ = run(capsys, "invariant", det6_path, "--format", "machine")
+        assert machine_dict(out)["coker_expected"] == machine_dict(inv_out)["K"] == "6"
 
 
 class TestPolyCommand:

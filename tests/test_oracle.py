@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repcount import (
     INFINITE,
@@ -15,7 +17,6 @@ from repcount import (
     assembled_word_map,
     cokernel_enumeration,
     cokernel_order,
-    count_with_generic_target,
     det,
     generic_target,
     lambda_invariant,
@@ -82,7 +83,7 @@ class TestTorusPreimageCount:
             if d == 0:
                 continue
             for salt in (0, 1, 2):
-                res = count_with_generic_target(a, salt=17 * salt)
+                res = torus_preimage_count(a, generic_target(a, salt=17 * salt))
                 assert res.count == abs(d), (a, res)
             done += 1
 
@@ -91,14 +92,26 @@ class TestTorusPreimageCount:
         counts = set()
         targets = set()
         for salt in (0, 1, 2, 3):
-            res = count_with_generic_target(a, salt=salt)
+            res = torus_preimage_count(a, generic_target(a, salt=salt))
             counts.add(res.count)
             targets.add(res.target)
         assert counts == {abs(det(a))}
         assert len(targets) >= 3
 
 
+square_matrices = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
 class TestGenericTarget:
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices, st.integers(-1000, 10**6))
+    def test_never_on_boundary(self, rows, salt):
+        # no NonGenericTargetError, whatever the salt
+        a = IntMat(rows)
+        assume(det(a) != 0)
+        assert torus_preimage_count(a, generic_target(a, salt=salt)).count == abs(det(a))
+
     def test_denominator_coprime_to_det(self):
         from math import gcd
 
@@ -138,13 +151,7 @@ class TestNumericDegreeU1:
             if det(acting) == 0:
                 continue
             expected = lambda_invariant(s, unitary(1)).abs_value
-            for attempt in range(64):
-                try:
-                    got = numeric_degree_u1(f, generic_target(acting, salt=attempt))
-                    break
-                except NonGenericTargetError:
-                    continue
-            assert got == expected
+            assert numeric_degree_u1(f, generic_target(acting, salt=done)) == expected
             done += 1
 
 
@@ -163,6 +170,16 @@ class TestCokernelEnumeration:
 
     def test_wide_matrix(self):
         assert cokernel_enumeration(IntMat([[2, 4]])) == 2
+
+    def test_no_columns(self):
+        assert cokernel_enumeration(IntMat([[], []], cols=0)) is INFINITE
+
+    def test_empty_matrix(self):
+        assert cokernel_enumeration(IntMat([], cols=0)) == 1
+
+    def test_rank_deficient_square(self):
+        # third row = first + second: rank 2 in 3 rows leaves a free direction
+        assert cokernel_enumeration(IntMat([[1, 2, 0], [0, 1, 3], [1, 3, 3]])) is INFINITE
 
     def test_size_limits(self):
         with pytest.raises(DomainLimitError):

@@ -329,6 +329,18 @@ class TestDocumentFormat:
         with pytest.raises(DocumentError):
             parse_splitting_document(text)
 
+    def test_group_text_checked_before_n(self):
+        text = TRIVIAL_DOCUMENT.replace("group = U", "group = SO").replace("n = 2", "n = x")
+        with pytest.raises(DocumentError, match="group must be"):
+            parse_splitting_document(text)
+
+    def test_group_kind(self):
+        assert splitting.group_kind("U", 1) == unitary(1)
+        assert splitting.group_kind("SU", 3).label == "SU(3)"
+        for group, n in (("U", 0), ("SU", 1), ("U", -4)):
+            with pytest.raises(DocumentError):
+                splitting.group_kind(group, n)
+
     def test_optional_fields(self):
         text = TRIVIAL_DOCUMENT + "u_hat_genus = 5\norientation_reversed = true\n"
         s, _ = parse_splitting_document(text)
