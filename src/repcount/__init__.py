@@ -17,7 +17,6 @@ from .exterior import (
     GroupKind,
     cylinder_monomial_value,
     degree_of_word_map,
-    pullback_primitive,
     special_unitary,
     unitary,
 )

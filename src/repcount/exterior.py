@@ -15,17 +15,28 @@ the coefficient of the top monomial.
 
 The expansion runs one block per generator: for each x[j], the pullbacks
 of x[j] on factors 1..N are wedged onto the unit.  A block holds only x[j]
-pairs, so it ends as a single monomial, its keys never exceed N pairs, and
-it never holds more than C(N, N//2) terms.  The degree is the product of
-the blocks' top coefficients: moving the top class from factor-major to
-block-major order and back applies the same sign twice, so no sign is left.
+pairs, so it ends as a single monomial, and it is kept as a dict from an
+int bitmask over the N factors to a coefficient.  Wedging on factor k
+flips the sign once per factor above k already in the term, and a term
+holding k drops.  Once no later row touches factor k, a term without k can
+never reach the top monomial, so it is dropped at once (the support
+dynamic program of Cifuentes & Parrilo, Linear Algebra Appl. 493, 2016).
+The degree is the product of the blocks' top coefficients: moving the top
+class from factor-major to block-major order and back applies the same
+sign twice, so no sign is left.
 
 The expansion is done in full here, never shortcut to a determinant power:
 every block is expanded term by term, none is reused or raised to the
 rank-th power, so that it stays an independent pipeline and produces
-an orientation sign.  Its work box is rank^2 * N * 2^N term steps, and
-inputs past ``MAX_EXTERIOR_WORK`` are refused before expanding.  The
-product-cylinder value is boxed the same way, with N = g - h.
+an orientation sign.  Its work is boxed before expanding by a frontier
+bound read off the support: after i rows a block holds at most
+C(open, i - closed) terms, where a factor is closed once no later row
+touches it and open if touched but not closed.  Inputs whose rank^2 times
+the sum of those counts (each times the next row's support) is past
+``MAX_EXTERIOR_WORK`` are refused.  The sum is at most N * 2^N; it is
+103 for the determinant-6 example stabilized to N = 102.  The
+product-cylinder value is boxed by the worst case, rank^2 * N * 2^N with
+N = g - h.
 
 Signs are relative to the lexicographic ordering of (factor, generator)
 pairs; no claim is made about a preferred global orientation.
@@ -36,10 +47,11 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Mapping
 
-from .intlinalg import IntMat, ShapeError
-from .words import FreeHom, abelianize
+from .intlinalg import ShapeError
+from .words import FreeHom
 
 __all__ = [
     "GroupFamily",
@@ -51,7 +63,6 @@ __all__ = [
     "GeneratorRangeError",
     "ExteriorWorkLimitError",
     "MAX_EXTERIOR_WORK",
-    "pullback_primitive",
     "degree_of_word_map",
     "cylinder_monomial_value",
 ]
@@ -74,11 +85,13 @@ class ExteriorWorkLimitError(ValueError):
     """An expansion would exceed ``MAX_EXTERIOR_WORK`` term steps."""
 
 
-# Work (rank^2 * N * 2^N) an expansion may take.  A unit of it took at
-# most about 1 us under CPython 3.11 on a 3.3 GHz AMD EPYC vCPU, so the box
-# stops a single expansion near ten seconds there.  The rank^2 factor is
-# for the product-cylinder expansion, whose keys grow to rank * N pairs;
-# P2's block keys hold at most N pairs.
+# Term steps (times rank^2) an expansion may take.  A P2 step on bitmask
+# keys took about 0.1-0.15 us under CPython 3.11 on an AMD EPYC vCPU, so
+# the box stops P2 within a second or two there (dense U(1) at N = 19:
+# 1.5 s); a product-cylinder step on tuple keys took up to about 1 us.
+# The rank^2 factor is for the product-cylinder expansion, whose keys grow
+# to rank * N pairs; in P2 it caps the Lie rank, which also bounds P1's
+# |det|^rank.
 MAX_EXTERIOR_WORK = 10_000_000
 
 
@@ -267,32 +280,62 @@ class ExtElement:
         return "ExtElement(" + " + ".join(parts) + ")"
 
 
-def pullback_primitive(m: IntMat, i: int, j: int, kind: GroupKind) -> ExtElement:
-    """Pullback of the i-th factor's primitive generator x[j] through the
-    word map with exponent-sum matrix ``m``.
-
-    ``m`` is in the row convention: m[i][k] is the exponent sum of the k-th
-    domain generator in the word giving target coordinate i, i.e. the
-    transpose of the abelianization matrix.  The result is the linear class
-    sum_k m[i][k] x[j]-of-factor-k, the same coefficient vector for every
-    valid j.
-    """
-    if j not in kind.generator_range:
-        raise GeneratorRangeError(f"generator index {j} invalid for {kind.label}")
-    if not 1 <= i <= m.rows:
-        raise GeneratorRangeError(f"target factor {i} outside 1..{m.rows}")
-    n_factors = m.cols
-    terms = {}
-    for k in range(1, n_factors + 1):
-        coeff = m[i - 1, k - 1]
-        if coeff != 0:
-            terms[((k, j),)] = coeff
-    return ExtElement(kind, n_factors, terms)
-
-
 def _top_key(kind: GroupKind, n_factors: int) -> tuple:
     return tuple(sorted((k, j) for k in range(1, n_factors + 1)
                  for j in kind.generator_range))
+
+
+def _row_supports(f: FreeHom) -> list[list[tuple[int, int]]]:
+    """The rows of the pullback matrix, the transpose of the abelianization,
+    read off the words in one pass over the letters: row i holds the
+    nonzero (factor k, exponent sum) pairs, k 0-based, of the word giving
+    target coordinate i.  No dense N x N matrix is built."""
+    rows = []
+    for w in f.images:
+        sums: dict[int, int] = {}
+        for g, e in w.letters:
+            sums[g - 1] = sums.get(g - 1, 0) + e
+        rows.append([(k, e) for k, e in sums.items() if e])
+    return rows
+
+
+def _frontier_work(rows: list, closing: list[int], limit: int) -> int:
+    """F, a bound on one block's term steps computed from the support.
+
+    After i rows a block's terms are i-subsets of the factors those rows
+    touch that hold every closed factor (one no later row touches), so
+    there are at most C(open, i - closed) of them, and row i + 1 takes
+    |supp(row i + 1)| steps on each.  F <= N * 2^N.  The sum stops as soon
+    as it passes ``limit``.
+    """
+    work = closed = 0
+    seen: set[int] = set()
+    for i, row in enumerate(rows):
+        if i >= closed:
+            work += comb(len(seen) - closed, i - closed) * len(row)
+            if work > limit:
+                break
+        seen.update(k for k, _ in row)
+        closed += closing[i].bit_count()
+    return work
+
+
+def _wedge_row(block: dict[int, int], row: list, need: int) -> dict[int, int]:
+    """One row step of a block: wedge with sum_k e_k x[j]-of-factor-k, then
+    drop the terms that lack a factor of the mask ``need``.
+
+    ``row`` holds (bit, k, e) with bit = 1 << k.  Inserting factor k moves
+    it past the factors above k, one sign each; a term holding k drops.
+    """
+    out: dict[int, int] = {}
+    for mask, coeff in block.items():
+        for bit, k, e in row:
+            if mask & bit:
+                continue
+            key = mask | bit
+            step = -e * coeff if (mask >> k).bit_count() & 1 else e * coeff
+            out[key] = out.get(key, 0) + step
+    return {m: c for m, c in out.items() if c and m & need == need}
 
 
 def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
@@ -301,31 +344,46 @@ def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
     Computed by pulling the top cohomology class back through the map and
     expanding symbolically, one block per generator j: the unit wedged
     with the pullbacks of x[j] on all N factors, which leaves one
-    monomial.  The degree is the product of the blocks' top coefficients,
+    monomial.  A block maps a bitmask of factors to its coefficient; a
+    factor no later row touches must already be in a term, or the term is
+    dropped.  The degree is the product of the blocks' top coefficients,
     each read at ((1, j), ..., (N, j)); no reordering sign is left over.
     Every block is expanded; none is reused as a power, so this stays an
     expansion, not a determinant power.  The sign is relative to the
     lexicographic generator ordering; the absolute value equals |det| of
     the abelianization raised to the number of primitive generators.
 
-    Raises :class:`ExteriorWorkLimitError` before expanding when
-    rank^2 * N * 2^N exceeds ``MAX_EXTERIOR_WORK``.
+    Raises :class:`ExteriorWorkLimitError` before expanding when rank^2
+    times the support's frontier bound exceeds ``MAX_EXTERIOR_WORK``.
     """
     if f.source_rank != f.target_rank:
         raise ShapeError(
             f"word map must be endomorphism-shaped, got {f.source_rank} -> {f.target_rank}"
         )
     n_factors = f.source_rank
-    _require_work_in_box(kind, n_factors, "degree expansion")
-    m_rows = abelianize(f).transpose()
+    rows = _row_supports(f)
+    last_row = {k: i for i, row in enumerate(rows) for k, _ in row}
+    if len(last_row) < n_factors:
+        return 0  # no pullback holds an untouched factor's generators
+    closing = [0] * n_factors
+    for k, i in last_row.items():
+        closing[i] |= 1 << k
+    limit = MAX_EXTERIOR_WORK // kind.lie_rank ** 2
+    if _frontier_work(rows, closing, limit) > limit:
+        raise ExteriorWorkLimitError(
+            f"degree expansion for {kind.label} at N = {n_factors} is past the "
+            f"limit of {MAX_EXTERIOR_WORK} term steps (rank^2 * F, F from the "
+            "support frontier)"
+        )
+    steps = [([(1 << k, k, e) for k, e in row], need) for row, need in zip(rows, closing)]
     degree = 1
-    for j in kind.generator_range:
-        block = ExtElement.unit(kind, n_factors)
-        for i in range(1, n_factors + 1):
-            block = block.wedge(pullback_primitive(m_rows, i, j, kind))
-            if block.is_zero:
+    for _ in kind.generator_range:
+        block = {0: 1}
+        for row, need in steps:
+            block = _wedge_row(block, row, need)
+            if not block:
                 return 0
-        degree *= block.terms.get(tuple((k, j) for k in range(1, n_factors + 1)), 0)
+        degree *= block[(1 << n_factors) - 1]
     return degree
 
 

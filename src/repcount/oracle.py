@@ -33,6 +33,7 @@ __all__ = [
     "TORUS_MAX_DET",
     "COKER_MAX_DIM",
     "COKER_MAX_ENTRY",
+    "SALT_RANGE",
     "torus_preimage_count",
     "generic_target",
     "numeric_degree_u1",
@@ -59,6 +60,11 @@ class DomainLimitError(ValueError):
 TORUS_MAX_DET = 100_000
 COKER_MAX_DIM = 3
 COKER_MAX_ENTRY = 4
+
+# generic_target reduces its salt modulo this before the prime search, so
+# the search starts below |det| + 2^16 + 2 whatever the salt; salts that
+# differ by less than it (the CLI's seed + 101 * i) still start apart.
+SALT_RANGE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -207,13 +213,14 @@ def generic_target(a: IntMat, salt: int = 0) -> tuple[Fraction, ...]:
     Vandermonde pattern) are chosen so that no adjugate row is orthogonal
     to c mod p, so :func:`torus_preimage_count` never raises
     :class:`NonGenericTargetError` on the result.  Each row's polynomial
-    has few roots mod p, and p grows with the salt, so the search below
-    always terminates.
+    has few roots mod p, and p grows with the search, so it always
+    terminates.  The salt is first reduced modulo ``SALT_RANGE``.
     """
     det_a, adj = _det_and_adjugate(a)
     n = a.rows
     if n == 0:
         return ()
+    salt %= SALT_RANGE
     p = max(abs(det_a), n, 2) + 1 + salt
     while True:
         while not _is_prime(p):

@@ -4,10 +4,17 @@ import time
 
 import pytest
 
-from repcount import glue_matrix, intlinalg, parse_splitting_document
+from repcount import (
+    format_splitting_document,
+    glue_matrix,
+    intlinalg,
+    parse_splitting_document,
+    stabilize,
+    unitary,
+)
 from repcount.cli import main
 from repcount.oracle import COKER_MAX_DIM, COKER_MAX_ENTRY, TORUS_MAX_DET
-from support import DET6_DOCUMENT, TRIVIAL_DOCUMENT
+from support import DET6_DOCUMENT, TRIVIAL_DOCUMENT, det6_splitting
 
 
 def run(capsys, *argv):
@@ -198,6 +205,25 @@ class TestDegreeCommand:
 
 class TestSizeBoxes:
     def test_p2_work_box_exit_1(self, capsys, tmp_path):
+        # Every word uses every generator, so no factor closes before the
+        # last row and the frontier bound is the worst case, u * (2^u - 1).
+        u = 30
+        p = tmp_path / "dense.split"
+        p.write_text(
+            f"n = 1\ngroup = U\nh1 = {u}\nh2 = 1\nu = {u}\ng1 = 1\n"
+            "k_map = " + " ; ".join(
+                [" ".join(f"g{i}^{1 + (i + r) % 3}" for i in range(1, u + 1))
+                 for r in range(u)]) + "\n"
+            "l_map = " + " ; ".join(["g1"] * u) + "\n"
+        )
+        for command in ("invariant", "degree", "oracle"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, str(p))
+            assert time.perf_counter() - start < 1.0
+            assert code == 1 and out == ""
+            assert err.startswith("error: degree expansion") and "Traceback" not in err
+
+    def test_p2_sparse_wide_document_computes(self, capsys, tmp_path):
         u = 30
         p = tmp_path / "wide.split"
         p.write_text(
@@ -207,10 +233,11 @@ class TestSizeBoxes:
         )
         for command in ("invariant", "degree", "oracle"):
             start = time.perf_counter()
-            code, out, err = run(capsys, command, str(p))
+            code, out, err = run(capsys, command, str(p), "--format", "machine")
             assert time.perf_counter() - start < 1.0
-            assert code == 1 and out == ""
-            assert err.startswith("error: degree expansion") and "Traceback" not in err
+            assert code == 0 and err == ""
+            kv = machine_dict(out)
+            assert kv.get("abs_value", kv.get("magnitude")) == "1"
 
     @pytest.mark.parametrize("n,l_map", [(20000, "g1"), (10 ** 9, "g1^3")])
     def test_lie_rank_work_box_exit_1(self, capsys, tmp_path, n, l_map):
@@ -287,6 +314,51 @@ class TestSizeBoxes:
         assert err.startswith("error: field 'h1'") and "Traceback" not in err
 
 
+def banded_document(u, n, width=2):
+    """A U(n) document whose glue matrix is banded, 5 on the diagonal and 1
+    on the other band entries: strictly diagonally dominant, so |det| > 0."""
+    k_words, l_words = [], []
+    for i in range(1, u + 1):
+        band = range(max(1, i - width), min(u, i + width) + 1)
+        k_words.append(" ".join(
+            ["g1"] + [f"g{c + 1}^{5 if c == i else 1}" for c in band if c < u]))
+        l_words.append(f"g1^{-5 if i == u else -1}" if u in band else "")
+    return (f"n = {n}\ngroup = U\nh1 = {u}\nh2 = 1\nu = {u}\ng1 = 1\n"
+            f"k_map = {' ; '.join(k_words)}\nl_map = {' ; '.join(l_words)}\n")
+
+
+class TestP2ScalingWall:
+    """P2's frontier bound admits sparse documents far past the worst-case
+    box rank^2 * u * 2^u, and all three pipelines agree on them."""
+
+    def _invariant(self, capsys, path):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariant", str(path), "--format", "machine")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and err == ""
+        kv = machine_dict(out)
+        assert kv["agree"] == "true"
+        assert kv["pipeline_det"] == kv["pipeline_ext"] == kv["pipeline_K"] == kv["abs_value"]
+        return kv
+
+    def test_det6_stabilized_to_u62_u3(self, capsys, tmp_path):
+        s = det6_splitting()
+        for _ in range(60):
+            s = stabilize(s)
+        assert s.u == 62
+        p = tmp_path / "stable.split"
+        p.write_text(format_splitting_document(s, unitary(3)))
+        assert self._invariant(capsys, p)["abs_value"] == "216"
+
+    def test_banded_u100_u2(self, capsys, tmp_path):
+        p = tmp_path / "banded.split"
+        p.write_text(banded_document(100, 2))
+        s, _ = parse_splitting_document(p.read_text())
+        glue_det = intlinalg.det(glue_matrix(s))
+        assert glue_det != 0
+        assert self._invariant(capsys, p)["abs_value"] == str(glue_det ** 2)
+
+
 class TestStabilizeCommand:
     def test_roundtrip(self, capsys, det6_path, tmp_path, monkeypatch):
         code, out, _ = run(capsys, "stabilize", det6_path)
@@ -317,6 +389,16 @@ class TestOracleCommand:
         _, out1, _ = run(capsys, "oracle", str(p), "--format", "machine", "--seed", "7")
         _, out2, _ = run(capsys, "oracle", str(p), "--format", "machine", "--seed", "7")
         assert out1 == out2
+
+    @pytest.mark.parametrize("seed", [10 ** 18, -10 ** 9], ids=["1e18", "-1e9"])
+    def test_extreme_seed(self, capsys, tmp_path, seed):
+        p = tmp_path / "u1.split"
+        p.write_text(DET6_DOCUMENT.replace("n = 2", "n = 1"))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "oracle", str(p), "--format", "machine", f"--seed={seed}")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert machine_dict(out)["torus_counts"] == "6,6,6"
 
     def test_n2_skips_torus(self, capsys, det6_path):
         code, out, _ = run(capsys, "oracle", det6_path, "--format", "machine")

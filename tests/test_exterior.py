@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repcount import (
@@ -22,7 +22,7 @@ from repcount import (
     degree_of_word_map,
     det,
     free_reduce,
-    pullback_primitive,
+    parse_word,
     special_unitary,
     unitary,
 )
@@ -124,37 +124,6 @@ class TestWedge:
         assert odd_part.wedge(odd_part).is_zero
 
 
-class TestPullbackPrimitive:
-    def test_identity_matrix(self):
-        m = IntMat.identity(3)
-        for j in U2.generator_range:
-            assert pullback_primitive(m, 2, j, U2) == gen(U2, 3, 2, j)
-
-    def test_scalar_r(self):
-        m = IntMat([[5]])
-        for j in U3.generator_range:
-            assert pullback_primitive(m, 1, j, U3) == 5 * gen(U3, 1, 1, j)
-
-    def test_row_read_off(self):
-        m = IntMat([[1, 2], [0, 1]])
-        got = pullback_primitive(m, 1, 0, U2)
-        assert got == gen(U2, 2, 1, 0) + 2 * gen(U2, 2, 2, 0)
-
-    def test_independent_of_j(self):
-        rng = random.Random(9)
-        m = IntMat([[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)])
-        for i in (1, 2, 3):
-            vectors = []
-            for j in U3.generator_range:
-                elt = pullback_primitive(m, i, j, U3)
-                vectors.append(tuple(elt.terms.get(((k, j),), 0) for k in (1, 2, 3)))
-            assert len(set(vectors)) == 1
-
-    def test_bad_generator_index(self):
-        with pytest.raises(GeneratorRangeError):
-            pullback_primitive(IntMat.identity(2), 1, 5, U2)
-
-
 class TestDegreeOfWordMap:
     def test_identity(self):
         for kind in (U1, U2, SU2, SU3):
@@ -252,6 +221,42 @@ def reference_degree(f, kind):
     return total
 
 
+def factor_major_degree(f, kind):
+    """Top coefficient of the pulled-back top class, expanded with
+    ExtElement in factor-major order: for each factor i, then each
+    generator j, wedge on sum_k m[i][k] x[j]-of-factor-k."""
+    m = abelianize(f).transpose()
+    n = m.rows
+    acc = ExtElement.unit(kind, n)
+    for i in range(n):
+        for j in kind.generator_range:
+            acc = acc.wedge(sum(
+                (ExtElement.monomial(kind, n, m[i, k], [(k + 1, j)]) for k in range(n)),
+                ExtElement.zero(kind, n),
+            ))
+    top = tuple((k, j) for k in range(1, n + 1) for j in kind.generator_range)
+    return acc.terms.get(top, 0)
+
+
+# The factor-major expansion holds up to C(N, N/2)^rank terms, so the
+# reference maps shrink as the rank grows.
+REFERENCE_KINDS = {U1: 7, U2: 6, SU2: 7, U3: 5, SU3: 6, unitary(4): 4,
+                   special_unitary(4): 5}
+
+
+@st.composite
+def small_word_maps(draw):
+    kind = draw(st.sampled_from(list(REFERENCE_KINDS)))
+    n = draw(st.integers(0, REFERENCE_KINDS[kind]))
+    letter = st.tuples(st.integers(1, max(n, 1)), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    images = tuple(free_reduce(draw(st.lists(letter, max_size=3 * n))) for _ in range(n))
+    return kind, FreeHom(n, n, images)
+
+
+def hom(*words):
+    return FreeHom(len(words), len(words), tuple(parse_word(w) for w in words))
+
+
 def dense_hom(rng, n):
     """A word map whose exponent-sum matrix has no zero entry."""
     images = []
@@ -304,25 +309,37 @@ class TestBlockOrderDegree:
         assert a.wedge(b) == ExtElement.monomial(U2, 2, 15, [(2, 1), (1, 0), (2, 0)])
         assert a.wedge(gen(U2, 2, 1, 0)).is_zero
 
-    def test_peak_terms_dense_u3_rank8(self, monkeypatch):
-        sizes, key_lengths = [], []
-        original = ExtElement.wedge
+    @settings(max_examples=150, deadline=None)
+    @given(small_word_maps())
+    @example((U2, hom("g1 g2", "", "g3")))  # a zero row
+    @example((SU3, hom("g1^2 g2", "g2 g1^-1", "g1 g2^3")))  # a zero column
+    @example((U3, hom("g1 g2 g1^-1", "g1 g3", "g2^2 g3")))  # a sum cancels
+    @example((special_unitary(4), hom("g2 g1", "g1 g3^2", "g3 g4", "g4^-1 g2")))
+    @example((unitary(4), hom("g1 g2", "g2 g3", "g3 g4", "g4 g1")))
+    @example((U1, hom("g1 g2", "g2 g3", "g3 g4", "g4 g5", "g5 g6", "g6 g7", "g7 g1")))
+    def test_matches_factor_major_expansion(self, kind_and_map):
+        kind, f = kind_and_map
+        assert degree_of_word_map(f, kind) == factor_major_degree(f, kind)
 
-        def recording(self, other):
-            result = original(self, other)
-            sizes.append(len(result.terms))
-            key_lengths.extend(map(len, result.terms))
+    def test_peak_terms_dense_u3_rank8(self, monkeypatch):
+        sizes, masks = [], []
+        original = exterior._wedge_row
+
+        def recording(block, row, need):
+            result = original(block, row, need)
+            sizes.append(len(result))
+            masks.extend(result)
             return result
 
-        monkeypatch.setattr(ExtElement, "wedge", recording)
+        monkeypatch.setattr(exterior, "_wedge_row", recording)
         f = dense_hom(random.Random(47), 8)
         d = det(abelianize(f))
         assert d != 0
         assert abs(degree_of_word_map(f, U3)) == abs(d) ** 3
         assert len(sizes) == 8 * 3
         assert max(sizes) <= math.comb(8, 4) == 70
-        # Blocks are expanded separately: a key holds one generator's pairs.
-        assert max(key_lengths) == 8
+        # Blocks are expanded separately: a mask holds one generator's factors.
+        assert max(masks) == 2 ** 8 - 1
 
     def test_work_box_above_benchmark_rungs(self):
         for kind, n in ((U2, 8), (SU3, 8), (U3, 6), (unitary(4), 5)):
@@ -338,23 +355,58 @@ class TestBlockOrderDegree:
     def test_work_box_admits_suite_and_benchmark_inputs(self, kind, n):
         assert degree_of_word_map(FreeHom.identity(n), kind) == 1
 
-    @pytest.mark.parametrize("n", [2237, 20_000, 10 ** 9])
+    @pytest.mark.parametrize("n", [3163, 20_000, 10 ** 9])
     def test_work_box_grows_with_rank_squared(self, n):
-        # rank * N * 2^N is only 2n here; the box also counts the keys of
-        # the product-cylinder expansion, which grow to rank * N pairs.
+        # F is 1 here; the box also counts the keys of the product-cylinder
+        # expansion, which grow to rank * N pairs, and caps P1's |det|^rank.
         start = time.perf_counter()
         with pytest.raises(ExteriorWorkLimitError, match=r"rank\^2"):
             degree_of_word_map(FreeHom.identity(1), unitary(n))
         assert time.perf_counter() - start < 1.0
+
+    def test_work_box_rank_edge(self):
+        assert 3162 ** 2 <= exterior.MAX_EXTERIOR_WORK < 3163 ** 2
+        assert degree_of_word_map(FreeHom.identity(1), unitary(3162)) == 1
 
     def test_generator_membership_is_a_range(self):
         kind = unitary(10 ** 12)
         assert 10 ** 12 - 1 in kind.generator_range
         assert 0 not in special_unitary(3).generator_range
 
-    @pytest.mark.parametrize("n", [24, 30, 10_000])
+    @pytest.mark.parametrize("n", [20, 24, 30])
     def test_work_box_refuses_before_expanding(self, n):
+        f = dense_hom(random.Random(n), n)
         start = time.perf_counter()
-        with pytest.raises(ExteriorWorkLimitError):
-            degree_of_word_map(FreeHom.identity(n), U1)
+        with pytest.raises(ExteriorWorkLimitError, match="support frontier"):
+            degree_of_word_map(f, U1)
         assert time.perf_counter() - start < 1.0
+
+    def test_frontier_admits_sparse_identity(self):
+        start = time.perf_counter()
+        assert degree_of_word_map(FreeHom.identity(10_000), U1) == 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_frontier_bound(self, monkeypatch):
+        bounds = []
+        original = exterior._frontier_work
+
+        def recording(rows, closing, limit):
+            work = original(rows, closing, limit)
+            bounds.append((len(rows), work))
+            return work
+
+        monkeypatch.setattr(exterior, "_frontier_work", recording)
+        rng = random.Random(53)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            f = dense_hom(rng, n) if rng.random() < 0.2 else random_free_hom(rng, n, n)
+            degree_of_word_map(f, rng.choice((U1, U2, U3, SU3)))
+        assert len(bounds) > 100
+        # Nothing inside the worst-case box rank^2 * N * 2^N is refused.
+        assert all(work <= n * 2 ** n for n, work in bounds)
+        bounds.clear()
+        degree_of_word_map(dense_hom(rng, 9), U1)
+        degree_of_word_map(FreeHom.identity(9), U1)
+        # Dense: no factor closes before the last row.  Identity: each row
+        # closes its factor, so every step meets one term.
+        assert bounds == [(9, 9 * (2 ** 9 - 1)), (9, 9)]
