@@ -1,8 +1,9 @@
 """Command-line surface: validate, invariant, homology, degree, stabilize,
 oracle, poly, multiindex.
 
-Exit status: 0 success, 1 parse/validation error or an input past a
-declared size box, 2 wrong mode (T != 0 for a codimension-zero command),
+Exit status: 0 success, 1 a usage error (a malformed flag or a missing
+subcommand), a parse/validation error or an input past a declared size
+box, 2 wrong mode (T != 0 for a codimension-zero command),
 3 internal cross-check disagreement.  Machine output is line-oriented
 ``key=value`` and deterministic for a given input and seed.
 """
@@ -225,8 +226,16 @@ def cmd_multiindex(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with status 2 on a usage error, which is this CLI's
+    # wrong-codimension status; raise an input error instead, for ``main``
+    # to report with status 1.  Subcommand parsers share this class.
+    def error(self, message):
+        raise DocumentError(f"{message}\n{self.format_usage()}".rstrip())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repcount",
         description="Exact counting invariants of unitary representation "
         "extensions from adapted splitting data.",
@@ -266,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DocumentError, InvalidSplittingError, OSError, SingularMatrixError,
             DomainLimitError, ExteriorWorkLimitError) as exc:

@@ -23,6 +23,15 @@ cokernel of the empty map Z^0 -> Z^0 has order 1, which is what degenerate
 splittings produce.
 
 Matrices are immutable after construction and all functions are pure.
+
+Two constructors.  ``IntMat(...)`` is the public one: it checks that every
+entry is an int and that the rows have one width, because matrices built
+from caller data enter the package there.  ``IntMat._trusted`` checks
+nothing and keeps the tuple of row tuples it is given.  The package uses
+it only for matrices whose entries it computed itself from checked data
+(sums and differences of ints, read from validated words or from another
+``IntMat``), so the public constructor's checks could not fail on them; a
+trusted matrix equals and hashes like the validated one of the same rows.
 """
 
 from __future__ import annotations
@@ -118,6 +127,15 @@ class IntMat:
         self.data = tuple(rows)
 
     @classmethod
+    def _trusted(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMat":
+        """A matrix of ``data``, row tuples of ``cols`` ints each, unchecked."""
+        m = object.__new__(cls)
+        m.rows = len(data)
+        m.cols = cols
+        m.data = data
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMat":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
@@ -133,10 +151,9 @@ class IntMat:
         return tuple(self.data[i][j] for i in range(self.rows))
 
     def transpose(self) -> "IntMat":
-        return IntMat(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        # zip of no rows yields no columns, so a 0 x n matrix is spelled out.
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return IntMat._trusted(data, self.rows)
 
     def __matmul__(self, other: "IntMat") -> "IntMat":
         if not isinstance(other, IntMat):
@@ -232,7 +249,10 @@ def echelon(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
         if not column:
             continue
         while len(column) > 1:
-            pivot = min(column, key=lambda row: abs(row[c]))
+            pivot = column[0]  # the first row of least |entry|
+            for row in column:
+                if abs(row[c]) < abs(pivot[c]):
+                    pivot = row
             p = pivot[c]
             left = [pivot]
             for row in column:
@@ -246,7 +266,8 @@ def echelon(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
         pivot = column[0]
         pivots.append(abs(pivot[c]))
         active = [row for row in active if row is not pivot]
-    return tuple(pivots), IntMat([row[ncols:] for row in active], cols=width - ncols)
+    kernel = tuple(tuple(row[ncols:]) for row in active)
+    return tuple(pivots), IntMat._trusted(kernel, width - ncols)
 
 
 @dataclass(frozen=True)

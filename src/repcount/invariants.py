@@ -3,7 +3,8 @@
 For a valid splitting with T == 0 the invariant's absolute value is
 computed three times, by routes that share no algebra:
 
-  P1  |det| of the glue matrix, raised to the Lie rank (exact elimination);
+  P1  |det| of the glue matrix, raised to the Lie rank (exact elimination
+      of its transpose, the rows of MV^T past the first g1);
   P2  the magnitude of the symbolic exterior-algebra degree of the
       assembled word map;
   P3  the order of H^2 of the pair, raised to the Lie rank (integer
@@ -11,7 +12,9 @@ computed three times, by routes that share no algebra:
       quotient).
 
 The three values must agree exactly; disagreement is an internal fault,
-never expected.  P3 is always computed even though P1 is cheaper: the
+never expected.  P1 and P3 read one assembly of the Mayer-Vietoris rows
+per call; P2 reads the assembled word map instead, so a wrong assembly
+still shows as P1 != P2.  P3 is always computed even though P1 is cheaper: the
 agreement is the point.
 
 Sign policy.  The true sign of the invariant depends on orientation data
@@ -41,12 +44,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exterior import GroupKind, cylinder_monomial_value, degree_of_word_map
-from .intlinalg import INFINITE, det, format_int
+from .intlinalg import INFINITE, IntMat, det, format_int
 from .splitting import (
     AdaptedSplitting,
     PairHomologyReport,
+    _mayer_vietoris_rows,
+    _pair_cohomology,
     assembled_word_map,
-    glue_matrix,
     pair_cohomology,
 )
 
@@ -181,11 +185,14 @@ def lambda_invariant(
     degree = degree_of_word_map(assembled_word_map(s), kind)
     p2 = abs(degree)
 
-    glue = glue_matrix(s)
-    glue_det = det(glue)
+    # P1 and P3 read one assembly of the Mayer-Vietoris rows.  Its rows
+    # past the first g1 form the transpose of the glue matrix, which has
+    # the same determinant.
+    mv_rows = _mayer_vietoris_rows(s)
+    glue_det = det(IntMat._trusted(mv_rows[s.g1:], s.u))
     p1 = abs(glue_det) ** lie_rank
 
-    pair = pair_cohomology(s)
+    pair = _pair_cohomology(s, mv_rows)
     k_order = pair.order_H2_pair
     p3 = 0 if k_order is INFINITE else k_order**lie_rank
 

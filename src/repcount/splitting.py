@@ -39,7 +39,7 @@ from .words import (
     MalformedWordError,
     RankMismatchError,
     Word,
-    abelianize,
+    _trusted,
     format_word,
     free_reduce,
     parse_word,
@@ -162,16 +162,22 @@ def validation_warnings(s: AdaptedSplitting) -> list[str]:
     return w
 
 
-def _mayer_vietoris_rows(s: AdaptedSplitting) -> list[tuple[int, ...]]:
+def _mayer_vietoris_rows(s: AdaptedSplitting) -> tuple[tuple[int, ...], ...]:
     """The h1 + h2 rows of MV^T, the matrix of (b - c)^T.
 
-    The rows of ``abelianize(k_map)``, one per H1 generator (the g1
-    marked-surface generators first), then the negated rows of
-    ``abelianize(l_map)``, one per H2 generator; each row has u entries.
+    One row per H1 generator (the g1 marked-surface generators first),
+    the exponent sums of that generator in the ``k_map`` images, then one
+    per H2 generator, the negated exponent sums in the ``l_map`` images;
+    each row has u entries.  One pass over the letters of both maps.
     """
-    return list(abelianize(s.k_map).data) + [
-        tuple(-x for x in row) for row in abelianize(s.l_map).data
-    ]
+    h1, u = s.h1, s.u
+    rows = [[0] * u for _ in range(h1 + s.h2)]
+    for i, (k_word, l_word) in enumerate(zip(s.k_map.images, s.l_map.images)):
+        for g, e in k_word.letters:
+            rows[g - 1][i] += e
+        for g, e in l_word.letters:
+            rows[h1 + g - 1][i] -= e
+    return tuple(map(tuple, rows))
 
 
 def glue_matrix(s: AdaptedSplitting) -> IntMat:
@@ -182,12 +188,12 @@ def glue_matrix(s: AdaptedSplitting) -> IntMat:
     are minus the pullback through U -> H2: the Mayer-Vietoris matrix
     without its first g1 columns.  Square exactly when T == 0.
     """
-    return IntMat(_mayer_vietoris_rows(s)[s.g1:], cols=s.u).transpose()
+    return IntMat._trusted(_mayer_vietoris_rows(s)[s.g1:], s.u).transpose()
 
 
 def mayer_vietoris_matrix(s: AdaptedSplitting) -> IntMat:
     """The u x (h1+h2) matrix of (b - c) on full first cohomology."""
-    return IntMat(_mayer_vietoris_rows(s), cols=s.u).transpose()
+    return IntMat._trusted(_mayer_vietoris_rows(s), s.u).transpose()
 
 
 @dataclass(frozen=True)
@@ -214,11 +220,18 @@ def pair_cohomology(s: AdaptedSplitting) -> PairHomologyReport:
     span, in their g1 entries, the image of ker(b - c) = H^1(M) in
     H^1(S1).  Then that image, over its g1 columns.
     """
+    return _pair_cohomology(s, _mayer_vietoris_rows(s))
+
+
+def _pair_cohomology(s: AdaptedSplitting,
+                     mv_rows: tuple[tuple[int, ...], ...]) -> PairHomologyReport:
+    """:func:`pair_cohomology` from the rows of MV^T, already assembled."""
     g1 = s.g1
-    augmented = IntMat(
-        [row + tuple(int(i == j) for j in range(g1))
-         for i, row in enumerate(_mayer_vietoris_rows(s))],
-        cols=s.u + g1,
+    zeros = (0,) * g1
+    augmented = IntMat._trusted(
+        tuple(row + (zeros[:i] + (1,) + zeros[i + 1:] if i < g1 else zeros)
+              for i, row in enumerate(mv_rows)),
+        s.u + g1,
     )
     # Looked up on the module at call time, so a wrapper installed there
     # (a counter or a trace) sees every call.
@@ -276,7 +289,9 @@ def assembled_word_map(s: AdaptedSplitting) -> FreeHom:
         l_word = s.l_map.images[i]
         letters.extend((g + free1, -e) for g, e in reversed(l_word.letters))
         images.append(free_reduce(letters))
-    return FreeHom(s.u, free1 + s.h2, tuple(images))
+    # Every letter was re-indexed into 1..free1 + h2 from a validated map.
+    return _trusted(FreeHom, source_rank=s.u, target_rank=free1 + s.h2,
+                    images=tuple(images))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,16 @@ freely reduced.  The empty word is the identity.
 
 All values are immutable and every operation is a pure function, so
 everything in this module is safe for concurrent use.
+
+Two ways to build each value.  ``Word(...)`` and ``FreeHom(...)`` are the
+public constructors and check their data: letters that are reduced pairs
+of ints, images within the target rank.  ``_trusted(Word, letters=...)``
+and ``_trusted(FreeHom, ...)`` check nothing.  The package uses them only
+where the checks are already done:
+:func:`free_reduce` has checked every letter and merged every run as it
+builds its word, and ``splitting.assembled_word_map`` re-indexes the
+letters of validated maps into its target range.  A trusted value equals
+and hashes like the checked one of the same data.
 """
 
 from __future__ import annotations
@@ -86,6 +96,14 @@ class Word:
         return format_word(self)
 
 
+def _trusted(cls, **fields):
+    """A frozen ``cls`` holding ``fields`` as given, unchecked."""
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        object.__setattr__(value, name, field)
+    return value
+
+
 def free_reduce(letters: Iterable[tuple[int, int]]) -> Word:
     """Freely reduce a raw letter sequence into a :class:`Word`.
 
@@ -109,7 +127,7 @@ def free_reduce(letters: Iterable[tuple[int, int]]) -> Word:
                 stack.pop()
         else:
             stack.append([index, exponent])
-    return Word(tuple((g, e) for g, e in stack))
+    return _trusted(Word, letters=tuple([(g, e) for g, e in stack]))
 
 
 @dataclass(frozen=True)
@@ -189,7 +207,7 @@ def abelianize(f: FreeHom) -> IntMat:
     for i, w in enumerate(f.images):
         for g, e in w.letters:
             rows[g - 1][i] += e
-    return IntMat(rows, cols=f.source_rank)
+    return IntMat._trusted(tuple(map(tuple, rows)), f.source_rank)
 
 
 _TOKEN = re.compile(r"g([1-9][0-9]*)(?:\^(-?[0-9]+))?\Z")

@@ -471,3 +471,37 @@ class TestMultiindexCommand:
     def test_malformed_exit_1(self, capsys):
         code, _, _ = run(capsys, "multiindex", "--I", "0:1")
         assert code == 1
+
+
+class TestUsageErrors:
+    """A command line argparse refuses returns the input-error status 1,
+    distinct from the wrong-codimension status 2, without raising."""
+
+    @pytest.mark.parametrize("argv", [
+        ("poly", "--g", "x", "--h", "2", "--group", "U", "--n", "1"),
+        ("poly", "--g", "4", "--h", "2", "--group", "U"),
+        ("multiindex", "--group", "O"),
+        ("invariant",),
+        ("invariant", "doc.split", "--frobnicate"),
+        ("bogus",),
+        (),
+    ])
+    def test_usage_error_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "usage: repcount" in err
+        assert "Traceback" not in err
+
+    def test_distinct_from_wrong_codimension(self, capsys, tmp_path):
+        doc = tmp_path / "t2.split"
+        doc.write_text(TRIVIAL_DOCUMENT.replace("h1 = 1", "h1 = 2").replace("g1 = 1", "g1 = 0"))
+        assert run(capsys, "invariant", str(doc))[0] == 2
+        assert run(capsys, "invariant", str(doc), "--no-such-flag")[0] == 1
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--help"])
+        assert exc.value.code == 0
+        assert "usage: repcount poly" in capsys.readouterr().out

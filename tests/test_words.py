@@ -127,6 +127,8 @@ class TestWordOps:
             Word(((1, 1), (1, 1)))
         with pytest.raises(MalformedWordError):
             Word(((1, 0),))
+        with pytest.raises(MalformedWordError):
+            Word(((0, 1),))
 
 
 class TestTextSyntax:
