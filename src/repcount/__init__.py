@@ -39,10 +39,10 @@ from .invariants import (
     UNDETERMINED,
     WrongCodimensionError,
     lambda_invariant,
+    lambda_invariants,
     lambda_polynomial_cylinder,
     multiindex_degree,
     orientation_flip_sign,
-    vanishing_check,
 )
 from .oracle import (
     DomainLimitError,
@@ -63,7 +63,6 @@ from .splitting import (
     format_splitting_document,
     glue_matrix,
     group_kind,
-    mayer_vietoris_matrix,
     pair_cohomology,
     parse_splitting_document,
     stabilize,

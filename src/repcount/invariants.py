@@ -12,10 +12,12 @@ computed three times, by routes that share no algebra:
       quotient).
 
 The three values must agree exactly; disagreement is an internal fault,
-never expected.  P1 and P3 read one assembly of the Mayer-Vietoris rows
-per call; P2 reads the assembled word map instead, so a wrong assembly
-still shows as P1 != P2.  P3 is always computed even though P1 is cheaper: the
-agreement is the point.
+never expected.  P1 and P3 read one assembly of the Mayer-Vietoris rows;
+P2 reads the assembled word map instead, so a wrong assembly still shows
+as P1 != P2.  P3 is always computed even though P1 is cheaper: the
+agreement is the point.  The groups differ only in the Lie rank, so
+:func:`lambda_invariants` runs all but P2 once per splitting, after P2
+has run for every group: a group past P2's box is refused before P1 or P3.
 
 Sign policy.  The true sign of the invariant depends on orientation data
 that is not pinned down to a computable convention, so the absolute value
@@ -30,28 +32,27 @@ stabilization.  Reversing the ambient orientation multiplies the sign by
 (-1)^lie_rank.
 
 Vanishing reason.  A zero invariant must come with a rational reason,
-read from P3's own report: ``H2_nonzero`` when H^2(M, Q) != 0 (|H^2(M)|
-is INFINITE), else ``restriction_not_iso`` when H^1(M, Q) -> H^1(S1, Q)
-is not an isomorphism.  Reading it there loses no check: a separate
-vanishing test would reduce the same matrices with the same deterministic
-echelon, so it could never disagree with P3.  The check that stays is
-that a zero from all three pipelines has such a reason.
+read once per splitting from P3's own report: ``H2_nonzero`` when
+H^2(M, Q) != 0 (|H^2(M)| is INFINITE), else ``restriction_not_iso`` when
+H^1(M, Q) -> H^1(S1, Q) is not an isomorphism.  Reading it there loses no
+check: a separate vanishing test would reduce the same matrices with the
+same deterministic echelon, so it could never disagree with P3.  The
+check that stays is that a zero from all three pipelines has such a
+reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .exterior import GroupKind, cylinder_monomial_value, degree_of_word_map
 from .intlinalg import INFINITE, IntMat, det, format_int
 from .splitting import (
     AdaptedSplitting,
-    PairHomologyReport,
     _mayer_vietoris_rows,
     _pair_cohomology,
     assembled_word_map,
-    pair_cohomology,
 )
 
 __all__ = [
@@ -62,8 +63,8 @@ __all__ = [
     "PipelineDisagreementError",
     "UNDETERMINED",
     "lambda_invariant",
+    "lambda_invariants",
     "require_codimension_zero",
-    "vanishing_check",
     "orientation_flip_sign",
     "multiindex_degree",
     "lambda_polynomial_cylinder",
@@ -137,25 +138,6 @@ def _domain_orientation_sign(s: AdaptedSplitting, lie_rank: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _vanishing_reason(pair: PairHomologyReport) -> Optional[str]:
-    if pair.order_H2_M is INFINITE:
-        return VANISH_H2_NONZERO
-    if not pair.restriction_iso:
-        return VANISH_RESTRICTION
-    return None
-
-
-def vanishing_check(s: AdaptedSplitting) -> Optional[str]:
-    """Rational vanishing criteria; a reason here forces the invariant to 0.
-
-    Returns ``"H2_nonzero"`` when H^2(M, Q) != 0 (the Mayer-Vietoris matrix
-    is not of full row rank), ``"restriction_not_iso"`` when
-    H^1(M, Q) -> H^1(S1, Q) fails to be an isomorphism, else None.  Both
-    are read from :func:`pair_cohomology`.
-    """
-    return _vanishing_reason(pair_cohomology(s))
-
-
 def require_codimension_zero(s: AdaptedSplitting) -> None:
     """Raise :class:`WrongCodimensionError` unless ``s`` has T == 0."""
     if s.T != 0:
@@ -166,66 +148,76 @@ def require_codimension_zero(s: AdaptedSplitting) -> None:
         )
 
 
-def lambda_invariant(
+def lambda_invariants(
     s: AdaptedSplitting,
-    kind: GroupKind,
+    kinds: Iterable[GroupKind],
     use_sign_convention: bool = False,
-) -> InvariantReport:
-    """Compute the counting invariant for a T == 0 splitting.
+) -> tuple[InvariantReport, ...]:
+    """Compute the counting invariant of a T == 0 splitting for each kind.
 
-    Runs all three pipelines, asserts exact agreement, and assembles the
-    report.  ``use_sign_convention=True`` opts into the declared sign
-    convention; otherwise the sign is reported UNDETERMINED.
+    Runs all three pipelines, asserts exact agreement, and returns one
+    report per entry of ``kinds``, in order.  Only P2 depends on the
+    group, so P1, P3 and the vanishing reason are computed once.
+    ``use_sign_convention=True`` opts into the declared sign convention;
+    otherwise the sign is reported UNDETERMINED.
     """
     require_codimension_zero(s)
-    lie_rank = kind.lie_rank
+    kinds = tuple(kinds)
+    if not kinds:
+        return ()
 
-    # P2 first: its work box refuses a huge Lie rank before P1 raises
-    # |det| to it.
-    degree = degree_of_word_map(assembled_word_map(s), kind)
-    p2 = abs(degree)
+    # P2 first, for every kind: its work box refuses a huge Lie rank
+    # before P1's determinant runs and is raised to it.
+    word_map = assembled_word_map(s)
+    degrees = [degree_of_word_map(word_map, kind) for kind in kinds]
 
     # P1 and P3 read one assembly of the Mayer-Vietoris rows.  Its rows
     # past the first g1 form the transpose of the glue matrix, which has
     # the same determinant.
     mv_rows = _mayer_vietoris_rows(s)
-    glue_det = det(IntMat._trusted(mv_rows[s.g1:], s.u))
-    p1 = abs(glue_det) ** lie_rank
-
+    glue_det = abs(det(IntMat._trusted(mv_rows[s.g1:], s.u)))
     pair = _pair_cohomology(s, mv_rows)
     k_order = pair.order_H2_pair
-    p3 = 0 if k_order is INFINITE else k_order**lie_rank
-
-    agree = p1 == p2 == p3
-    if not agree:
-        raise PipelineDisagreementError(
-            f"pipelines disagree: det-power={p1} ext={p2} K-power={p3}"
-        )
-
     reason = None
-    if p1 == 0:
-        reason = _vanishing_reason(pair)
-        if reason is None:
+    if pair.order_H2_M is INFINITE:
+        reason = VANISH_H2_NONZERO
+    elif not pair.restriction_iso:
+        reason = VANISH_RESTRICTION
+
+    reports = []
+    for kind, degree in zip(kinds, degrees):
+        lie_rank = kind.lie_rank
+        p1 = glue_det**lie_rank
+        p2 = abs(degree)
+        p3 = 0 if k_order is INFINITE else k_order**lie_rank
+        if not p1 == p2 == p3:
+            raise PipelineDisagreementError(
+                f"pipelines disagree: det-power={p1} ext={p2} K-power={p3}"
+            )
+        if p1 == 0 and reason is None:
             raise PipelineDisagreementError(
                 "vanishing invariant without a rational vanishing reason"
             )
 
-    sign: Optional[int] = None
-    if use_sign_convention and p1 > 0:
-        cycle_sign = (1 if degree > 0 else -1) * _domain_orientation_sign(s, lie_rank)
-        sign = cycle_sign * (-1) ** (lie_rank * s.u_hat_genus)
-        if s.orientation_reversed:
-            sign *= (-1) ** lie_rank
+        sign: Optional[int] = None
+        if use_sign_convention and p1 > 0:
+            cycle_sign = (1 if degree > 0 else -1) * _domain_orientation_sign(s, lie_rank)
+            sign = cycle_sign * (-1) ** (lie_rank * s.u_hat_genus)
+            if s.orientation_reversed:
+                sign *= (-1) ** lie_rank
 
-    return InvariantReport(
-        kind=kind,
-        T=s.T,
-        abs_value=p1,
-        sign=sign,
-        K=k_order,
-        vanishing_reason=reason,
-        pipelines=PipelineValues(p1, p2, p3, agree),
-    )
+        reports.append(InvariantReport(
+            kind=kind, T=s.T, abs_value=p1, sign=sign, K=k_order,
+            vanishing_reason=reason if p1 == 0 else None,
+            pipelines=PipelineValues(p1, p2, p3, True),
+        ))
+    return tuple(reports)
+
+
+def lambda_invariant(s: AdaptedSplitting, kind: GroupKind,
+                     use_sign_convention: bool = False) -> InvariantReport:
+    """:func:`lambda_invariants` for one kind."""
+    return lambda_invariants(s, (kind,), use_sign_convention)[0]
 
 
 def orientation_flip_sign(kind: GroupKind) -> int:

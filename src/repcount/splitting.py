@@ -55,7 +55,6 @@ __all__ = [
     "validate",
     "validation_warnings",
     "glue_matrix",
-    "mayer_vietoris_matrix",
     "pair_cohomology",
     "stabilize",
     "assembled_word_map",
@@ -189,11 +188,6 @@ def glue_matrix(s: AdaptedSplitting) -> IntMat:
     without its first g1 columns.  Square exactly when T == 0.
     """
     return IntMat._trusted(_mayer_vietoris_rows(s)[s.g1:], s.u).transpose()
-
-
-def mayer_vietoris_matrix(s: AdaptedSplitting) -> IntMat:
-    """The u x (h1+h2) matrix of (b - c) on full first cohomology."""
-    return IntMat._trusted(_mayer_vietoris_rows(s), s.u).transpose()
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from repcount import (
     FreeHom,
     IntMat,
     Word,
+    abelianize,
     free_reduce,
     parse_word,
 )
@@ -46,6 +47,16 @@ def random_t0_splitting(rng: random.Random, max_rank: int = 5,
 def random_int_mat(rng: random.Random, rows: int, cols: int,
                    lo: int = -5, hi: int = 5) -> IntMat:
     return IntMat([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+
+
+def mayer_vietoris_reference(s: AdaptedSplitting) -> IntMat:
+    """The u x (h1+h2) Mayer-Vietoris matrix of (b - c) on full first
+    cohomology, assembled from the abelianized maps: the transpose of
+    abelianize(k_map) stacked over -abelianize(l_map).  An assembly
+    independent of the package's own MV rows, so it can check them."""
+    k, l = abelianize(s.k_map), abelianize(s.l_map)
+    rows = [list(row) for row in k.data] + [[-x for x in row] for row in l.data]
+    return IntMat(rows, cols=s.u).transpose()
 
 
 def trivial_splitting() -> AdaptedSplitting:

@@ -19,8 +19,8 @@ from repcount import (
     free_reduce,
     glue_matrix,
     lambda_invariant,
+    lambda_invariants,
     lambda_polynomial_cylinder,
-    mayer_vietoris_matrix,
     multiindex_degree,
     orientation_flip_sign,
     pair_cohomology,
@@ -29,10 +29,10 @@ from repcount import (
     special_unitary,
     stabilize,
     unitary,
-    vanishing_check,
 )
 from support import (
     det6_splitting,
+    mayer_vietoris_reference,
     random_free_hom,
     random_t0_splitting,
     trivial_splitting,
@@ -137,7 +137,8 @@ class TestLambdaInvariant:
             s = random_t0_splitting(rng)
             rep = lambda_invariant(s, unitary(2))
             if rep.abs_value > 0:
-                assert vanishing_check(s) is None
+                pair = pair_cohomology(s)
+                assert pair.order_H2_M is not INFINITE and pair.restriction_iso
                 assert rep.vanishing_reason is None
 
     def test_report_key_values(self):
@@ -150,22 +151,72 @@ class TestLambdaInvariant:
 
 
 class TestVanishingCheck:
+    """The vanishing reason of these T = 0 splittings, the same for every
+    group, and the cohomology it is read from."""
+
+    @staticmethod
+    def reason(s):
+        reasons = {rep.vanishing_reason for rep in lambda_invariants(s, KINDS)}
+        assert len(reasons) == 1
+        return reasons.pop()
+
     def test_identity_glued_absent(self):
-        assert vanishing_check(trivial_splitting()) is None
+        assert self.reason(trivial_splitting()) is None
 
     def test_restriction_not_iso(self):
-        assert vanishing_check(restriction_degenerate_splitting()) == "restriction_not_iso"
+        assert self.reason(restriction_degenerate_splitting()) == "restriction_not_iso"
 
     def test_h2_nonzero(self):
         # kernel of (b - c) has rank 2 > g1 = 1 and the matrix is rank
         # deficient, reported as the H2 criterion
-        assert vanishing_check(h2_degenerate_splitting()) == "H2_nonzero"
+        assert self.reason(h2_degenerate_splitting()) == "H2_nonzero"
 
     def test_reason_forces_zero(self):
+        restriction = pair_cohomology(restriction_degenerate_splitting())
+        assert restriction.order_H2_M is not INFINITE
+        assert not restriction.restriction_iso
+        assert pair_cohomology(h2_degenerate_splitting()).order_H2_M is INFINITE
         for s in (restriction_degenerate_splitting(), h2_degenerate_splitting()):
-            rep = lambda_invariant(s, unitary(1))
-            assert rep.abs_value == 0
-            assert rep.vanishing_reason == vanishing_check(s)
+            for rep in lambda_invariants(s, KINDS):
+                assert rep.abs_value == 0
+                assert rep.vanishing_reason is not None
+
+
+class TestLambdaInvariants:
+    """One call for several groups gives, in order, what one call per
+    group gives."""
+
+    def test_equals_one_call_per_group(self):
+        rng = random.Random(71)
+        for _ in range(1500):
+            s = random_t0_splitting(rng, max_rank=rng.choice((3, 5, 7)))
+            assert lambda_invariants(s, KINDS, True) == tuple(
+                lambda_invariant(s, kind, True) for kind in KINDS)
+
+    def test_keeps_order_and_repeats(self):
+        s = det6_splitting()
+        kinds = (special_unitary(3), unitary(1), special_unitary(3), unitary(2), unitary(1))
+        reports = lambda_invariants(s, kinds, use_sign_convention=True)
+        assert tuple(rep.kind for rep in reports) == kinds
+        assert [rep.abs_value for rep in reports] == [36, 6, 36, 36, 6]
+        assert reports[0] == reports[2] and reports[1] == reports[4]
+
+    def test_generator_kinds(self):
+        s = det6_splitting()
+        assert lambda_invariants(s, (k for k in KINDS)) == lambda_invariants(s, tuple(KINDS))
+
+    def test_empty_kinds(self):
+        assert lambda_invariants(det6_splitting(), ()) == ()
+        assert lambda_invariants(det6_splitting(), iter([])) == ()
+
+    def test_wrong_codimension(self):
+        s = AdaptedSplitting(
+            h1=2, h2=1, u=1, g1=1,
+            k_map=FreeHom(1, 2, (parse_word("g2"),)),
+            l_map=FreeHom(1, 1, (parse_word("g1"),)),
+        )
+        with pytest.raises(WrongCodimensionError, match="T=1"):
+            lambda_invariants(s, KINDS)
 
 
 class TestFactorOnce:
@@ -215,7 +266,7 @@ def snf_reference(s):
     """The Smith-normal-form route to P3, as a reference: factor the
     Mayer-Vietoris matrix, take its kernel basis, and factor that basis
     projected to the g1 coordinates of H^1(S1).  Returns the report."""
-    mv = smith_normal_form(mayer_vietoris_matrix(s))
+    mv = smith_normal_form(mayer_vietoris_reference(s))
     kb = mv.kernel_basis
     restriction = smith_normal_form(IntMat(kb.data[: s.g1], cols=kb.cols))
     order_h2, quotient = mv.cokernel_order, restriction.cokernel_order

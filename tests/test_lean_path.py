@@ -14,6 +14,7 @@ import pytest
 import repcount.invariants
 import repcount.splitting
 from repcount import (
+    ExteriorWorkLimitError,
     FreeHom,
     IntMat,
     MalformedWordError,
@@ -25,10 +26,12 @@ from repcount import (
     free_reduce,
     glue_matrix,
     lambda_invariant,
-    mayer_vietoris_matrix,
+    lambda_invariants,
+    special_unitary,
+    stabilize,
     unitary,
 )
-from support import det6_splitting, random_t0_splitting
+from support import det6_splitting, mayer_vietoris_reference, random_t0_splitting
 
 
 def assert_same_as_checked(m: IntMat) -> None:
@@ -78,6 +81,43 @@ class TestOneAssembly:
             lambda_invariant(s, unitary(2))
             assert calls == [s]
 
+    def test_group_independent_work_once_per_splitting(self, monkeypatch):
+        kinds = [unitary(1), unitary(2), unitary(3), special_unitary(2), special_unitary(3)]
+        calls = []
+
+        def count(name):
+            original = getattr(repcount.invariants, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(repcount.invariants, name, counted)
+
+        for name in ("assembled_word_map", "_mayer_vietoris_rows", "det",
+                     "_pair_cohomology", "degree_of_word_map"):
+            count(name)
+        for s in [det6_splitting()] + seeded_splittings(14, 10):
+            calls.clear()
+            lambda_invariants(s, kinds)
+            assert sorted(calls) == sorted(
+                ["assembled_word_map", "_mayer_vietoris_rows", "det", "_pair_cohomology"]
+                + ["degree_of_word_map"] * len(kinds))
+
+    def test_p2_box_refuses_before_p1_and_p3(self, monkeypatch):
+        s = det6_splitting()
+        for _ in range(400):
+            s = stabilize(s)
+        assert s.u == 402
+
+        def refuse(*args):
+            raise AssertionError("P1 or P3 ran before P2 refused the group")
+
+        monkeypatch.setattr(repcount.invariants, "det", refuse)
+        monkeypatch.setattr(repcount.invariants, "_pair_cohomology", refuse)
+        with pytest.raises(ExteriorWorkLimitError):
+            lambda_invariants(s, (unitary(1), unitary(3000)))
+
     def test_lambda_invariant_uses_no_checking_constructor(self, monkeypatch):
         calls = []
         original = IntMat.__init__
@@ -105,8 +145,9 @@ class TestTrustedMatrices:
             glue = glue_matrix(s)
             assert_same_as_checked(glue)
             assert glue == reference_glue(s)
-            mv = mayer_vietoris_matrix(s)
-            assert_same_as_checked(mv)
+            rows = IntMat._trusted(repcount.splitting._mayer_vietoris_rows(s), s.u)
+            assert_same_as_checked(rows)
+            mv = mayer_vietoris_reference(s)
             assert glue == IntMat([row[s.g1:] for row in mv.data], cols=mv.cols - s.g1)
 
     def test_abelianize(self):
@@ -120,7 +161,7 @@ class TestTrustedMatrices:
 
     def test_transpose_and_echelon_kernel(self):
         for s in seeded_splittings(23):
-            mv = mayer_vietoris_matrix(s)
+            mv = mayer_vietoris_reference(s)
             t = mv.transpose()
             assert_same_as_checked(t)
             assert t.transpose() == mv

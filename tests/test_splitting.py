@@ -18,7 +18,6 @@ from repcount import (
     glue_matrix,
     invariants,
     lambda_invariant,
-    mayer_vietoris_matrix,
     pair_cohomology,
     parse_splitting_document,
     parse_word,
@@ -33,6 +32,7 @@ from support import (
     DET6_DOCUMENT,
     TRIVIAL_DOCUMENT,
     det6_splitting,
+    mayer_vietoris_reference,
     random_t0_splitting,
     trivial_splitting,
 )
@@ -158,7 +158,8 @@ class TestGlueMatrix:
         rng = random.Random(8)
         for _ in range(60):
             s = random_t0_splitting(rng)
-            mv = mayer_vietoris_matrix(s)
+            mv = mayer_vietoris_reference(s)
+            assert splitting._mayer_vietoris_rows(s) == mv.transpose().data
             assert glue_matrix(s) == IntMat([row[s.g1:] for row in mv.data],
                                             cols=mv.cols - s.g1)
 
@@ -274,8 +275,8 @@ class TestAssembledWordMap:
 
     def test_mv_matrix_shape(self):
         s = det6_splitting()
-        assert (mayer_vietoris_matrix(s).rows,
-                mayer_vietoris_matrix(s).cols) == (s.u, s.h1 + s.h2)
+        rows = splitting._mayer_vietoris_rows(s)
+        assert (len(rows), {len(row) for row in rows}) == (s.h1 + s.h2, {s.u})
 
 
 class TestDocumentFormat:
