@@ -46,11 +46,8 @@ from .invariants import (
 )
 from .oracle import (
     DomainLimitError,
-    LatticeCountResult,
-    NonGenericTargetError,
     SingularMatrixError,
     cokernel_enumeration,
-    generic_target,
     numeric_degree_u1,
     torus_preimage_count,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from .exterior import ExteriorWorkLimitError, GroupKind, degree_of_word_map
 from .intlinalg import format_int
@@ -25,14 +26,11 @@ from .invariants import (
     require_codimension_zero,
 )
 from .oracle import (
-    TORUS_MAX_DET,
     DomainLimitError,
     SingularMatrixError,
     cokernel_enumeration,
-    generic_target,
     numeric_degree_u1,
 )
-from .words import abelianize
 from .splitting import (
     AdaptedSplitting,
     DocumentError,
@@ -54,10 +52,14 @@ EXIT_DISAGREEMENT = 3
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        where = "standard input" if path == "-" else path
+        raise DocumentError(f"{where}: {exc}") from exc
 
 
 def _emit(pairs: list[tuple[str, str]], args: argparse.Namespace, title: str = "") -> None:
@@ -137,6 +139,14 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def oracle_targets(seed: int, rank: int) -> list[tuple[Fraction, ...]]:
+    """The three torus targets of ``oracle --seed``: component j of target
+    i is ((seed + 101 i)(j + 1) mod 1009) / 1009.  Any target will do, the
+    zero target included; the seed only varies them."""
+    return [tuple(Fraction((seed + 101 * i) * (j + 1) % 1009, 1009) for j in range(rank))
+            for i in range(3)]
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     s, kind = _load(args)
     report = lambda_invariant(s, kind)
@@ -148,14 +158,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     ok = True
 
     # For n = 1 the Lie rank is 1, so abs_value is |det| of the glue matrix.
-    torus_applicable = kind.n == 1 and 0 < report.abs_value <= TORUS_MAX_DET
-    pairs.append(("torus_applicable", _bool(torus_applicable)))
-    if torus_applicable:
+    counts = None
+    if kind.n == 1 and report.abs_value:
         word_map = assembled_word_map(s)
-        acting = abelianize(word_map)
-        # generic_target's targets never hit the domain boundary.
-        targets = [generic_target(acting, salt=args.seed + 101 * i) for i in range(3)]
-        counts = [numeric_degree_u1(word_map, t) for t in targets]
+        try:
+            counts = [numeric_degree_u1(word_map, t) for t in oracle_targets(args.seed, s.u)]
+        except DomainLimitError:  # outside the oracle's size box
+            pass
+    pairs.append(("torus_applicable", _bool(counts is not None)))
+    if counts is not None:
         pairs.append(("torus_counts", ",".join(format_int(c) for c in counts)))
         torus_ok = all(c == report.abs_value for c in counts)
         pairs.append(("torus_agree", _bool(torus_ok)))
@@ -259,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_command("degree", cmd_degree, "exterior degree of the assembled word map")
     add_command("stabilize", cmd_stabilize, "write the stabilized document to stdout")
     p = add_command("oracle", cmd_oracle, "run the applicable brute-force oracles")
-    p.add_argument("--seed", type=int, default=0, help="salt for oracle targets")
+    p.add_argument("--seed", type=int, default=0,
+                   help="any integer; picks the torus oracle's three targets")
     p = add_command("poly", cmd_poly, "product-cylinder polynomial example value",
                     with_input=False)
     p.add_argument("--g", type=int, required=True)

@@ -54,6 +54,7 @@ from .splitting import (
     _pair_cohomology,
     assembled_word_map,
 )
+from .words import FreeHom
 
 __all__ = [
     "InvariantReport",
@@ -80,10 +81,6 @@ class WrongCodimensionError(ValueError):
     """The numerical invariant was requested at T != 0."""
 
 
-class PipelineDisagreementError(RuntimeError):
-    """The independent pipelines disagreed; indicates a bug, never data."""
-
-
 @dataclass(frozen=True)
 class PipelineValues:
     """The three independently computed magnitudes and their agreement."""
@@ -92,6 +89,23 @@ class PipelineValues:
     ext_magnitude: int
     k_power: int
     agree: bool
+
+
+class PipelineDisagreementError(RuntimeError):
+    """The independent pipelines disagreed; indicates a bug, never data.
+
+    Carries what a replay needs: the group ``kind``, the three ``values``,
+    the ``mv_rows`` of MV^T that P1 and P3 read (P1 is |det| of the last u
+    of them, u being the row length) and the ``word_map`` P2 read.
+    """
+
+    def __init__(self, message: str, kind: GroupKind, values: PipelineValues,
+                 mv_rows: tuple[tuple[int, ...], ...], word_map: FreeHom):
+        super().__init__(message)
+        self.kind = kind
+        self.values = values
+        self.mv_rows = mv_rows
+        self.word_map = word_map
 
 
 @dataclass(frozen=True)
@@ -190,13 +204,16 @@ def lambda_invariants(
         p1 = glue_det**lie_rank
         p2 = abs(degree)
         p3 = 0 if k_order is INFINITE else k_order**lie_rank
-        if not p1 == p2 == p3:
+        values = PipelineValues(p1, p2, p3, p1 == p2 == p3)
+        if not values.agree:
             raise PipelineDisagreementError(
-                f"pipelines disagree: det-power={p1} ext={p2} K-power={p3}"
+                f"pipelines disagree: det-power={p1} ext={p2} K-power={p3}",
+                kind, values, mv_rows, word_map,
             )
         if p1 == 0 and reason is None:
             raise PipelineDisagreementError(
-                "vanishing invariant without a rational vanishing reason"
+                "vanishing invariant without a rational vanishing reason",
+                kind, values, mv_rows, word_map,
             )
 
         sign: Optional[int] = None
@@ -209,7 +226,7 @@ def lambda_invariants(
         reports.append(InvariantReport(
             kind=kind, T=s.T, abs_value=p1, sign=sign, K=k_order,
             vanishing_reason=reason if p1 == 0 else None,
-            pipelines=PipelineValues(p1, p2, p3, True),
+            pipelines=values,
         ))
     return tuple(reports)
 

@@ -88,6 +88,23 @@ k_map = g2^2 ; g1
 l_map = g1^-1 ; g1^-3
 """
 
+# A U(1) document whose 9x9 acting matrix has |det| = 4 and row sums whose
+# product W = prod (row sum + 1) is about 5.8e9, far past the torus box.
+DENSE9_DOCUMENT = """\
+n = 1
+group = U
+h1 = 9
+h2 = 1
+u = 9
+g1 = 1
+k_map = g2^2 g3^-1 g4^-1 g5^-1 g6^-1 g8^-1 g9^-1 ; \
+g2^-2 g3^2 g4^2 g5^2 g6^2 g7^-1 g8^2 g9 ; g2^-2 g3^2 g4^3 g5^3 g6^3 g8^3 g9^2 ; \
+g2^-2 g3^2 g4 g5^2 g6 g7^-1 g8 g9 ; g2^-2 g3 g4 g5 g6^2 g7^-1 g8 g9^2 ; \
+g2^-2 g4^-1 g6^-2 g7^3 ; g4^-1 g5^-1 g6^-2 g7^-1 g8^-1 g9^-1 ; g2^2 g5 g6^-1 g7^2 g8 ; \
+g2^2 g4^-1 g6^-1 g9^-1
+l_map = g1 ; g1^-1 ;  ; g1^-3 ; g1^-1 ; g1^-3 ; g1^-1 ; g1^-1 ; g1^-3
+"""
+
 TRIVIAL_DOCUMENT = """\
 n = 2
 group = U

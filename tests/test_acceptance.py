@@ -17,14 +17,12 @@ from repcount import (
     FreeHom,
     MultiIndex,
     Word,
-    abelianize,
     assembled_word_map,
     cokernel_enumeration,
     cokernel_order,
     cylinder_monomial_value,
     degree_of_word_map,
     det,
-    generic_target,
     glue_matrix,
     lambda_invariant,
     lambda_invariants,
@@ -36,6 +34,7 @@ from repcount import (
     stabilize,
     unitary,
 )
+from repcount.cli import oracle_targets
 from support import random_int_mat, random_t0_splitting
 
 SEED = 20260810
@@ -114,15 +113,12 @@ def test_criterion_04_u1_torus_oracle():
         expected = lambda_invariant(s, unitary(1)).abs_value
         assert expected == d
         word_map = assembled_word_map(s)
-        acting = abelianize(word_map)
-        # distant salts keep the three targets independent
-        targets = {generic_target(acting, salt=100 * i) for i in range(3)}
-        for target in targets:
+        # the CLI's three targets, and the zero target, whose preimage 0 is a cube corner
+        for target in oracle_targets(done, s.u) + [(0,) * s.u]:
             assert numeric_degree_u1(word_map, target) == expected
-        assert len(targets) == 3
         done += 1
     report(4, time.monotonic() - start, 30.0,
-           "torus preimage count == U(1) invariant on 50 instances x 3 targets")
+           "torus preimage count == U(1) invariant on 50 instances x 4 targets")
 
 
 def test_criterion_05_vanishing_theorem():

@@ -13,8 +13,8 @@ from repcount import (
     unitary,
 )
 from repcount.cli import main
-from repcount.oracle import COKER_MAX_DIM, COKER_MAX_ENTRY, TORUS_MAX_DET
-from support import DET6_DOCUMENT, TRIVIAL_DOCUMENT, det6_splitting
+from repcount.oracle import COKER_MAX_DIM, COKER_MAX_ENTRY, TORUS_MAX_WORK
+from support import DENSE9_DOCUMENT, DET6_DOCUMENT, TRIVIAL_DOCUMENT, det6_splitting
 
 
 def run(capsys, *argv):
@@ -127,6 +127,20 @@ class TestInvariantCommand:
         code, out, _ = run(capsys, "invariant", "-", "--format", "machine")
         assert code == 0
         assert machine_dict(out)["abs_value"] == "36"
+
+    def test_non_utf8_file_exit_1(self, capsys, tmp_path):
+        p = tmp_path / "bad.split"
+        p.write_bytes(b"\xff")
+        code, out, err = run(capsys, "validate", str(p))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {p}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_non_utf8_stdin_exit_1(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"n = 1\n\xff"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "validate", "-")
+        assert code == 1 and out == ""
+        assert err.startswith("error: standard input: 'utf-8' codec can't decode byte 0xff")
 
     def test_deterministic_output(self, capsys, det6_path):
         _, out1, _ = run(capsys, "invariant", det6_path, "--format", "machine")
@@ -274,14 +288,28 @@ class TestSizeBoxes:
         assert kv["agree"] == "true"
 
     def test_torus_box_edge(self, capsys, tmp_path):
-        # The box admits |det| == TORUS_MAX_DET, read off U(1)'s abs_value.
+        # The acting matrix is [[-power]], so the box's W is power + 1.
         p = tmp_path / "edge.split"
-        for power, applicable in ((TORUS_MAX_DET, "true"), (TORUS_MAX_DET + 1, "false")):
+        for power, applicable in ((TORUS_MAX_WORK - 1, "true"), (TORUS_MAX_WORK, "false")):
             p.write_text(TRIVIAL_DOCUMENT.replace("n = 2", "n = 1")
                          .replace("l_map = g1", f"l_map = g1^{power}"))
             code, out, _ = run(capsys, "oracle", str(p), "--format", "machine")
             assert code == 0
             assert machine_dict(out)["torus_applicable"] == applicable
+
+    def test_torus_box_bounds_time(self, capsys, tmp_path):
+        # A 9x9 acting matrix with |det| = 4 but W near 5.8e9: refused at
+        # once, where counting its preimages would take seconds.
+        p = tmp_path / "dense9.split"
+        p.write_text(DENSE9_DOCUMENT)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", str(p), "--format", "machine")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and err == ""
+        kv = machine_dict(out)
+        assert kv["abs_value"] == "4"
+        assert kv["torus_applicable"] == "false" and "torus_counts" not in kv
+        assert kv["agree"] == "true"
 
     def test_coker_box_by_dimension(self, capsys, tmp_path):
         # A 4x4 glue matrix with entries in [-1, 1]: refused for its size

@@ -13,8 +13,11 @@ from repcount import (
     InvalidSplittingError,
     MultiIndex,
     PairHomologyReport,
+    PipelineDisagreementError,
+    PipelineValues,
     Word,
     WrongCodimensionError,
+    degree_of_word_map,
     det,
     free_reduce,
     glue_matrix,
@@ -180,6 +183,41 @@ class TestVanishingCheck:
             for rep in lambda_invariants(s, KINDS):
                 assert rep.abs_value == 0
                 assert rep.vanishing_reason is not None
+
+
+class TestDisagreementReplay:
+    """A PipelineDisagreementError carries enough to recompute P1 and P2
+    with the public det and degree_of_word_map."""
+
+    @staticmethod
+    def replay(exc):
+        rank = exc.kind.lie_rank
+        u = len(exc.mv_rows[0])
+        p1 = abs(det(IntMat(exc.mv_rows[-u:], cols=u))) ** rank
+        p2 = abs(degree_of_word_map(exc.word_map, exc.kind))
+        return p1, p2
+
+    def test_wrong_det(self, monkeypatch):
+        monkeypatch.setattr("repcount.invariants.det", lambda a: 7)
+        with pytest.raises(PipelineDisagreementError) as info:
+            lambda_invariant(det6_splitting(), unitary(2))
+        exc = info.value
+        assert exc.kind == unitary(2)
+        assert exc.values == PipelineValues(49, 36, 36, False)
+        assert self.replay(exc) == (36, 36)
+        assert "det-power=49" in str(exc)
+
+    def test_vanishing_without_reason(self, monkeypatch):
+        # K is made INFINITE with H^2(M) finite and the restriction an
+        # isomorphism, so all three pipelines read 0 and no reason applies.
+        fake = PairHomologyReport(betti1_M=0, order_H2_M=1, order_H2_pair=INFINITE,
+                                  restriction_iso=True)
+        monkeypatch.setattr("repcount.invariants._pair_cohomology", lambda s, rows: fake)
+        with pytest.raises(PipelineDisagreementError) as info:
+            lambda_invariant(restriction_degenerate_splitting(), special_unitary(3))
+        exc = info.value
+        assert exc.values == PipelineValues(0, 0, 0, True)
+        assert self.replay(exc) == (0, 0)
 
 
 class TestLambdaInvariants:

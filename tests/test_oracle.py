@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,42 +11,36 @@ from repcount import (
     DomainLimitError,
     FreeHom,
     IntMat,
-    NonGenericTargetError,
     SingularMatrixError,
     Word,
-    abelianize,
     assembled_word_map,
     cokernel_enumeration,
     cokernel_order,
     det,
-    generic_target,
     lambda_invariant,
     numeric_degree_u1,
     torus_preimage_count,
     unitary,
 )
-from repcount.oracle import TORUS_MAX_DET
+from repcount import oracle
+from repcount.cli import oracle_targets
+from repcount.oracle import TORUS_MAX_WORK
 from support import det6_splitting, random_int_mat, random_t0_splitting
 
 
 class TestTorusPreimageCount:
     def test_power_map(self):
         for r in (1, 2, 5):
-            res = torus_preimage_count(IntMat([[r]]), (Fraction(1, 2 * r),))
-            assert res.count == r
+            assert torus_preimage_count(IntMat([[r]]), (Fraction(1, 2 * r),)) == r
 
     def test_identity(self):
         for n in (1, 2, 3):
-            a = IntMat.identity(n)
-            res = torus_preimage_count(a, generic_target(a))
-            assert res.count == 1
+            for t in oracle_targets(0, n):
+                assert torus_preimage_count(IntMat.identity(n), t) == 1
 
     def test_det6_matrix(self):
-        res = torus_preimage_count(
-            IntMat([[2, 1], [0, 3]]), (Fraction(1, 7), Fraction(2, 7))
-        )
-        assert res.count == 6
-        assert res.target == (Fraction(1, 7), Fraction(2, 7))
+        assert torus_preimage_count(
+            IntMat([[2, 1], [0, 3]]), (Fraction(1, 7), Fraction(2, 7))) == 6
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
@@ -55,23 +50,34 @@ class TestTorusPreimageCount:
         with pytest.raises(SingularMatrixError):
             torus_preimage_count(IntMat([[1, 1]]), (Fraction(1, 3),))
 
-    def test_boundary_hit_signals_retry(self):
-        # x = 0 solves A x == 0 and sits on the domain boundary
-        with pytest.raises(NonGenericTargetError):
-            torus_preimage_count(IntMat([[2]]), (Fraction(0),))
+    def test_zero_target_counts_det(self):
+        # x = 0 and x = 1/2 solve 2x == 0; x = 1 is the same torus point as 0
+        assert torus_preimage_count(IntMat([[2]]), (Fraction(0),)) == 2
 
     def test_torus_det_limit(self):
+        # For a 1x1 matrix [[m]] the box's W is |m| + 1.
         with pytest.raises(DomainLimitError):
             torus_preimage_count(IntMat([[600000]]), (Fraction(1, 7),))
         with pytest.raises(DomainLimitError):
-            torus_preimage_count(IntMat([[TORUS_MAX_DET + 1]]), (Fraction(1, 7),))
-        a = IntMat([[1, 1], [-100, 100]])
-        assert torus_preimage_count(a, generic_target(a)).count == 200
+            torus_preimage_count(IntMat([[-TORUS_MAX_WORK]]), (Fraction(1, 7),))
+        assert torus_preimage_count(IntMat([[TORUS_MAX_WORK - 1]]), (0,)) == TORUS_MAX_WORK - 1
+        assert torus_preimage_count(IntMat([[1, 1], [-100, 100]]), (0, 0)) == 200
+
+    def test_box_refuses_before_solving(self, monkeypatch):
+        def no_solve(a):
+            raise AssertionError("the box must refuse before any solve")
+
+        monkeypatch.setattr(oracle, "_det_and_adjugate", no_solve)
+        start = time.perf_counter()
+        with pytest.raises(DomainLimitError):
+            torus_preimage_count(IntMat.identity(1000), (0,) * 1000)
+        assert time.perf_counter() - start < 0.1
+        # a zero row would add no factor to W, so it is refused as singular
+        with pytest.raises(SingularMatrixError):
+            torus_preimage_count(IntMat([[1, 0], [0, 0]]), (0, 0))
 
     def test_negative_determinant(self):
-        a = IntMat([[-3]])
-        res = torus_preimage_count(a, generic_target(a))
-        assert res.count == 3
+        assert torus_preimage_count(IntMat([[-3]]), (Fraction(2, 3),)) == 3
 
     def test_count_is_abs_det(self):
         rng = random.Random(17)
@@ -82,64 +88,48 @@ class TestTorusPreimageCount:
             d = det(a)
             if d == 0:
                 continue
-            for salt in (0, 1, 2):
-                res = torus_preimage_count(a, generic_target(a, salt=17 * salt))
-                assert res.count == abs(d), (a, res)
+            for t in oracle_targets(17 * done, n):
+                assert torus_preimage_count(a, t) == abs(d), (a, t)
             done += 1
 
     def test_target_independence(self):
         a = IntMat([[3, 1], [1, 2]])
-        counts = set()
-        targets = set()
-        for salt in (0, 1, 2, 3):
-            res = torus_preimage_count(a, generic_target(a, salt=salt))
-            counts.add(res.count)
-            targets.add(res.target)
-        assert counts == {abs(det(a))}
-        assert len(targets) >= 3
+        targets = [(0, 0), (Fraction(1, 2), 0), (Fraction(1, 5), Fraction(3, 5)),
+                   (Fraction(2, 3), Fraction(1, 7))]
+        assert {torus_preimage_count(a, t) for t in targets} == {abs(det(a))}
 
 
 square_matrices = st.integers(1, 3).flatmap(lambda n: st.lists(
     st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n))
 
 
-class TestGenericTarget:
+class TestHalfOpenCount:
     @settings(max_examples=200, deadline=None)
-    @given(square_matrices, st.integers(-1000, 10**6))
-    def test_never_on_boundary(self, rows, salt):
-        # no NonGenericTargetError, whatever the salt
+    @given(square_matrices, st.sampled_from((1, 2, 3, "det")), st.data())
+    def test_any_target_counts_abs_det(self, rows, q, data):
+        # [0,1)^N holds one representative of each torus point, so every
+        # target has exactly |det| preimages there, boundary ones included.
         a = IntMat(rows)
-        assume(det(a) != 0)
-        assert torus_preimage_count(a, generic_target(a, salt=salt)).count == abs(det(a))
-
-    def test_denominator_coprime_to_det(self):
-        from math import gcd
-
-        rng = random.Random(18)
-        for _ in range(30):
-            a = random_int_mat(rng, 3, 3, -3, 3)
-            if det(a) == 0:
-                continue
-            t = generic_target(a, salt=rng.randint(0, 9))
-            for x in t:
-                assert 0 < x < 1
-                assert gcd(x.denominator, det(a)) == 1
+        d = det(a)
+        assume(d != 0)
+        q = abs(d) if q == "det" else q
+        t = tuple(Fraction(k, q) for k in data.draw(
+            st.lists(st.integers(0, q - 1), min_size=a.rows, max_size=a.rows)))
+        assert torus_preimage_count(a, t) == abs(d)
 
 
 class TestNumericDegreeU1:
     def test_identity(self):
         f = FreeHom.identity(2)
-        assert numeric_degree_u1(f, generic_target(abelianize(f))) == 1
+        assert [numeric_degree_u1(f, t) for t in oracle_targets(0, 2)] == [1, 1, 1]
 
     def test_cube_map(self):
         f = FreeHom(1, 1, (Word(((1, 3),)),))
         assert numeric_degree_u1(f, (Fraction(1, 7),)) == 3
 
     def test_det6_assembled_map(self):
-        s = det6_splitting()
-        f = assembled_word_map(s)
-        acting = abelianize(f)
-        assert numeric_degree_u1(f, generic_target(acting)) == 6
+        f = assembled_word_map(det6_splitting())
+        assert [numeric_degree_u1(f, t) for t in oracle_targets(0, 2)] == [6, 6, 6]
 
     def test_matches_invariant_pipeline(self):
         rng = random.Random(19)
@@ -147,11 +137,11 @@ class TestNumericDegreeU1:
         while done < 25:
             s = random_t0_splitting(rng)
             f = assembled_word_map(s)
-            acting = abelianize(f)
-            if det(acting) == 0:
-                continue
             expected = lambda_invariant(s, unitary(1)).abs_value
-            assert numeric_degree_u1(f, generic_target(acting, salt=done)) == expected
+            if expected == 0:
+                continue
+            for t in oracle_targets(done, s.u):
+                assert numeric_degree_u1(f, t) == expected
             done += 1
 
 
