@@ -5,12 +5,14 @@ Exit status: 0 success, 1 a usage error (a malformed flag or a missing
 subcommand), a parse/validation error or an input past a declared size
 box, 2 wrong mode (T != 0 for a codimension-zero command),
 3 internal cross-check disagreement.  Machine output is line-oriented
-``key=value`` and deterministic for a given input and seed.
+``key=value`` and deterministic for a given input and seed.  Documents
+are strict UTF-8, on stdin too.  One parser serves every ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -54,7 +56,9 @@ EXIT_DISAGREEMENT = 3
 def _read_input(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # Bytes, as a locale's surrogateescape would let bad ones through.
+            buffer = getattr(sys.stdin, "buffer", None)
+            return buffer.read().decode("utf-8") if buffer else sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
@@ -245,6 +249,7 @@ class _Parser(argparse.ArgumentParser):
         raise DocumentError(f"{message}\n{self.format_usage()}".rstrip())
 
 
+@functools.cache  # built on first use; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="repcount",

@@ -6,7 +6,9 @@ wrong.  Rational linear algebra is done locally with ``fractions.Fraction``
 (exact Gauss-Jordan), and lattice-quotient counting uses plain Euclidean
 column reduction plus exhaustive point enumeration.  That reduction's
 basis is also the rank test: a row left without a pivot is a free
-direction of the cokernel.
+direction of the cokernel.  The basis is lower triangular, so the
+enumeration walks its box one coordinate at a time and shares each row's
+reduction among all points with the same prefix.
 
 The torus oracle realizes the n = 1 case of the degree law.  A word map
 induces the self-map x -> A x of the torus R^N / Z^N, with A its
@@ -21,7 +23,6 @@ floating point never appears.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -212,16 +213,6 @@ def _triangular_lattice_basis(a: IntMat) -> list[list[int] | None]:
     return basis
 
 
-def _canonical_residue(point: Sequence[int], basis: list[list[int]]) -> tuple[int, ...]:
-    v = list(point)
-    for r, b in enumerate(basis):
-        q = v[r] // b[r]
-        if q:
-            for i in range(r, len(v)):
-                v[i] -= q * b[i]
-    return tuple(v)
-
-
 def cokernel_enumeration(a: IntMat):
     """Class count of Z^rows modulo the column lattice, by enumeration.
 
@@ -230,7 +221,8 @@ def cokernel_enumeration(a: IntMat):
     without a pivot in the Euclidean lattice basis, i.e. rank below the row
     count) gives INFINITE; otherwise every residue class has a
     representative in the bounding box of side 2*(max|entry|*cols + 1), and
-    distinct classes are told apart by an exact canonical-reduction label.
+    distinct classes are told apart by an exact canonical-reduction label,
+    computed depth first: row r's reduction reads only coordinates 0..r.
     """
     if a.rows > COKER_MAX_DIM or a.cols > COKER_MAX_DIM:
         raise DomainLimitError(
@@ -241,8 +233,24 @@ def cokernel_enumeration(a: IntMat):
     basis = _triangular_lattice_basis(a)
     if None in basis:
         return INFINITE
+    if not a.rows:
+        return 1  # Z^0 is one class
     bound = max_entry * a.cols + 1
-    labels = set()
-    for point in itertools.product(range(-bound, bound + 1), repeat=a.rows):
-        labels.add(_canonical_residue(point, basis))
-    return len(labels)
+    box = range(-bound, bound + 1)
+    last = a.rows - 1
+    residues: dict[tuple[int, ...], set[int]] = {}  # last row's, by prefix label
+
+    def walk(r: int, offsets: list[int], label: tuple[int, ...]) -> None:
+        # offsets[i - r]: what the reductions of rows < r added to
+        # coordinate i.  The recursion is at most COKER_MAX_DIM deep.
+        b = basis[r]
+        if r == last:
+            residues.setdefault(label, set()).update([(x + offsets[0]) % b[r] for x in box])
+            return
+        for x in box:
+            q, residue = divmod(x + offsets[0], b[r])
+            walk(r + 1, [o - q * b[i] for i, o in enumerate(offsets[1:], r + 1)],
+                 label + (residue,))
+
+    walk(0, [0] * a.rows, ())
+    return sum(map(len, residues.values()))

@@ -1,14 +1,17 @@
 """Shared generators and fixtures for the test suite."""
 
+import itertools
 import random
 
 from repcount import (
+    INFINITE,
     AdaptedSplitting,
     FreeHom,
     IntMat,
     Word,
     abelianize,
     free_reduce,
+    oracle,
     parse_word,
 )
 
@@ -57,6 +60,27 @@ def mayer_vietoris_reference(s: AdaptedSplitting) -> IntMat:
     k, l = abelianize(s.k_map), abelianize(s.l_map)
     rows = [list(row) for row in k.data] + [[-x for x in row] for row in l.data]
     return IntMat(rows, cols=s.u).transpose()
+
+
+def cokernel_enumeration_reference(a: IntMat):
+    """The cokernel oracle's class count, one point at a time: every point
+    of the oracle's box is reduced from scratch against the oracle's own
+    lattice basis, row by row, and the distinct results are counted.  The
+    size box is not applied.  Checks that the oracle's prefix-shared walk
+    labels the points as this loop does."""
+    basis = oracle._triangular_lattice_basis(a)
+    if None in basis:
+        return INFINITE
+    bound = max((abs(x) for row in a.data for x in row), default=0) * a.cols + 1
+    labels = set()
+    for point in itertools.product(range(-bound, bound + 1), repeat=a.rows):
+        v = list(point)
+        for r, b in enumerate(basis):
+            q = v[r] // b[r]
+            for i in range(r, len(v)):
+                v[i] -= q * b[i]
+        labels.add(tuple(v))
+    return len(labels)
 
 
 def trivial_splitting() -> AdaptedSplitting:

@@ -12,6 +12,7 @@ from repcount import (
     stabilize,
     unitary,
 )
+from repcount import cli
 from repcount.cli import main
 from repcount.oracle import COKER_MAX_DIM, COKER_MAX_ENTRY, TORUS_MAX_WORK
 from support import DENSE9_DOCUMENT, DET6_DOCUMENT, TRIVIAL_DOCUMENT, det6_splitting
@@ -137,6 +138,16 @@ class TestInvariantCommand:
 
     def test_non_utf8_stdin_exit_1(self, capsys, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b"n = 1\n\xff"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "validate", "-")
+        assert code == 1 and out == ""
+        assert err.startswith("error: standard input: 'utf-8' codec can't decode byte 0xff")
+
+    def test_surrogateescape_stdin_exit_1(self, capsys, monkeypatch):
+        # A POSIX locale's stdin decodes with surrogateescape; the bytes are
+        # still refused as they are in a file.
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xffn = 1"), encoding="utf-8",
+                                 errors="surrogateescape")
         monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, "validate", "-")
         assert code == 1 and out == ""
@@ -533,3 +544,38 @@ class TestUsageErrors:
             main(["poly", "--help"])
         assert exc.value.code == 0
         assert "usage: repcount poly" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    """One parser serves every ``main`` call in a process; no call leaves
+    state in it that changes a later one."""
+
+    def test_built_once(self, capsys, det6_path, monkeypatch):
+        run(capsys, "invariant", det6_path)  # the parser exists from here on
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        for argv in (("homology", det6_path), ("bogus",), ("multiindex", "--I", "0:1"),
+                     ("invariant", det6_path)):
+            run(capsys, *argv)
+        assert built == []
+
+    def test_same_argv_same_result(self, capsys, det6_path):
+        for argv in (("oracle", det6_path, "--format", "machine", "--seed", "5"),
+                     ("poly", "--g", "x", "--h", "2", "--group", "U", "--n", "1")):
+            assert run(capsys, *argv) == run(capsys, *argv)
+
+    def test_usage_error_then_good_call(self, capsys, det6_path):
+        code, out, err = run(capsys, "invariant", det6_path, "--frobnicate")
+        assert code == 1 and out == "" and err.startswith("error: ")
+        code, out, err = run(capsys, "invariant", det6_path, "--format", "machine")
+        assert code == 0 and err == ""
+        assert machine_dict(out)["abs_value"] == "36"
+
+    def test_help_twice_exits_0(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert "usage: repcount" in capsys.readouterr().out

@@ -25,7 +25,12 @@ from repcount import (
 from repcount import oracle
 from repcount.cli import oracle_targets
 from repcount.oracle import TORUS_MAX_WORK
-from support import det6_splitting, random_int_mat, random_t0_splitting
+from support import (
+    cokernel_enumeration_reference,
+    det6_splitting,
+    random_int_mat,
+    random_t0_splitting,
+)
 
 
 class TestTorusPreimageCount:
@@ -176,6 +181,28 @@ class TestCokernelEnumeration:
             cokernel_enumeration(IntMat.identity(4))
         with pytest.raises(DomainLimitError):
             cokernel_enumeration(IntMat([[5]]))
+
+    def test_matches_per_point_reference(self):
+        # Every shape up to 3x3, entry magnitudes 0..4; one matrix in four
+        # with two or more rows repeats its first row, so it is singular.
+        rng = random.Random(13)
+        shapes = [(r, c) for r in range(4) for c in range(4)]
+        matrices = [
+            IntMat([[4, 4, 4], [4, -4, 4], [4, 4, -4]]),
+            IntMat([[4, 1, 0], [0, 4, 1], [1, 0, 4]]),
+            IntMat([[3, 1, 2], [1, -3, 1], [2, 2, 3]]),
+        ]
+        for i in range(2000):
+            rows, cols = shapes[i % len(shapes)]
+            m = rng.randint(0, 4)
+            data = random_int_mat(rng, rows, cols, -m, m).data
+            if rows >= 2 and rng.random() < 0.25:
+                data = data[:-1] + data[:1]
+            matrices.append(IntMat(data, cols=cols))
+        counts = [cokernel_enumeration(a) for a in matrices]
+        assert counts == [cokernel_enumeration_reference(a) for a in matrices]
+        assert counts[:3] == [256, 65, 18]
+        assert INFINITE in counts and sum(c is not INFINITE for c in counts) > 500
 
     def test_matches_snf_on_admissible_domain(self):
         rng = random.Random(20)
