@@ -56,7 +56,7 @@ EXIT_DISAGREEMENT = 3
 def _read_input(path: str) -> str:
     try:
         if path == "-":
-            # Bytes, as a locale's surrogateescape would let bad ones through.
+            # Decode the bytes here: stdin's own decoder may use surrogateescape.
             buffer = getattr(sys.stdin, "buffer", None)
             return buffer.read().decode("utf-8") if buffer else sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
