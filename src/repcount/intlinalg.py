@@ -1,22 +1,31 @@
 """Exact integer linear algebra: determinants, echelon forms, Smith normal form.
 
 Everything here is arbitrary precision.  Entries are Python ints and no
-operation ever rounds.  Determinants use fraction-free (Bareiss) elimination
-because glue matrices assembled from long words can have large entries and
-the cross-checks downstream demand exactness.  Smith normal form uses
-unimodular row/column operations with a minimal-absolute-value pivot rule,
-which bounds intermediate coefficient growth without affecting the (unique)
-invariant factors.
+result is ever approximated.  Determinants use fraction-free (Bareiss)
+elimination because glue matrices assembled from long words can have large
+entries and the cross-checks downstream demand exactness.  Smith normal
+form uses unimodular row/column operations with a minimal-absolute-value
+pivot rule, which bounds intermediate coefficient growth without affecting
+the (unique) invariant factors.
 
 A matrix is reduced once.  ``echelon`` row-reduces without building a
-transform, so its entries stay small; a lattice index, a rank and the
-image of a kernel under a projection are read off its pivots and its zero
-rows, which is all the cohomology computation needs.  ``SnfResult`` reads
-its rank, cokernel order and kernel basis off one factorization with both
-transforms, so a caller needing several of them pays for one SNF.  No
-pipeline or CLI command calls ``smith_normal_form`` or ``cokernel_order``:
-they serve the SNF property suite (criterion 8 of the acceptance tests)
-and the tests' independent reference values.
+transform; a lattice index, a rank and the image of a kernel under a
+projection are read off its pivots and its zero rows, which is all the
+cohomology computation needs.  Its Euclid steps take least remainders:
+the quotient is rounded to the nearest integer, so each remainder is at
+most half the pivot.  A floor quotient leaves up to the whole pivot, so a
+column takes more rounds, and each round adds a multiple of the pivot row
+to the entries the other rows carry on.  Least remainders are the
+classical remedy for that coefficient growth in integer echelon forms
+(Havas, Majewski & Matthews, Exp. Math. 7, 1998).  The pivots and the
+lattice of rows left zero are invariants of the row lattice, so the
+rounding changes neither, only how large the carried entries get.
+
+``SnfResult`` reads its rank, cokernel order and kernel basis off one
+factorization with both transforms, so a caller needing several of them
+pays for one SNF.  No pipeline or CLI command calls ``smith_normal_form``
+or ``cokernel_order``: they serve the SNF property suite (criterion 8 of
+the acceptance tests) and the tests' independent reference values.
 
 Degenerate shapes are legal throughout: ``det`` of a 0x0 matrix is 1 and the
 cokernel of the empty map Z^0 -> Z^0 has order 1, which is what degenerate
@@ -222,52 +231,58 @@ def det(a: IntMat) -> int:
 def echelon(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
     """Row-reduce the first ``ncols`` columns of ``a`` to echelon form.
 
-    The row operations are unimodular: Euclid down each column, the row of
-    least nonzero |entry| as pivot, with no transform accumulated and no
-    back-reduction.  Returns the absolute pivots, one per column that has
-    one, and the rows left zero in the first ``ncols`` columns, as an
-    ``IntMat`` of their trailing ``a.cols - ncols`` entries.
+    The row operations are unimodular: Euclid down each column, the first
+    row of least nonzero |entry| as pivot, with no transform accumulated
+    and no back-reduction.  Each step subtracts the nearest-integer
+    multiple of the pivot row, leaving a remainder of at most half the
+    pivot, so a column clears in fewer rounds and the entries carried to
+    later columns stay small.  Returns the absolute pivots, one per column
+    that has one, and the rows left zero in the first ``ncols`` columns,
+    as an ``IntMat`` of their trailing ``a.cols - ncols`` entries.
 
     The pivots number the rank of those columns, and their product is the
-    index of the row lattice when the rank is ``ncols``.  Because the
-    operations are unimodular, the rows left zero hold a Z-basis of the
-    left kernel of the first ``ncols`` columns, carried through the rest:
-    echelon ``[A^T | I]`` over ``A.rows`` columns and they are a basis of
-    ker A.  Here A = [[2, 4]], with cokernel Z/2 and kernel spanned by
-    (-2, 1):
+    index of the row lattice when the rank is ``ncols``.  Both, and the
+    lattice the rows left zero span, depend only on the row lattice, not
+    on the remainders chosen.  Because the operations are unimodular, the
+    rows left zero hold a Z-basis of the left kernel of the first
+    ``ncols`` columns, carried through the rest: echelon ``[A^T | I]``
+    over ``A.rows`` columns and they are a basis of ker A.  Here
+    A = [[2, 4]], with cokernel Z/2 and kernel spanned by (-2, 1):
 
     >>> echelon(IntMat([[2, 1, 0], [4, 0, 1]]), 1)
     ((2,), IntMat[-2 1])
     """
     if not 0 <= ncols <= a.cols:
         raise ShapeError(f"cannot echelon {ncols} columns of a {a.rows}x{a.cols} matrix")
-    width = a.cols
+    # Each active row holds its entries from the current column on: the
+    # columns before it are zero in every active row, so they are dropped.
     active = [list(row) for row in a.data]
     pivots = []
-    for c in range(ncols):
-        column = [row for row in active if row[c]]
-        if not column:
-            continue
-        while len(column) > 1:
-            pivot = column[0]  # the first row of least |entry|
-            for row in column:
-                if abs(row[c]) < abs(pivot[c]):
-                    pivot = row
-            p = pivot[c]
-            left = [pivot]
-            for row in column:
-                if row is not pivot:
-                    q = row[c] // p
-                    # Columns before c are zero in every active row.
-                    row[c:] = [x - q * y for x, y in zip(row[c:], pivot[c:])]
-                    if row[c]:
-                        left.append(row)
-            column = left
-        pivot = column[0]
-        pivots.append(abs(pivot[c]))
-        active = [row for row in active if row is not pivot]
-    kernel = tuple(tuple(row[ncols:]) for row in active)
-    return tuple(pivots), IntMat._trusted(kernel, width - ncols)
+    for _ in range(ncols):
+        column = [row for row in active if row[0]]
+        pivot = None
+        if column:
+            while len(column) > 1:
+                pivot = column[0]  # the first row of least |entry|
+                for row in column:
+                    if abs(row[0]) < abs(pivot[0]):
+                        pivot = row
+                p = pivot[0]
+                p2 = 2 * p
+                left = [pivot]
+                for row in column:
+                    if row is not pivot:
+                        # The nearest integer to row[0] / p leaves |row[0]| <= |p| / 2.
+                        q = (2 * row[0] + p) // p2
+                        row[:] = [x - q * y for x, y in zip(row, pivot)]
+                        if row[0]:
+                            left.append(row)
+                column = left
+            pivot = column[0]
+            pivots.append(abs(pivot[0]))
+        active = [row[1:] for row in active if row is not pivot]
+    kernel = tuple(map(tuple, active))
+    return tuple(pivots), IntMat._trusted(kernel, a.cols - ncols)
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,10 @@ from .words import (
     MalformedWordError,
     RankMismatchError,
     Word,
+    _parse_word,
     _trusted,
     format_word,
     free_reduce,
-    parse_word,
 )
 
 __all__ = [
@@ -317,9 +317,10 @@ def _parse_word_list(value: str, expected: int, target_rank: int, field: str) ->
     if expected == 0 and value.strip():
         raise DocumentError(f"{field} must be empty when u=0")
     words = []
+    table: dict[str, tuple[int, int]] = {}  # one token table for the map's words
     for chunk in chunks:
         try:
-            words.append(parse_word(chunk))
+            words.append(_parse_word(chunk, table))
         except MalformedWordError as exc:
             raise DocumentError(f"{field}: {exc}") from exc
     if len(words) != expected:

@@ -20,9 +20,14 @@ of ints, images within the target rank.  ``_trusted(Word, letters=...)``
 and ``_trusted(FreeHom, ...)`` check nothing.  The package uses them only
 where the checks are already done:
 :func:`free_reduce` has checked every letter and merged every run as it
-builds its word, and ``splitting.assembled_word_map`` re-indexes the
-letters of validated maps into its target range.  A trusted value equals
-and hashes like the checked one of the same data.
+builds its word; ``_parse_word``, behind :func:`parse_word` and the
+document parser, builds letters only from tokens its regular expression
+matched and merges every run as :func:`free_reduce` does; and
+``splitting.assembled_word_map`` re-indexes the letters of validated maps
+into its target range.  A trusted value equals and hashes like the
+checked one of the same data.  The document parser still builds each map
+with the public ``FreeHom``, so target ranks are checked on the reduced
+words.
 """
 
 from __future__ import annotations
@@ -220,19 +225,45 @@ def parse_word(text: str) -> Word:
     A number past CPython's str-to-int digit limit (4,300 digits by
     default) is rejected with :class:`MalformedWordError`.
     """
-    letters = []
+    return _parse_word(text, {})
+
+
+def _parse_word(text: str, table: dict[str, tuple[int, int]]) -> Word:
+    """:func:`parse_word`, reading each distinct token once per ``table``.
+
+    ``table`` maps a token already read to its ``(index, exponent)``
+    letter; the caller passes one table for the words of one map.  A
+    letter matched by ``_TOKEN`` holds a positive index and an int
+    exponent, so the free reduction is done inline, without the checks of
+    :func:`free_reduce`.
+    """
+    stack: list[tuple[int, int]] = []
     for token in text.split():
-        m = _TOKEN.match(token)
-        if m is None:
-            raise MalformedWordError(f"bad word token {token!r}")
-        try:
-            letters.append((int(m.group(1)), int(m.group(2) or 1)))
-        except ValueError as exc:
-            # Only CPython's str-to-int digit limit can fail on these digits.
-            raise MalformedWordError(
-                f"word token of {len(token)} characters has a number too long to read"
-            ) from exc
-    return free_reduce(letters)
+        letter = table.get(token)
+        if letter is None:
+            m = _TOKEN.match(token)
+            if m is None:
+                raise MalformedWordError(f"bad word token {token!r}")
+            try:
+                letter = (int(m.group(1)), int(m.group(2) or 1))
+            except ValueError as exc:
+                # Only CPython's str-to-int digit limit can fail on these digits.
+                raise MalformedWordError(
+                    f"word token of {len(token)} characters has a number too long to read"
+                ) from exc
+            table[token] = letter
+        index, exponent = letter
+        if not exponent:
+            continue
+        if stack and stack[-1][0] == index:
+            exponent += stack[-1][1]
+            if exponent:
+                stack[-1] = (index, exponent)
+            else:
+                stack.pop()
+        else:
+            stack.append(letter)
+    return _trusted(Word, letters=tuple(stack))
 
 
 def format_word(w: Word) -> str:

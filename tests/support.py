@@ -1,6 +1,7 @@
 """Shared generators and fixtures for the test suite."""
 
 import itertools
+import math
 import random
 
 from repcount import (
@@ -13,6 +14,7 @@ from repcount import (
     free_reduce,
     oracle,
     parse_word,
+    smith_normal_form,
 )
 
 
@@ -49,7 +51,7 @@ def random_t0_splitting(rng: random.Random, max_rank: int = 5,
 
 def random_int_mat(rng: random.Random, rows: int, cols: int,
                    lo: int = -5, hi: int = 5) -> IntMat:
-    return IntMat([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
+    return IntMat([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
 def mayer_vietoris_reference(s: AdaptedSplitting) -> IntMat:
@@ -81,6 +83,72 @@ def cokernel_enumeration_reference(a: IntMat):
                 v[i] -= q * b[i]
         labels.add(tuple(v))
     return len(labels)
+
+
+def echelon_reference(a: IntMat, ncols: int):
+    """``intlinalg.echelon`` as it was written with floor quotients: Euclid
+    down each column with the first row of least |entry| as pivot, every
+    row kept at full width, each step subtracting ``row[c] // p`` times the
+    pivot.  The same pivots and the same lattice of rows left zero, by
+    other remainders; the shape check is left out."""
+    active = [list(row) for row in a.data]
+    pivots = []
+    for c in range(ncols):
+        column = [row for row in active if row[c]]
+        if not column:
+            continue
+        while len(column) > 1:
+            pivot = column[0]
+            for row in column:
+                if abs(row[c]) < abs(pivot[c]):
+                    pivot = row
+            p = pivot[c]
+            left = [pivot]
+            for row in column:
+                if row is not pivot:
+                    q = row[c] // p
+                    row[c:] = [x - q * y for x, y in zip(row[c:], pivot[c:])]
+                    if row[c]:
+                        left.append(row)
+            column = left
+        pivot = column[0]
+        pivots.append(abs(pivot[c]))
+        active = [row for row in active if row is not pivot]
+    return tuple(pivots), IntMat([row[ncols:] for row in active], cols=a.cols - ncols)
+
+
+def same_row_lattice(a: IntMat, b: IntMat) -> bool:
+    """Whether the rows of ``a`` and of ``b`` span one lattice, read off
+    Smith normal forms: the lattice of ``a`` lies in that of both stacked,
+    with index the ratio of their nonzero invariant factors' products, so
+    the two are equal exactly when ``a``, ``b`` and both stacked have one
+    rank and one such product."""
+    def rank_and_volume(m: IntMat):
+        diag = [x for x in smith_normal_form(m).diag if x]
+        return len(diag), math.prod(diag)
+
+    both = IntMat(a.data + b.data, cols=a.cols)
+    return a.cols == b.cols and \
+        rank_and_volume(a) == rank_and_volume(b) == rank_and_volume(both)
+
+
+def p3_scale_document(u: int) -> str:
+    """A T = 0 U(1) document of rank u: g1 = u // 4, h1 = g1 + u // 2, and
+    every word 30 random letters g_i^(+-1), drawn from ``random.Random(u)``,
+    unreduced.  The same text as the continuous-integration step that runs
+    ``repcount homology`` at u = 200 writes."""
+    rng = random.Random(u)
+    g1 = u // 4
+    h1 = g1 + u // 2
+    h2 = u + g1 - h1
+
+    def word(rank: int) -> str:
+        return " ".join(f"g{rng.randint(1, rank)}^{rng.choice((-1, 1))}" for _ in range(30))
+
+    k_map = " ; ".join(word(h1) for _ in range(u))
+    l_map = " ; ".join(word(h2) for _ in range(u))
+    return (f"n = 1\ngroup = U\nh1 = {h1}\nh2 = {h2}\nu = {u}\ng1 = {g1}\n"
+            f"k_map = {k_map}\nl_map = {l_map}\n")
 
 
 def trivial_splitting() -> AdaptedSplitting:

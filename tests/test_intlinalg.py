@@ -16,7 +16,7 @@ from repcount import (
     format_int,
     smith_normal_form,
 )
-from support import random_int_mat
+from support import echelon_reference, random_int_mat, same_row_lattice
 
 
 def square_strategy(max_n=4, bound=5):
@@ -166,6 +166,70 @@ class TestEchelon:
         data = a.data
         echelon(a, 2)
         assert a.data == data
+
+
+class TestEchelonEquivalence:
+    """``echelon`` takes least remainders on shrinking rows; the floor
+    quotient reference must give the same pivots and a kernel of the same
+    lattice."""
+
+    @staticmethod
+    def assert_equivalent(a: IntMat, ncols: int):
+        pivots, rest = echelon(a, ncols)
+        ref_pivots, ref_rest = echelon_reference(a, ncols)
+        assert pivots == ref_pivots
+        assert (rest.rows, rest.cols) == (ref_rest.rows, ref_rest.cols)
+        assert same_row_lattice(rest, ref_rest)
+
+    def test_seeded_matrices(self):
+        rng = random.Random(14)
+        for _ in range(400):
+            rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+            bound = rng.choice((1, 3, 20, 10**6))
+            a = random_int_mat(rng, rows, cols, -bound, bound)
+            self.assert_equivalent(a, rng.randint(0, cols))
+
+    def test_seeded_low_rank_with_identity(self):
+        # [A^T | I] with dependent rows: some columns have no pivot and
+        # the kernel carries the identity part.
+        rng = random.Random(41)
+        for _ in range(150):
+            k, n = rng.randint(1, 3), rng.randint(1, 6)
+            left = random_int_mat(rng, rng.randint(1, 6), k, -9, 9)
+            a = left @ random_int_mat(rng, k, n, -9, 9)
+            self.assert_equivalent(with_identity(a), a.rows)
+
+    @pytest.mark.parametrize("rows, cols, ncols",
+                             [(0, 0, 0), (0, 4, 2), (3, 0, 0), (3, 4, 0), (3, 4, 4)])
+    def test_degenerate_shapes(self, rows, cols, ncols):
+        self.assert_equivalent(IntMat.zeros(rows, cols), ncols)
+        self.assert_equivalent(random_int_mat(random.Random(rows), rows, cols), ncols)
+
+    def test_negative_pivots(self):
+        # The least |entry| is negative in every column; pivots are returned
+        # as absolute values.
+        a = IntMat([[-3, 5, 1, 0], [7, -2, 0, 1], [-3, -4, 2, 2]])
+        assert echelon(a, 2)[0] == (1, 1)
+        self.assert_equivalent(a, 2)
+        rng = random.Random(5)
+        for _ in range(100):
+            a = random_int_mat(rng, 4, 5, -30, -1)
+            self.assert_equivalent(a, rng.randint(1, 5))
+
+    def test_large_entries_terminate(self):
+        rng = random.Random(64)
+        bound = 2**64
+        for _ in range(60):
+            a = random_int_mat(rng, rng.randint(1, 6), rng.randint(1, 6), -bound, bound)
+            self.assert_equivalent(a, rng.randint(0, a.cols))
+        # Consecutive Fibonacci numbers are Euclid's slowest case for
+        # floor quotients.
+        fib = [1, 1]
+        while fib[-1] < bound:
+            fib.append(fib[-1] + fib[-2])
+        a = IntMat([[fib[-1], 1, 0], [fib[-2], 0, 1]])
+        assert echelon(a, 1)[0] == (1,)
+        self.assert_equivalent(a, 1)
 
 
 class TestSmithNormalForm:

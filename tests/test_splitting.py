@@ -33,6 +33,7 @@ from support import (
     TRIVIAL_DOCUMENT,
     det6_splitting,
     mayer_vietoris_reference,
+    p3_scale_document,
     random_t0_splitting,
     trivial_splitting,
 )
@@ -225,6 +226,14 @@ class TestPairCohomology:
             else:
                 assert d == rep.order_H2_pair
 
+    def test_p3_at_scale(self):
+        # u = 130: the first echelon is 162 x 162 over 130 columns, and its
+        # least-remainder steps keep the kernel rows it carries small.
+        s, _ = parse_splitting_document(p3_scale_document(130))
+        rep = pair_cohomology(s)
+        assert isinstance(rep.order_H2_pair, int)
+        assert rep.order_H2_pair == abs(det(glue_matrix(s)))
+
 
 class TestStabilize:
     def test_t_unchanged(self):
@@ -319,6 +328,16 @@ class TestDocumentFormat:
             text = "\n".join(lines + [f"{field} = {value}"]) + "\n"
             with pytest.raises(DocumentError, match=f"'{field}' is past the rank limit"):
                 parse_splitting_document(text)
+
+    def test_letters_past_target_rank_that_reduce_away(self):
+        # k_map's target rank is h1 = 1: g5^0 and g5 g5^-1 leave no letter
+        # past it, so the map is accepted as if they were not written.
+        text = TRIVIAL_DOCUMENT.replace("k_map = g1", "k_map = g5^0 g1 g5 g5^-1")
+        assert parse_splitting_document(text) == parse_splitting_document(TRIVIAL_DOCUMENT)
+        text = TRIVIAL_DOCUMENT.replace("k_map = g1", "k_map = g1 g5")
+        with pytest.raises(DocumentError) as err:
+            parse_splitting_document(text)
+        assert str(err.value) == "k_map: image g1 g5 uses generator beyond target rank 1"
 
     def test_su_document(self):
         text = TRIVIAL_DOCUMENT.replace("group = U", "group = SU").replace("n = 2", "n = 3")

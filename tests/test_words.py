@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,8 @@ from repcount import (
     free_reduce,
     parse_word,
 )
-from support import random_free_hom, random_word
+from repcount.words import _parse_word
+from support import p3_scale_document, random_free_hom, random_word
 
 raw_letters = st.lists(
     st.tuples(st.integers(min_value=1, max_value=4),
@@ -161,3 +163,68 @@ class TestTextSyntax:
         for _ in range(50):
             w = random_word(rng, 4)
             assert parse_word(format_word(w)) == w
+
+
+def seeded_word_text(rng: random.Random, rank: int) -> str:
+    """Word text with repeated, cancelling, zero and zero-padded powers."""
+    tokens = []
+    for _ in range(rng.randint(0, 12)):
+        g = rng.randint(1, rank)
+        e = rng.choice(("", "^1", "^-1", "^2", "^-3", "^0", "^-0", "^007", "^-02"))
+        tokens.append(f"g{g}{e}")
+        if rng.random() < 0.3:
+            tokens.append(f"g{g}^{rng.choice((-1, 1))}")
+    return rng.choice((" ", "  ", "\t")).join(tokens)
+
+
+def free_reduce_reference(text: str) -> Word:
+    """Tokens read by one regular expression and reduced by the checked
+    :func:`free_reduce`, apart from the parser's own reduction."""
+    pairs = re.findall(r"g([1-9][0-9]*)(?:\^(-?[0-9]+))?(?:\s|$)", text)
+    return free_reduce([(int(g), int(e or 1)) for g, e in pairs])
+
+
+class TestTokenTable:
+    """``_parse_word`` with one table shared by the words of a map."""
+
+    def test_shared_table_matches_parse_word(self):
+        rng = random.Random(29)
+        documents = [line.split("=", 1)[1]
+                     for u in (3, 8, 17) for line in p3_scale_document(u).splitlines()
+                     if line.startswith(("k_map", "l_map"))]
+        for _ in range(40):
+            rank = rng.randint(1, 6)
+            documents.append(" ; ".join(seeded_word_text(rng, rank) for _ in range(6)))
+        for document in documents:
+            table = {}
+            for chunk in document.split(";"):
+                word = _parse_word(chunk, table)
+                assert word.letters == parse_word(chunk).letters
+                assert word == free_reduce_reference(chunk)
+                Word(word.letters)  # the checked constructor accepts it
+
+    @pytest.mark.parametrize("bad, message", [
+        ("g1 g2^2 x7", "bad word token 'x7'"),
+        ("g2^2 g1^+2", "bad word token 'g1^+2'"),
+        ("g1 g0", "bad word token 'g0'"),
+        ("g1 g2^" + "3" * 4400,
+         "word token of 4403 characters has a number too long to read"),
+        ("g2 g" + "1" * 4301,
+         "word token of 4302 characters has a number too long to read"),
+    ], ids=["unknown", "plus-sign", "index-0", "long-exponent", "long-index"])
+    def test_errors_after_good_tokens(self, bad, message):
+        table = {}
+        _parse_word("g1 g2^2 g1^-1", table)
+        assert table
+        with pytest.raises(MalformedWordError) as shared:
+            _parse_word(bad, table)
+        with pytest.raises(MalformedWordError) as fresh:
+            parse_word(bad)
+        assert str(shared.value) == str(fresh.value) == message
+        assert ("too long" in message) == isinstance(shared.value.__cause__, ValueError)
+
+    def test_letters_that_reduce_away(self):
+        table = {}
+        assert _parse_word("g5^0", table) == Word()
+        assert _parse_word("g2 g5 g5^-1 g2^-1 g1", table) == Word(((1, 1),))
+        assert _parse_word("g5^0 g5", table) == Word(((5, 1),))
