@@ -166,7 +166,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if kind.n == 1 and report.abs_value:
         word_map = assembled_word_map(s)
         try:
-            counts = [numeric_degree_u1(word_map, t) for t in oracle_targets(args.seed, s.u)]
+            counts = numeric_degree_u1(word_map, oracle_targets(args.seed, s.u))
         except DomainLimitError:  # outside the oracle's size box
             pass
     pairs.append(("torus_applicable", _bool(counts is not None)))

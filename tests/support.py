@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from repcount import (
     INFINITE,
@@ -83,6 +84,68 @@ def cokernel_enumeration_reference(a: IntMat):
                 v[i] -= q * b[i]
         labels.add(tuple(v))
     return len(labels)
+
+
+def torus_preimage_count_reference(a: IntMat, t) -> int:
+    """The torus oracle's count for one target as it was written before one
+    solve served every target: its own Fraction Gauss-Jordan for det a and
+    the adjugate, offset ranges by ``math.ceil`` and ``math.floor`` on
+    Fractions, and a walk that enumerates every offset, the last one
+    included.  The size box is not applied; ``a`` must be nonsingular."""
+    n = a.rows
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a.data)]
+    d = Fraction(1)
+    for col in range(n):
+        pivot_row = next(r for r in range(col, n) if m[r][col] != 0)
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            d = -d
+        pivot = m[col][col]
+        d *= pivot
+        m[col] = [x / pivot for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    det_a = int(d)
+    adj = [[int(x * d) for x in row[n:]] for row in m]
+
+    target = tuple(Fraction(x) for x in t)
+    den = math.lcm(*(x.denominator for x in target))
+    c = [int(x * den) for x in target]
+    scale = den * det_a
+    flip = 1 if scale > 0 else -1
+    scale *= flip
+    base = [flip * sum(adj[i][j] * c[j] for j in range(n)) for i in range(n)]
+    weight = [[flip * den * adj[i][j] for j in range(n)] for i in range(n)]
+    ranges = []
+    for i in range(n):
+        lo = sum(min(0, a[i, j]) for j in range(n)) - target[i]
+        hi = sum(max(0, a[i, j]) for j in range(n)) - target[i]
+        ranges.append((math.ceil(lo), math.floor(hi)))
+    suffix_min = [[0] * (n + 1) for _ in range(n)]
+    suffix_max = [[0] * (n + 1) for _ in range(n)]
+    for i in range(n):
+        for depth in range(n - 1, -1, -1):
+            lo_k, hi_k = ranges[depth]
+            contrib = (weight[i][depth] * lo_k, weight[i][depth] * hi_k)
+            suffix_min[i][depth] = suffix_min[i][depth + 1] + min(contrib)
+            suffix_max[i][depth] = suffix_max[i][depth + 1] + max(contrib)
+
+    def walk(depth, partial):
+        if depth == n:
+            return 1
+        found = 0
+        lo_k, hi_k = ranges[depth]
+        for k in range(lo_k, hi_k + 1):
+            nxt = [partial[i] + weight[i][depth] * k for i in range(n)]
+            if all(nxt[i] + suffix_max[i][depth + 1] >= 0
+                   and nxt[i] + suffix_min[i][depth + 1] < scale for i in range(n)):
+                found += walk(depth + 1, nxt)
+        return found
+
+    return walk(0, base)
 
 
 def echelon_reference(a: IntMat, ncols: int):

@@ -114,8 +114,8 @@ def test_criterion_04_u1_torus_oracle():
         assert expected == d
         word_map = assembled_word_map(s)
         # the CLI's three targets, and the zero target, whose preimage 0 is a cube corner
-        for target in oracle_targets(done, s.u) + [(0,) * s.u]:
-            assert numeric_degree_u1(word_map, target) == expected
+        targets = oracle_targets(done, s.u) + [(0,) * s.u]
+        assert numeric_degree_u1(word_map, targets) == (expected,) * 4
         done += 1
     report(4, time.monotonic() - start, 30.0,
            "torus preimage count == U(1) invariant on 50 instances x 4 targets")

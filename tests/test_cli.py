@@ -12,7 +12,7 @@ from repcount import (
     stabilize,
     unitary,
 )
-from repcount import cli
+from repcount import cli, oracle
 from repcount.cli import main
 from repcount.oracle import COKER_MAX_DIM, COKER_MAX_ENTRY, TORUS_MAX_WORK
 from support import DENSE9_DOCUMENT, DET6_DOCUMENT, TRIVIAL_DOCUMENT, det6_splitting
@@ -421,6 +421,23 @@ class TestOracleCommand:
         assert kv["torus_counts"] == "6,6,6"
         assert kv["coker_agree"] == "true"
         assert kv["agree"] == "true"
+
+    def test_one_solve_per_check(self, capsys, tmp_path, monkeypatch):
+        # The three torus targets share one determinant and adjugate.
+        solves = []
+
+        def counting(a):
+            solves.append(a)
+            return solve(a)
+
+        solve = oracle._det_and_adjugate
+        monkeypatch.setattr(oracle, "_det_and_adjugate", counting)
+        p = tmp_path / "u1.split"
+        p.write_text(DET6_DOCUMENT.replace("n = 2", "n = 1"))
+        code, out, _ = run(capsys, "oracle", str(p), "--format", "machine")
+        assert code == 0
+        assert len(solves) == 1
+        assert machine_dict(out)["torus_counts"] == "6,6,6"
 
     def test_seed_determinism(self, capsys, tmp_path):
         p = tmp_path / "u1.split"

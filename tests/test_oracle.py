@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -30,43 +31,44 @@ from support import (
     det6_splitting,
     random_int_mat,
     random_t0_splitting,
+    torus_preimage_count_reference,
 )
 
 
 class TestTorusPreimageCount:
     def test_power_map(self):
         for r in (1, 2, 5):
-            assert torus_preimage_count(IntMat([[r]]), (Fraction(1, 2 * r),)) == r
+            assert torus_preimage_count(IntMat([[r]]), [(Fraction(1, 2 * r),)]) == (r,)
 
     def test_identity(self):
-        for n in (1, 2, 3):
-            for t in oracle_targets(0, n):
-                assert torus_preimage_count(IntMat.identity(n), t) == 1
+        for n in (0, 1, 2, 3):  # Z^0 is one point
+            assert torus_preimage_count(IntMat.identity(n), oracle_targets(0, n)) == (1, 1, 1)
 
     def test_det6_matrix(self):
         assert torus_preimage_count(
-            IntMat([[2, 1], [0, 3]]), (Fraction(1, 7), Fraction(2, 7))) == 6
+            IntMat([[2, 1], [0, 3]]), [(Fraction(1, 7), Fraction(2, 7))]) == (6,)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            torus_preimage_count(IntMat([[1, 1], [1, 1]]), (Fraction(1, 3),) * 2)
+            torus_preimage_count(IntMat([[1, 1], [1, 1]]), [(Fraction(1, 3),) * 2])
 
     def test_non_square_rejected(self):
         with pytest.raises(SingularMatrixError):
-            torus_preimage_count(IntMat([[1, 1]]), (Fraction(1, 3),))
+            torus_preimage_count(IntMat([[1, 1]]), [(Fraction(1, 3),)])
 
     def test_zero_target_counts_det(self):
         # x = 0 and x = 1/2 solve 2x == 0; x = 1 is the same torus point as 0
-        assert torus_preimage_count(IntMat([[2]]), (Fraction(0),)) == 2
+        assert torus_preimage_count(IntMat([[2]]), [(Fraction(0),)]) == (2,)
 
     def test_torus_det_limit(self):
         # For a 1x1 matrix [[m]] the box's W is |m| + 1.
         with pytest.raises(DomainLimitError):
-            torus_preimage_count(IntMat([[600000]]), (Fraction(1, 7),))
+            torus_preimage_count(IntMat([[600000]]), [(Fraction(1, 7),)])
         with pytest.raises(DomainLimitError):
-            torus_preimage_count(IntMat([[-TORUS_MAX_WORK]]), (Fraction(1, 7),))
-        assert torus_preimage_count(IntMat([[TORUS_MAX_WORK - 1]]), (0,)) == TORUS_MAX_WORK - 1
-        assert torus_preimage_count(IntMat([[1, 1], [-100, 100]]), (0, 0)) == 200
+            torus_preimage_count(IntMat([[-TORUS_MAX_WORK]]), [(Fraction(1, 7),)])
+        assert torus_preimage_count(
+            IntMat([[TORUS_MAX_WORK - 1]]), [(0,)]) == (TORUS_MAX_WORK - 1,)
+        assert torus_preimage_count(IntMat([[1, 1], [-100, 100]]), [(0, 0)]) == (200,)
 
     def test_box_refuses_before_solving(self, monkeypatch):
         def no_solve(a):
@@ -75,14 +77,14 @@ class TestTorusPreimageCount:
         monkeypatch.setattr(oracle, "_det_and_adjugate", no_solve)
         start = time.perf_counter()
         with pytest.raises(DomainLimitError):
-            torus_preimage_count(IntMat.identity(1000), (0,) * 1000)
+            torus_preimage_count(IntMat.identity(1000), [(0,) * 1000])
         assert time.perf_counter() - start < 0.1
         # a zero row would add no factor to W, so it is refused as singular
         with pytest.raises(SingularMatrixError):
-            torus_preimage_count(IntMat([[1, 0], [0, 0]]), (0, 0))
+            torus_preimage_count(IntMat([[1, 0], [0, 0]]), [(0, 0)])
 
     def test_negative_determinant(self):
-        assert torus_preimage_count(IntMat([[-3]]), (Fraction(2, 3),)) == 3
+        assert torus_preimage_count(IntMat([[-3]]), [(Fraction(2, 3),)]) == (3,)
 
     def test_count_is_abs_det(self):
         rng = random.Random(17)
@@ -93,15 +95,33 @@ class TestTorusPreimageCount:
             d = det(a)
             if d == 0:
                 continue
-            for t in oracle_targets(17 * done, n):
-                assert torus_preimage_count(a, t) == abs(d), (a, t)
+            assert torus_preimage_count(a, oracle_targets(17 * done, n)) == (abs(d),) * 3, a
             done += 1
+
+    def test_empty_target_list(self, monkeypatch):
+        # No targets, no counts; the matrix is still checked and solved once,
+        # so a singular matrix is refused whatever the targets.
+        solves = []
+
+        def counting(a):
+            solves.append(a)
+            return solve(a)
+
+        solve = oracle._det_and_adjugate
+        monkeypatch.setattr(oracle, "_det_and_adjugate", counting)
+        assert torus_preimage_count(IntMat([[2, 1], [0, 3]]), []) == ()
+        assert len(solves) == 1
+        with pytest.raises(SingularMatrixError):
+            torus_preimage_count(IntMat([[1, 1], [1, 1]]), [])
+        with pytest.raises(DomainLimitError):
+            torus_preimage_count(IntMat([[TORUS_MAX_WORK]]), [])
+        assert numeric_degree_u1(FreeHom.identity(2), ()) == ()
 
     def test_target_independence(self):
         a = IntMat([[3, 1], [1, 2]])
         targets = [(0, 0), (Fraction(1, 2), 0), (Fraction(1, 5), Fraction(3, 5)),
                    (Fraction(2, 3), Fraction(1, 7))]
-        assert {torus_preimage_count(a, t) for t in targets} == {abs(det(a))}
+        assert torus_preimage_count(a, targets) == (abs(det(a)),) * 4
 
 
 square_matrices = st.integers(1, 3).flatmap(lambda n: st.lists(
@@ -120,21 +140,70 @@ class TestHalfOpenCount:
         q = abs(d) if q == "det" else q
         t = tuple(Fraction(k, q) for k in data.draw(
             st.lists(st.integers(0, q - 1), min_size=a.rows, max_size=a.rows)))
-        assert torus_preimage_count(a, t) == abs(d)
+        assert torus_preimage_count(a, [t]) == (abs(d),)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_matrices, st.lists(st.integers(1, 12), min_size=1, max_size=4), st.data())
+    def test_several_targets_match_reference(self, rows, dens, data):
+        # One call counts every target with one solve; each count is the
+        # per-target reference's, for components below 0 and past 1 too.
+        a = IntMat(rows)
+        d = det(a)
+        assume(d != 0)
+        targets = [tuple(Fraction(k, q) for k in data.draw(
+            st.lists(st.integers(-3 * q, 3 * q), min_size=a.rows, max_size=a.rows)))
+            for q in dens]
+        counts = torus_preimage_count(a, targets)
+        assert counts == tuple(torus_preimage_count_reference(a, t) for t in targets)
+        assert counts == (abs(d),) * len(targets)
+
+
+class TestReferenceCount:
+    def test_matches_reference(self):
+        # Seeded nonsingular matrices up to 5x5 inside the box, each with
+        # the zero target and targets of denominator up to 12 whose
+        # components run from -3 to 3.
+        rng = random.Random(29)
+        dets = []
+        while len(dets) < 40:
+            n = rng.randint(1, 5)
+            a = random_int_mat(rng, n, n, -3, 3)
+            d = det(a)
+            if d == 0 or math.prod(sum(map(abs, row)) + 1 for row in a.data) > TORUS_MAX_WORK:
+                continue
+            targets = [(0,) * n]
+            for q in rng.sample(range(1, 13), 4):
+                targets.append(tuple(Fraction(rng.randint(-3 * q, 3 * q), q) for _ in range(n)))
+            counts = torus_preimage_count(a, targets)
+            assert counts == tuple(torus_preimage_count_reference(a, t) for t in targets), a
+            assert counts == (abs(d),) * 5
+            dets.append(d)
+        assert min(dets) < 0 < max(dets)
+        assert any(abs(d) > 12 for d in dets)
+
+    def test_box_edge(self):
+        # [[499999]] has W = 500,000, the largest the box admits; the last
+        # offset runs over 499,999 values, all of them preimages.
+        a = IntMat([[TORUS_MAX_WORK - 1]])
+        targets = [(0,), (Fraction(-7, 3),), (Fraction(5, 2),)]
+        counts = torus_preimage_count(a, targets)
+        assert counts == (TORUS_MAX_WORK - 1,) * 3
+        assert counts[1] == torus_preimage_count_reference(a, targets[1])
 
 
 class TestNumericDegreeU1:
     def test_identity(self):
         f = FreeHom.identity(2)
-        assert [numeric_degree_u1(f, t) for t in oracle_targets(0, 2)] == [1, 1, 1]
+        assert numeric_degree_u1(f, oracle_targets(0, 2)) == (1, 1, 1)
 
     def test_cube_map(self):
         f = FreeHom(1, 1, (Word(((1, 3),)),))
-        assert numeric_degree_u1(f, (Fraction(1, 7),)) == 3
+        assert numeric_degree_u1(f, [(Fraction(1, 7),)]) == (3,)
 
     def test_det6_assembled_map(self):
         f = assembled_word_map(det6_splitting())
-        assert [numeric_degree_u1(f, t) for t in oracle_targets(0, 2)] == [6, 6, 6]
+        assert numeric_degree_u1(f, oracle_targets(0, 2)) == (6, 6, 6)
 
     def test_matches_invariant_pipeline(self):
         rng = random.Random(19)
@@ -145,8 +214,7 @@ class TestNumericDegreeU1:
             expected = lambda_invariant(s, unitary(1)).abs_value
             if expected == 0:
                 continue
-            for t in oracle_targets(done, s.u):
-                assert numeric_degree_u1(f, t) == expected
+            assert numeric_degree_u1(f, oracle_targets(done, s.u)) == (expected,) * 3
             done += 1
 
 
