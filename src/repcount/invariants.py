@@ -18,6 +18,10 @@ as P1 != P2.  P3 is always computed even though P1 is cheaper: the
 agreement is the point.  The groups differ only in the Lie rank, so
 :func:`lambda_invariants` runs all but P2 once per splitting, after P2
 has run for every group: a group past P2's box is refused before P1 or P3.
+P1's signed determinant power must also equal P2's signed degree.  That
+degree is a product of Lie-rank many blocks, each +-det, so a sign error
+in P1's determinant or in every block cancels at even rank: the sign
+check only has teeth at odd Lie rank.
 
 Sign policy.  The true sign of the invariant depends on orientation data
 that is not pinned down to a computable convention, so the absolute value
@@ -83,7 +87,8 @@ class WrongCodimensionError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineValues:
-    """The three independently computed magnitudes and their agreement."""
+    """The three independently computed magnitudes and their agreement,
+    which also compares P1's sign with P2's."""
 
     det_power: int
     ext_magnitude: int
@@ -189,7 +194,7 @@ def lambda_invariants(
     # past the first g1 form the transpose of the glue matrix, which has
     # the same determinant.
     mv_rows = _mayer_vietoris_rows(s)
-    glue_det = abs(det(IntMat._trusted(mv_rows[s.g1:], s.u)))
+    glue_det = det(IntMat._trusted(mv_rows[s.g1:], s.u))
     pair = _pair_cohomology(s, mv_rows)
     k_order = pair.order_H2_pair
     reason = None
@@ -201,13 +206,14 @@ def lambda_invariants(
     reports = []
     for kind, degree in zip(kinds, degrees):
         lie_rank = kind.lie_rank
-        p1 = glue_det**lie_rank
+        det_power = glue_det**lie_rank
+        p1 = abs(det_power)
         p2 = abs(degree)
         p3 = 0 if k_order is INFINITE else k_order**lie_rank
-        values = PipelineValues(p1, p2, p3, p1 == p2 == p3)
+        values = PipelineValues(p1, p2, p3, det_power == degree and p2 == p3)
         if not values.agree:
             raise PipelineDisagreementError(
-                f"pipelines disagree: det-power={p1} ext={p2} K-power={p3}",
+                f"pipelines disagree: det-power={det_power} ext={degree} K-power={p3}",
                 kind, values, mv_rows, word_map,
             )
         if p1 == 0 and reason is None:

@@ -20,9 +20,10 @@ counting the preimages of any rational target inside it gives |det A|
 exactly, with no genericity condition.  One exact solve (determinant and
 adjugate) serves every target of a check.  Each target is put over its
 common denominator once, so the offset ranges and the membership tests
-are integer arithmetic; the first N - 1 offsets are walked, and the last
-is counted as the length of an integer interval.  Floating point never
-appears.
+are integer arithmetic.  Offset d ranges over at most r_d + 1 integers,
+r_d being row d's sum of |entries|; the narrower offsets are walked and
+the widest is counted as one interval, so W = prod_d (r_d + 1) alone
+bounds the walk, to W^((N-1)/N) intervals.  Floating point never appears.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ class DomainLimitError(ValueError):
 
 
 # The oracles' size boxes.  The torus count's box is on
-# W = prod_i (sum_j |a_ij| + 1): W bounds the offset vectors the count
-# visits, |det| (below W, by Hadamard's inequality) and N (at most
-# log2 W); every admitted matrix counts a target in under 0.5 s (at most
-# 0.29 s measured, for diag(124999, 1, 1), under CPython 3.11 on a
-# 2-vCPU AMD EPYC VM).  The cokernel enumeration visits
-# (2 * (entry * dim + 1) + 1)^dim points.
+# W = prod_i (sum_j |a_ij| + 1): W bounds the intervals the count walks
+# (at most W^((N-1)/N)), |det| (below W, by Hadamard's inequality) and N
+# (at most log2 W).  The slowest three-target count measured took 0.35 s:
+# the 16x16 identity plus ones at (i, i + 1), i < 5 (W = 497,664), with
+# a zero target, under CPython 3.11 on a 2-vCPU AMD EPYC VM.  The
+# cokernel enumeration visits (2 * (entry * dim + 1) + 1)^dim points.
 TORUS_MAX_WORK = 500_000
 COKER_MAX_DIM = 3
 COKER_MAX_ENTRY = 4
@@ -107,13 +108,14 @@ def torus_preimage_count(a: IntMat,
     One exact solve serves every target: the determinant and adjugate of
     ``a`` are taken once, then each target's integer offset vectors k are
     walked, counting those with a^-1 (t + k) in the half-open cube.  The
-    first N - 1 offsets are walked one by one; the last is counted as the
-    length of an integer interval.  For nonsingular a every count is
-    |det a|, whatever the target.  Raises :class:`DomainLimitError` when
-    W = prod_i (sum_j |a_ij| + 1) exceeds ``TORUS_MAX_WORK``, before any
-    solve, and :class:`SingularMatrixError` on a zero row at once.  An
-    empty target list gives ``()`` after the same checks and the solve, so
-    a singular matrix is refused whatever the targets.
+    offsets are walked one by one, narrowest range first, and the widest
+    is counted as the length of an integer interval.  For nonsingular a
+    every count is |det a|, whatever the target.  Raises
+    :class:`DomainLimitError` when W = prod_i (sum_j |a_ij| + 1) exceeds
+    ``TORUS_MAX_WORK``, before any solve, and :class:`SingularMatrixError`
+    on a zero row at once.  An empty target list gives ``()`` after the
+    same checks and the solve, so a singular matrix is refused whatever
+    the targets.
 
     >>> torus_preimage_count(IntMat([[2, 1], [0, 3]]), [(0, Fraction(1, 2)), (-1, 3)])
     (6, 6)
@@ -148,41 +150,33 @@ def _count_offsets(det_a: int, adj: list[list[int]], low: list[int],
     n = len(adj)
     if not n:
         return 1  # Z^0 is one point
-    # Integerize: target = c / den, and x_i = (base_i + sum_j w[i][j] k_j)
-    # / scale with scale = den * |det_a|, via adj = det_a * a^-1.
+    # Integerize: target = c / den, and x_i = (base_i + sum_j w_ij k_j)
+    # / scale with w_ij = flip * den * adj_ij and scale = den * |det_a|,
+    # via adj = det_a * a^-1.
     den = math.lcm(*(x.denominator for x in target))
     c = [x.numerator * (den // x.denominator) for x in target]
     flip = 1 if det_a > 0 else -1
     scale = den * det_a * flip
     base = [flip * sum(x * y for x, y in zip(row, c)) for row in adj]
-    weight = [[flip * den * x for x in row] for row in adj]
 
-    # Offset ranges: k_i runs over the integers in [low_i - t_i, high_i - t_i].
+    # Offset ranges: k_j runs over the integers in [low_j - t_j, high_j - t_j].
+    # Sorted by width, so the widest comes last and is counted as one
+    # interval.
     ranges = [(lo - ci // den, hi + (-ci) // den) for lo, hi, ci in zip(low, high, c)]
-
-    # Per-row reachable contribution of the not-yet-fixed offsets; used to
-    # prune whole subtrees whose interval misses [0, scale).
-    suffix_min = [[0] * (n + 1) for _ in range(n)]
-    suffix_max = [[0] * (n + 1) for _ in range(n)]
-    for i in range(n):
-        for d in range(n - 1, -1, -1):
-            lo_k, hi_k = ranges[d]
-            contrib = (weight[i][d] * lo_k, weight[i][d] * hi_k)
-            suffix_min[i][d] = suffix_min[i][d + 1] + min(contrib)
-            suffix_max[i][d] = suffix_max[i][d + 1] + max(contrib)
+    order = sorted(range(n), key=lambda j: ranges[j][1] - ranges[j][0])
+    ranges = [ranges[j] for j in order]
+    # columns[d][i] = w_ij for j = order[d].
+    columns = [[flip * den * row[j] for row in adj] for j in order]
 
     last = n - 1
-    last_weight = [row[last] for row in weight]
     top = scale - 1
 
     def walk(depth: int, partial: list[int]) -> int:
         # The recursion is n <= log2(TORUS_MAX_WORK) deep.
         if depth == last:
             # Row i needs 0 <= p + w k <= top: an integer interval in k.
-            # This is the pruning test at the last offset, carried through
-            # exactly, so the caller skips it there.
             lo_k, hi_k = ranges[last]
-            for p, w in zip(partial, last_weight):
+            for p, w in zip(partial, columns[last]):
                 if w > 0:
                     lo_k = max(lo_k, -(p // w))
                     hi_k = min(hi_k, (top - p) // w)
@@ -192,15 +186,10 @@ def _count_offsets(det_a: int, adj: list[list[int]], low: list[int],
                 elif not 0 <= p <= top:
                     return 0
             return max(0, hi_k - lo_k + 1)
-        found = 0
         lo_k, hi_k = ranges[depth]
-        for k in range(lo_k, hi_k + 1):
-            nxt = [partial[i] + weight[i][depth] * k for i in range(n)]
-            if depth + 1 == last or all(
-                    nxt[i] + suffix_max[i][depth + 1] >= 0
-                    and nxt[i] + suffix_min[i][depth + 1] < scale for i in range(n)):
-                found += walk(depth + 1, nxt)
-        return found
+        column = columns[depth]
+        return sum(walk(depth + 1, [p + w * k for p, w in zip(partial, column)])
+                   for k in range(lo_k, hi_k + 1))
 
     return walk(0, base)
 

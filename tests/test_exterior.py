@@ -321,6 +321,16 @@ class TestBlockOrderDegree:
         kind, f = kind_and_map
         assert degree_of_word_map(f, kind) == factor_major_degree(f, kind)
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_word_maps())
+    @example((U1, hom("g2", "g1")))  # a transposition: degree -1
+    @example((U3, hom("g2^2 g3", "g1", "g3")))  # P1 swaps rows: det -2, degree -8
+    @example((SU2, hom("g1 g2^2", "g2^-1 g1^3")))  # no swap: det -7
+    def test_signed_degree_is_det_power(self, kind_and_map):
+        # The signed identity lambda_invariants checks between P1 and P2.
+        kind, f = kind_and_map
+        assert degree_of_word_map(f, kind) == det(abelianize(f)) ** kind.lie_rank
+
     def test_peak_terms_dense_u3_rank8(self, monkeypatch):
         sizes, masks = [], []
         original = exterior._wedge_row

@@ -207,6 +207,17 @@ class TestDisagreementReplay:
         assert self.replay(exc) == (36, 36)
         assert "det-power=49" in str(exc)
 
+    def test_wrong_det_sign(self, monkeypatch):
+        # The magnitudes agree, so only the signed check between P1 and P2
+        # sees the error, and only at odd Lie rank.
+        monkeypatch.setattr("repcount.invariants.det", lambda a: -det(a))
+        assert lambda_invariant(det6_splitting(), unitary(2)).pipelines.agree
+        with pytest.raises(PipelineDisagreementError) as info:
+            lambda_invariant(det6_splitting(), unitary(3))
+        exc = info.value
+        assert exc.values == PipelineValues(216, 216, 216, False)
+        assert self.replay(exc) == (216, 216)
+
     def test_vanishing_without_reason(self, monkeypatch):
         # K is made INFINITE with H^2(M) finite and the restriction an
         # isomorphism, so all three pipelines read 0 and no reason applies.

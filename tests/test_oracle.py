@@ -192,6 +192,45 @@ class TestReferenceCount:
         assert counts[1] == torus_preimage_count_reference(a, targets[1])
 
 
+def diagonal(*entries):
+    return [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+class TestWidestLastWalk:
+    """The walk covers the narrow offsets and counts the widest as one
+    interval.  These are the slowest shapes known for that walk (row sums
+    of 1 or 2 with an integer target) and for a walk in natural order
+    (one offset range far wider than the rest, or a thin 4x4)."""
+
+    SHAPES = {
+        "I_18": diagonal(*[1] * 18),
+        # row i has -1 or 1 in column 5i + 3 mod 18
+        "signed permutation 18x18": [
+            [(-1 if i % 3 == 0 else 1) if j == (5 * i + 3) % 18 else 0 for j in range(18)]
+            for i in range(18)],
+        "diag(2, 1 x 16)": diagonal(2, *[1] * 16),
+        # W = 497,664: the slowest shape measured for the walk
+        "I_16 plus ones at (i, i + 1), i < 5": [
+            [int(j == i or (j == i + 1 and i < 5)) for j in range(16)] for i in range(16)],
+        "diag(124999, 1, 1)": diagonal(124999, 1, 1),
+        "[[249,248,0],[248,247,1],[0,0,1]]": [[249, 248, 0], [248, 247, 1], [0, 0, 1]],
+        "thin 4x4": [[11, 18, -17, -13], [12, 20, -17, -15], [11, 19, -18, -15], [1, 0, 0, 0]],
+    }
+
+    @pytest.mark.parametrize("seed", [0, 7])  # seed 0's first target is 0
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_counts_abs_det_in_bounded_time(self, name, seed):
+        a = IntMat(self.SHAPES[name])
+        assert math.prod(sum(map(abs, row)) + 1 for row in a.data) <= TORUS_MAX_WORK
+        targets = oracle_targets(seed, a.rows)
+        start = time.perf_counter()
+        counts = torus_preimage_count(a, targets)
+        assert time.perf_counter() - start < 5.0
+        assert counts == (abs(det(a)),) * 3
+        if a.rows <= 4:
+            assert counts == tuple(torus_preimage_count_reference(a, t) for t in targets)
+
+
 class TestNumericDegreeU1:
     def test_identity(self):
         f = FreeHom.identity(2)
