@@ -72,7 +72,6 @@ from .words import (
     RankMismatchError,
     Word,
     abelianize,
-    compose,
     format_word,
     free_reduce,
     parse_word,

@@ -144,20 +144,9 @@ class IntMat:
         m.data = data
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMat":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
         return self.data[i][j]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
 
     def transpose(self) -> "IntMat":
         # zip of no rows yields no columns, so a 0 x n matrix is spelled out.

@@ -20,10 +20,12 @@ counting the preimages of any rational target inside it gives |det A|
 exactly, with no genericity condition.  One exact solve (determinant and
 adjugate) serves every target of a check.  Each target is put over its
 common denominator once, so the offset ranges and the membership tests
-are integer arithmetic.  Offset d ranges over at most r_d + 1 integers,
-r_d being row d's sum of |entries|; the narrower offsets are walked and
-the widest is counted as one interval, so W = prod_d (r_d + 1) alone
-bounds the walk, to W^((N-1)/N) intervals.  Floating point never appears.
+are integer arithmetic.  Row d of A x sweeps an interval of length r_d,
+its sum of |entries|, open at each nonzero end, so offset d ranges over
+at most r_d integers; the narrower offsets are walked and the widest is
+counted as one interval, so the walk reaches at most
+prod_d r_d / max_d r_d intervals, fewer than W^((N-1)/N) for the box's
+W = prod_d (r_d + 1).  Floating point never appears.
 """
 
 from __future__ import annotations
@@ -57,11 +59,12 @@ class DomainLimitError(ValueError):
 
 # The oracles' size boxes.  The torus count's box is on
 # W = prod_i (sum_j |a_ij| + 1): W bounds the intervals the count walks
-# (at most W^((N-1)/N)), |det| (below W, by Hadamard's inequality) and N
-# (at most log2 W).  The slowest three-target count measured took 0.35 s:
-# the 16x16 identity plus ones at (i, i + 1), i < 5 (W = 497,664), with
-# a zero target, under CPython 3.11 on a 2-vCPU AMD EPYC VM.  The
-# cokernel enumeration visits (2 * (entry * dim + 1) + 1)^dim points.
+# (fewer than W^((N-1)/N)), |det| (below W, by Hadamard's inequality) and
+# N (at most log2 W).  The slowest three-target counts measured took
+# 0.4-0.6 s: dense 6x6 matrices with row sums 7, 8, 8, 8, 8, 8
+# (W = 472,392) and fractional targets, under CPython 3.11 on a 2-vCPU
+# Intel Xeon VM.  The cokernel enumeration visits
+# (2 * (entry * dim + 1) + 1)^dim points.
 TORUS_MAX_WORK = 500_000
 COKER_MAX_DIM = 3
 COKER_MAX_ENTRY = 4
@@ -138,7 +141,8 @@ def torus_preimage_count(a: IntMat,
         if len(t) != n:
             raise ValueError(f"target length {len(t)} != {n}")
     det_a, adj = _det_and_adjugate(a)
-    # a @ x for x in [0,1]^N stays in row i's interval [low_i, high_i].
+    # a @ x for x in [0,1)^N keeps row i from low_i to high_i, strictly
+    # inside at an end that is nonzero, since each x_j is below 1.
     low = [sum(x for x in row if x < 0) for row in a.data]
     high = [sum(x for x in row if x > 0) for row in a.data]
     return tuple(_count_offsets(det_a, adj, low, high, t) for t in targets)
@@ -159,10 +163,11 @@ def _count_offsets(det_a: int, adj: list[list[int]], low: list[int],
     scale = den * det_a * flip
     base = [flip * sum(x * y for x, y in zip(row, c)) for row in adj]
 
-    # Offset ranges: k_j runs over the integers in [low_j - t_j, high_j - t_j].
-    # Sorted by width, so the widest comes last and is counted as one
-    # interval.
-    ranges = [(lo - ci // den, hi + (-ci) // den) for lo, hi, ci in zip(low, high, c)]
+    # Offset ranges: k_j runs over the integers from low_j - t_j to
+    # high_j - t_j, a nonzero end left out: moving it in by 1 / den drops
+    # it exactly when it is an integer.
+    ranges = [(lo - (ci - (lo < 0)) // den, hi + (-ci - (hi > 0)) // den)
+              for lo, hi, ci in zip(low, high, c)]
     order = sorted(range(n), key=lambda j: ranges[j][1] - ranges[j][0])
     ranges = [ranges[j] for j in order]
     # columns[d][i] = w_ij for j = order[d].
@@ -210,7 +215,7 @@ def _triangular_lattice_basis(a: IntMat) -> list[list[int] | None]:
     reduction, one pivot row at a time.  A row the lattice has no pivot in
     gets None, so the lattice has full row rank exactly when no entry is
     None."""
-    cols = [list(a.column(j)) for j in range(a.cols)]
+    cols = [list(column) for column in a.transpose().data]
     basis = []
     for r in range(a.rows):
         live = [c for c in cols if any(c[r:])]

@@ -303,6 +303,13 @@ _OPTIONAL_FIELDS = ("u_hat_genus", "orientation_reversed")
 MAX_DOCUMENT_RANK = 1000
 
 
+def _check_rank(key: str, value: int) -> int:
+    """``value``, or :class:`DocumentError` past the document box."""
+    if abs(value) > MAX_DOCUMENT_RANK:
+        raise DocumentError(f"field {key!r} is past the rank limit {MAX_DOCUMENT_RANK}")
+    return value
+
+
 def group_kind(group: str, n: int) -> GroupKind:
     """U(n) for group "U", else SU(n); a bad n raises :class:`DocumentError`."""
     try:
@@ -369,10 +376,7 @@ def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
     kind = group_kind(group_text, int_field("n"))
 
     def rank_field(key: str) -> int:
-        value = int_field(key)
-        if abs(value) > MAX_DOCUMENT_RANK:
-            raise DocumentError(f"field {key!r} is past the rank limit {MAX_DOCUMENT_RANK}")
-        return value
+        return _check_rank(key, int_field(key))
 
     h1, h2, u, g1 = (rank_field(k) for k in ("h1", "h2", "u", "g1"))
     u_hat = rank_field("u_hat_genus") if "u_hat_genus" in fields else None
@@ -397,7 +401,10 @@ def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
 
 
 def format_splitting_document(s: AdaptedSplitting, kind: GroupKind) -> str:
-    """Serialize back to the document format (inverse of the parser)."""
+    """Serialize back to the document format (inverse of the parser); a
+    rank the parser would refuse raises :class:`DocumentError`."""
+    for key in ("h1", "h2", "u", "g1", "u_hat_genus"):
+        _check_rank(key, getattr(s, key))
     lines = [
         f"n = {kind.n}",
         f"group = {kind.family.value}",

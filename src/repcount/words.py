@@ -45,7 +45,6 @@ __all__ = [
     "RankMismatchError",
     "free_reduce",
     "abelianize",
-    "compose",
     "parse_word",
     "format_word",
 ]
@@ -56,7 +55,7 @@ class MalformedWordError(ValueError):
 
 
 class RankMismatchError(ValueError):
-    """Homomorphisms combined with incompatible source/target ranks."""
+    """A negative rank, or an image count other than the source rank."""
 
 
 @dataclass(frozen=True)
@@ -90,9 +89,6 @@ class Word:
     def max_index(self) -> int:
         """Largest generator index used, 0 for the identity word."""
         return max((g for g, _ in self.letters), default=0)
-
-    def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __repr__(self) -> str:
         return f"Word({format_word(self)!r})"
@@ -161,43 +157,6 @@ class FreeHom:
                 raise MalformedWordError(
                     f"image {w} uses generator beyond target rank {self.target_rank}"
                 )
-
-    @classmethod
-    def identity(cls, n: int) -> "FreeHom":
-        return cls(n, n, tuple(Word(((i, 1),)) for i in range(1, n + 1)))
-
-    def apply(self, w: Word) -> Word:
-        """Image of ``w``: substitute generator images and reduce."""
-        if w.max_index() > self.source_rank:
-            raise RankMismatchError(
-                f"word uses generator beyond source rank {self.source_rank}"
-            )
-        letters: list[tuple[int, int]] = []
-        for g, e in w.letters:
-            image = self.images[g - 1]
-            if e > 0:
-                for _ in range(e):
-                    letters.extend(image.letters)
-            else:
-                inv = image.inverse()
-                for _ in range(-e):
-                    letters.extend(inv.letters)
-        return free_reduce(letters)
-
-
-def compose(f: FreeHom, g: FreeHom) -> FreeHom:
-    """The composite f o g, so (f o g)(y) = f(g(y)).
-
-    >>> f = FreeHom(1, 1, (Word(((1, 2),)),))
-    >>> g = FreeHom(1, 1, (Word(((1, 3),)),))
-    >>> compose(f, g).images[0]
-    Word('g1^6')
-    """
-    if g.target_rank != f.source_rank:
-        raise RankMismatchError(
-            f"cannot compose: inner target rank {g.target_rank} != outer source rank {f.source_rank}"
-        )
-    return FreeHom(g.source_rank, f.target_rank, tuple(f.apply(w) for w in g.images))
 
 
 def abelianize(f: FreeHom) -> IntMat:

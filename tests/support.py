@@ -19,6 +19,35 @@ from repcount import (
 )
 
 
+def identity_hom(n: int) -> FreeHom:
+    """The identity map of the free group of rank n."""
+    return FreeHom(n, n, tuple(Word(((i, 1),)) for i in range(1, n + 1)))
+
+
+def composite(f: FreeHom, g: FreeHom) -> FreeHom:
+    """The composite f o g, so (f o g)(y) = f(g(y)): each letter of g's
+    images is replaced by its image under f, inverted for a negative
+    exponent, and the result freely reduced."""
+    images = []
+    for w in g.images:
+        letters = []
+        for index, exponent in w.letters:
+            image = f.images[index - 1].letters
+            if exponent < 0:
+                image = tuple((h, -e) for h, e in reversed(image))
+            letters.extend(image * abs(exponent))
+        images.append(free_reduce(letters))
+    return FreeHom(g.source_rank, f.target_rank, tuple(images))
+
+
+def identity_matrix(n: int) -> IntMat:
+    return IntMat([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def zero_matrix(rows: int, cols: int) -> IntMat:
+    return IntMat([[0] * cols for _ in range(rows)], cols=cols)
+
+
 def random_word(rng: random.Random, rank: int, max_len: int = 8) -> Word:
     letters = [
         (rng.randint(1, rank), rng.choice((-1, 1)))

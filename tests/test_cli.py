@@ -409,6 +409,27 @@ class TestStabilizeCommand:
         assert code == 0
         assert machine_dict(out2)["abs_value"] == "36"
 
+    def test_refuses_past_the_document_box(self, capsys, tmp_path):
+        # The det6 document stabilized to u = 999 and to u = 1,000, the
+        # document box's edge.  One more handle there would give h1 = 1001,
+        # which no command reads back, so nothing is written.
+        p = tmp_path / "stable.split"
+        for u, expected in ((999, 0), (1000, 1)):
+            p.write_text(
+                f"n = 2\ngroup = U\nh1 = {u}\nh2 = 1\nu = {u}\ng1 = 1\n"
+                f"u_hat_genus = {u}\n"
+                "k_map = g2^2 ; g1" + "".join(f" ; g{i}" for i in range(3, u + 1)) + "\n"
+                "l_map = g1^-1 ; g1^-3" + " ;" * (u - 2) + "\n")
+            code, out, err = run(capsys, "stabilize", str(p))
+            assert code == expected
+            if expected:
+                assert out == ""
+                assert err == "error: field 'h1' is past the rank limit 1000\n"
+            else:
+                assert err == "" and "u = 1000" in out
+                p.write_text(out)  # the written document reads back
+                assert run(capsys, "validate", str(p))[0] == 0
+
 
 class TestOracleCommand:
     def test_u1_document(self, capsys, tmp_path):

@@ -17,7 +17,6 @@ from repcount import (
     ShapeError,
     Word,
     abelianize,
-    compose,
     cylinder_monomial_value,
     degree_of_word_map,
     det,
@@ -27,7 +26,7 @@ from repcount import (
     unitary,
 )
 from repcount import exterior
-from support import random_free_hom
+from support import composite, identity_hom, random_free_hom
 
 U1, U2, U3 = unitary(1), unitary(2), unitary(3)
 SU2, SU3 = special_unitary(2), special_unitary(3)
@@ -127,7 +126,7 @@ class TestWedge:
 class TestDegreeOfWordMap:
     def test_identity(self):
         for kind in (U1, U2, SU2, SU3):
-            assert degree_of_word_map(FreeHom.identity(3), kind) == 1
+            assert degree_of_word_map(identity_hom(3), kind) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -164,7 +163,7 @@ class TestDegreeOfWordMap:
             for kind in (U1, U2, SU2):
                 df = degree_of_word_map(f, kind)
                 dg = degree_of_word_map(g, kind)
-                assert degree_of_word_map(compose(f, g), kind) == df * dg
+                assert degree_of_word_map(composite(f, g), kind) == df * dg
 
 
 class TestCylinderMonomialValue:
@@ -363,7 +362,7 @@ class TestBlockOrderDegree:
 
     @pytest.mark.parametrize("kind,n", INSIDE_BOX, ids=lambda x: getattr(x, "label", x))
     def test_work_box_admits_suite_and_benchmark_inputs(self, kind, n):
-        assert degree_of_word_map(FreeHom.identity(n), kind) == 1
+        assert degree_of_word_map(identity_hom(n), kind) == 1
 
     @pytest.mark.parametrize("n", [3163, 20_000, 10 ** 9])
     def test_work_box_grows_with_rank_squared(self, n):
@@ -371,12 +370,12 @@ class TestBlockOrderDegree:
         # expansion, which grow to rank * N pairs, and caps P1's |det|^rank.
         start = time.perf_counter()
         with pytest.raises(ExteriorWorkLimitError, match=r"rank\^2"):
-            degree_of_word_map(FreeHom.identity(1), unitary(n))
+            degree_of_word_map(identity_hom(1), unitary(n))
         assert time.perf_counter() - start < 1.0
 
     def test_work_box_rank_edge(self):
         assert 3162 ** 2 <= exterior.MAX_EXTERIOR_WORK < 3163 ** 2
-        assert degree_of_word_map(FreeHom.identity(1), unitary(3162)) == 1
+        assert degree_of_word_map(identity_hom(1), unitary(3162)) == 1
 
     def test_generator_membership_is_a_range(self):
         kind = unitary(10 ** 12)
@@ -393,7 +392,7 @@ class TestBlockOrderDegree:
 
     def test_frontier_admits_sparse_identity(self):
         start = time.perf_counter()
-        assert degree_of_word_map(FreeHom.identity(10_000), U1) == 1
+        assert degree_of_word_map(identity_hom(10_000), U1) == 1
         assert time.perf_counter() - start < 1.0
 
     def test_frontier_bound(self, monkeypatch):
@@ -416,7 +415,7 @@ class TestBlockOrderDegree:
         assert all(work <= n * 2 ** n for n, work in bounds)
         bounds.clear()
         degree_of_word_map(dense_hom(rng, 9), U1)
-        degree_of_word_map(FreeHom.identity(9), U1)
+        degree_of_word_map(identity_hom(9), U1)
         # Dense: no factor closes before the last row.  Identity: each row
         # closes its factor, so every step meets one term.
         assert bounds == [(9, 9 * (2 ** 9 - 1)), (9, 9)]

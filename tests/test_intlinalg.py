@@ -16,7 +16,13 @@ from repcount import (
     format_int,
     smith_normal_form,
 )
-from support import echelon_reference, random_int_mat, same_row_lattice
+from support import (
+    echelon_reference,
+    identity_matrix,
+    random_int_mat,
+    same_row_lattice,
+    zero_matrix,
+)
 
 
 def square_strategy(max_n=4, bound=5):
@@ -47,10 +53,6 @@ def cofactor_det(a: IntMat) -> int:
 
 
 class TestIntMat:
-    def test_identity_and_zeros(self):
-        assert IntMat.identity(2).data == ((1, 0), (0, 1))
-        assert IntMat.zeros(2, 3).data == ((0, 0, 0), (0, 0, 0))
-
     def test_empty_shapes(self):
         assert IntMat([], cols=3).rows == 0
         assert IntMat([[], []]).cols == 0
@@ -72,7 +74,7 @@ class TestIntMat:
 
 class TestDet:
     def test_identity(self):
-        assert det(IntMat.identity(4)) == 1
+        assert det(identity_matrix(4)) == 1
 
     def test_triangular(self):
         assert det(IntMat([[2, 1], [0, 3]])) == 6
@@ -94,7 +96,7 @@ class TestDet:
     @given(square_strategy(max_n=3, bound=4), square_strategy(max_n=3, bound=4))
     def test_multiplicative(self, a, b):
         if a.rows != b.rows:
-            b = IntMat.identity(a.rows)
+            b = identity_matrix(a.rows)
         assert det(a @ b) == det(a) * det(b)
 
 
@@ -137,7 +139,7 @@ class TestEchelon:
         # factors 1.
         kb = snf.kernel_basis
         assert (rest.rows, rest.cols) == (kb.cols, a.cols)
-        assert a @ rest.transpose() == IntMat.zeros(a.rows, rest.rows)
+        assert a @ rest.transpose() == zero_matrix(a.rows, rest.rows)
         assert smith_normal_form(rest).diag == (1,) * rest.rows
         assert smith_normal_form(kb.transpose()).diag == (1,) * kb.cols
 
@@ -154,12 +156,12 @@ class TestEchelon:
         assert echelon(IntMat([], cols=3), 2) == ((), IntMat([], cols=1))
 
     def test_zero_matrix(self):
-        assert echelon(IntMat.zeros(3, 2), 2) == ((), IntMat([[], [], []], cols=0))
+        assert echelon(zero_matrix(3, 2), 2) == ((), IntMat([[], [], []], cols=0))
 
     @pytest.mark.parametrize("ncols", [-1, 3])
     def test_bad_column_count(self, ncols):
         with pytest.raises(ShapeError):
-            echelon(IntMat.zeros(2, 2), ncols)
+            echelon(zero_matrix(2, 2), ncols)
 
     def test_input_unchanged(self):
         a = IntMat([[4, 6, 1], [6, 9, 0]])
@@ -202,7 +204,7 @@ class TestEchelonEquivalence:
     @pytest.mark.parametrize("rows, cols, ncols",
                              [(0, 0, 0), (0, 4, 2), (3, 0, 0), (3, 4, 0), (3, 4, 4)])
     def test_degenerate_shapes(self, rows, cols, ncols):
-        self.assert_equivalent(IntMat.zeros(rows, cols), ncols)
+        self.assert_equivalent(zero_matrix(rows, cols), ncols)
         self.assert_equivalent(random_int_mat(random.Random(rows), rows, cols), ncols)
 
     def test_negative_pivots(self):
@@ -243,7 +245,7 @@ class TestSmithNormalForm:
         assert smith_normal_form(IntMat(rows)).diag == diag
 
     def test_zero_matrix(self):
-        assert smith_normal_form(IntMat.zeros(2, 3)).diag == (0, 0)
+        assert smith_normal_form(zero_matrix(2, 3)).diag == (0, 0)
 
     def test_empty(self):
         s = smith_normal_form(IntMat([], cols=0))
@@ -324,13 +326,13 @@ class TestCokernelOrder:
 
 class TestKernelBasis:
     def test_identity_trivial_kernel(self):
-        kb = smith_normal_form(IntMat.identity(3)).kernel_basis
+        kb = smith_normal_form(identity_matrix(3)).kernel_basis
         assert (kb.rows, kb.cols) == (3, 0)
 
     def test_sum_map(self):
         kb = smith_normal_form(IntMat([[1, 1]])).kernel_basis
         assert kb.cols == 1
-        assert tuple(kb.column(0)) in {(1, -1), (-1, 1)}
+        assert kb.transpose().data[0] in {(1, -1), (-1, 1)}
 
     def test_random_annihilation(self):
         rng = random.Random(8)
@@ -339,15 +341,15 @@ class TestKernelBasis:
             snf = smith_normal_form(a)
             kb = snf.kernel_basis
             assert kb.cols == 5 - snf.rank
-            assert a @ kb == IntMat.zeros(3, kb.cols)
+            assert a @ kb == zero_matrix(3, kb.cols)
 
 
 class TestRank:
     def test_zero(self):
-        assert smith_normal_form(IntMat.zeros(2, 2)).rank == 0
+        assert smith_normal_form(zero_matrix(2, 2)).rank == 0
 
     def test_identity(self):
-        assert smith_normal_form(IntMat.identity(3)).rank == 3
+        assert smith_normal_form(identity_matrix(3)).rank == 3
 
     def test_dependent_rows(self):
         assert smith_normal_form(IntMat([[2, 4], [1, 2]])).rank == 1

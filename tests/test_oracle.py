@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -29,6 +30,8 @@ from repcount.oracle import TORUS_MAX_WORK
 from support import (
     cokernel_enumeration_reference,
     det6_splitting,
+    identity_hom,
+    identity_matrix,
     random_int_mat,
     random_t0_splitting,
     torus_preimage_count_reference,
@@ -42,7 +45,7 @@ class TestTorusPreimageCount:
 
     def test_identity(self):
         for n in (0, 1, 2, 3):  # Z^0 is one point
-            assert torus_preimage_count(IntMat.identity(n), oracle_targets(0, n)) == (1, 1, 1)
+            assert torus_preimage_count(identity_matrix(n), oracle_targets(0, n)) == (1, 1, 1)
 
     def test_det6_matrix(self):
         assert torus_preimage_count(
@@ -75,9 +78,10 @@ class TestTorusPreimageCount:
             raise AssertionError("the box must refuse before any solve")
 
         monkeypatch.setattr(oracle, "_det_and_adjugate", no_solve)
+        a = identity_matrix(1000)  # built before the clock starts
         start = time.perf_counter()
         with pytest.raises(DomainLimitError):
-            torus_preimage_count(IntMat.identity(1000), [(0,) * 1000])
+            torus_preimage_count(a, [(0,) * 1000])
         assert time.perf_counter() - start < 0.1
         # a zero row would add no factor to W, so it is refused as singular
         with pytest.raises(SingularMatrixError):
@@ -115,7 +119,7 @@ class TestTorusPreimageCount:
             torus_preimage_count(IntMat([[1, 1], [1, 1]]), [])
         with pytest.raises(DomainLimitError):
             torus_preimage_count(IntMat([[TORUS_MAX_WORK]]), [])
-        assert numeric_degree_u1(FreeHom.identity(2), ()) == ()
+        assert numeric_degree_u1(identity_hom(2), ()) == ()
 
     def test_target_independence(self):
         a = IntMat([[3, 1], [1, 2]])
@@ -198,9 +202,11 @@ def diagonal(*entries):
 
 class TestWidestLastWalk:
     """The walk covers the narrow offsets and counts the widest as one
-    interval.  These are the slowest shapes known for that walk (row sums
-    of 1 or 2 with an integer target) and for a walk in natural order
-    (one offset range far wider than the rest, or a thin 4x4)."""
+    interval.  The shapes: many rows of sum 1 or 2, which an integer target
+    would slow if the offset ranges kept their unreachable ends; one
+    offset range far wider than the rest, or a thin 4x4, which slow a walk
+    in natural order; and the slowest shape measured for this walk, a
+    dense 6x6 with row sums 7, 8, 8, 8, 8, 8."""
 
     SHAPES = {
         "I_18": diagonal(*[1] * 18),
@@ -209,12 +215,15 @@ class TestWidestLastWalk:
             [(-1 if i % 3 == 0 else 1) if j == (5 * i + 3) % 18 else 0 for j in range(18)]
             for i in range(18)],
         "diag(2, 1 x 16)": diagonal(2, *[1] * 16),
-        # W = 497,664: the slowest shape measured for the walk
+        # W = 497,664
         "I_16 plus ones at (i, i + 1), i < 5": [
             [int(j == i or (j == i + 1 and i < 5)) for j in range(16)] for i in range(16)],
         "diag(124999, 1, 1)": diagonal(124999, 1, 1),
         "[[249,248,0],[248,247,1],[0,0,1]]": [[249, 248, 0], [248, 247, 1], [0, 0, 1]],
         "thin 4x4": [[11, 18, -17, -13], [12, 20, -17, -15], [11, 19, -18, -15], [1, 0, 0, 0]],
+        # W = 472,392: up to 8^4 * 7 = 28,672 intervals per target
+        "dense 6x6": [[0, -2, 1, 1, -3, 0], [0, -1, 0, -3, -2, -2], [2, 0, 2, 1, -2, 1],
+                      [2, 2, 1, 2, 0, -1], [1, -1, -2, 0, 1, -3], [-3, 0, 1, 3, 0, -1]],
     }
 
     @pytest.mark.parametrize("seed", [0, 7])  # seed 0's first target is 0
@@ -231,9 +240,62 @@ class TestWidestLastWalk:
             assert counts == tuple(torus_preimage_count_reference(a, t) for t in targets)
 
 
+def intervals_walked(a, target):
+    """The count of ``a`` at ``target`` and the intervals its walk reaches:
+    one call of the walk at its last depth counts one interval."""
+    last_calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk" \
+                and frame.f_globals is vars(oracle) and frame.f_locals["depth"] == a.rows - 1:
+            last_calls.append(1)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        (count,) = torus_preimage_count(a, [target])
+    finally:
+        sys.setprofile(previous)
+    return count, len(last_calls)
+
+
+class TestOpenRangeEnds:
+    """Row d of a @ x, x in [0,1)^N, stays below its sum of positive
+    entries when it has one and above its sum of negative entries when it
+    has one, so offset d takes at most r_d values (r_d the row's sum of
+    |entries|), and the walk at most prod r_d / max r_d intervals."""
+
+    def test_walk_within_bound(self):
+        rng = random.Random(43)
+        matrices = [identity_matrix(12), IntMat(TestWidestLastWalk.SHAPES["diag(2, 1 x 16)"]),
+                    IntMat([[1, -1], [1, 1]]), IntMat([[2, -1, 0], [0, 1, 1], [1, 0, -3]])]
+        while len(matrices) < 60:
+            n = rng.randint(1, 4)
+            a = random_int_mat(rng, n, n, -3, 3)
+            if det(a) and math.prod(sum(map(abs, row)) + 1 for row in a.data) <= TORUS_MAX_WORK:
+                matrices.append(a)
+        for a in matrices:
+            sums = [sum(map(abs, row)) for row in a.data]
+            bound = math.prod(sums) // max(sums)
+            n, d = a.rows, abs(det(a))
+            integer = tuple(rng.randint(-3, 3) for _ in range(n))
+            for target in [(0,) * n, integer, *oracle_targets(7, n)]:
+                count, intervals = intervals_walked(a, target)
+                assert count == d
+                assert intervals <= bound, (a, target)
+
+    def test_integer_target_on_unit_rows_walks_once(self):
+        # Every offset range of I_12, or of a diagonal of signs, holds one
+        # value, where closed ranges hold two and the walk would reach 2^11
+        # intervals.
+        for a in (identity_matrix(12), IntMat(diagonal(*[(-1) ** i for i in range(12)]))):
+            for target in [(0,) * 12, tuple(range(-6, 6))]:
+                assert intervals_walked(a, target) == (1, 1)
+
+
 class TestNumericDegreeU1:
     def test_identity(self):
-        f = FreeHom.identity(2)
+        f = identity_hom(2)
         assert numeric_degree_u1(f, oracle_targets(0, 2)) == (1, 1, 1)
 
     def test_cube_map(self):
@@ -285,7 +347,7 @@ class TestCokernelEnumeration:
 
     def test_size_limits(self):
         with pytest.raises(DomainLimitError):
-            cokernel_enumeration(IntMat.identity(4))
+            cokernel_enumeration(identity_matrix(4))
         with pytest.raises(DomainLimitError):
             cokernel_enumeration(IntMat([[5]]))
 

@@ -12,13 +12,19 @@ from repcount import (
     RankMismatchError,
     Word,
     abelianize,
-    compose,
     format_word,
     free_reduce,
     parse_word,
 )
 from repcount.words import _parse_word
-from support import p3_scale_document, random_free_hom, random_word
+from support import (
+    composite,
+    identity_hom,
+    identity_matrix,
+    p3_scale_document,
+    random_free_hom,
+    random_word,
+)
 
 raw_letters = st.lists(
     st.tuples(st.integers(min_value=1, max_value=4),
@@ -65,7 +71,7 @@ class TestFreeReduce:
 
 class TestAbelianize:
     def test_identity(self):
-        assert abelianize(FreeHom.identity(3)) == IntMat.identity(3)
+        assert abelianize(identity_hom(3)) == identity_matrix(3)
 
     def test_power_map(self):
         for r in (-2, 1, 5):
@@ -93,20 +99,7 @@ class TestAbelianize:
 
 
 class TestCompose:
-    def test_identity_neutral(self):
-        rng = random.Random(1)
-        g = random_free_hom(rng, 3, 3)
-        assert compose(FreeHom.identity(3), g) == g
-        assert compose(g, FreeHom.identity(3)) == g
-
-    def test_power_composition(self):
-        sq = FreeHom(1, 1, (Word(((1, 2),)),))
-        cube = FreeHom(1, 1, (Word(((1, 3),)),))
-        assert compose(sq, cube).images[0] == Word(((1, 6),))
-
-    def test_rank_mismatch(self):
-        with pytest.raises(RankMismatchError):
-            compose(FreeHom.identity(2), FreeHom.identity(3))
+    """Abelianization of composites, built by the tests' ``composite``."""
 
     def test_functoriality_of_abelianize(self):
         # abelianize(f o g) == abelianize(f) @ abelianize(g) for random pairs
@@ -115,15 +108,10 @@ class TestCompose:
             a, b, c = (rng.randint(1, 4) for _ in range(3))
             f = random_free_hom(rng, b, c)
             g = random_free_hom(rng, a, b)
-            assert abelianize(compose(f, g)) == abelianize(f) @ abelianize(g)
+            assert abelianize(composite(f, g)) == abelianize(f) @ abelianize(g)
 
 
 class TestWordOps:
-    def test_inverse(self):
-        w = free_reduce([(1, 2), (2, -1)])
-        assert free_reduce(w.letters + w.inverse().letters) == Word()
-        assert free_reduce(w.inverse().letters + w.letters) == Word()
-
     def test_constructor_rejects_unreduced(self):
         with pytest.raises(MalformedWordError):
             Word(((1, 1), (1, 1)))
@@ -131,6 +119,12 @@ class TestWordOps:
             Word(((1, 0),))
         with pytest.raises(MalformedWordError):
             Word(((0, 1),))
+
+    def test_hom_rejects_wrong_image_count(self):
+        with pytest.raises(RankMismatchError):
+            FreeHom(2, 1, (Word(),))
+        with pytest.raises(RankMismatchError):
+            FreeHom(-1, 1, ())
 
 
 class TestTextSyntax:
