@@ -4,11 +4,11 @@ Nothing here imports the determinant, Smith normal form, or exterior
 algebra code: the point of an oracle is to disagree loudly if those are
 wrong.  Rational linear algebra is done locally with ``fractions.Fraction``
 (exact Gauss-Jordan), and lattice-quotient counting uses plain Euclidean
-column reduction plus exhaustive point enumeration.  That reduction's
-basis is also the rank test: a row left without a pivot is a free
-direction of the cokernel.  The basis is lower triangular, so the
-enumeration walks its box one coordinate at a time and shares each row's
-reduction among all points with the same prefix.
+column reduction plus enumeration of a box.  That reduction's basis is
+also the rank test: a row left without a pivot is a free direction of
+the cokernel.  The basis is lower triangular, so the enumeration reduces
+the box's prefixes level by level and counts the last coordinate under
+each prefix as cyclic windows of residues, without visiting its points.
 
 The torus oracle realizes the n = 1 case of the degree law.  A word map
 induces the self-map x -> A x of the torus R^N / Z^N, with A its
@@ -64,7 +64,7 @@ class DomainLimitError(ValueError):
 # 0.4-0.6 s: dense 6x6 matrices with row sums 7, 8, 8, 8, 8, 8
 # (W = 472,392) and fractional targets, under CPython 3.11 on a 2-vCPU
 # Intel Xeon VM.  The cokernel enumeration visits
-# (2 * (entry * dim + 1) + 1)^dim points.
+# (2 * (entry * cols + 1) + 1)^(rows - 1) prefixes, at most 27^2 = 729.
 TORUS_MAX_WORK = 500_000
 COKER_MAX_DIM = 3
 COKER_MAX_ENTRY = 4
@@ -251,9 +251,18 @@ def cokernel_enumeration(a: IntMat):
     in [-COKER_MAX_ENTRY, COKER_MAX_ENTRY].  A free direction (a row
     without a pivot in the Euclidean lattice basis, i.e. rank below the row
     count) gives INFINITE; otherwise every residue class has a
-    representative in the bounding box of side 2*(max|entry|*cols + 1), and
-    distinct classes are told apart by an exact canonical-reduction label,
-    computed depth first: row r's reduction reads only coordinates 0..r.
+    representative in the box [-bound, bound]^rows with bound =
+    max|entry| * cols + 1, and the count is the number of distinct exact
+    canonical-reduction labels of the box's points.  Row r's reduction
+    reads only coordinates 0..r, so only the first rows - 1 coordinates
+    are walked.  Under each prefix the last coordinate's side =
+    2 * bound + 1 consecutive values leave residues mod its pivot p that
+    fill one cyclic window; a prefix label counts the union of its
+    windows, each cyclic gap between sorted window starts counted up to
+    side.  Here p = 20 exceeds the side, 19:
+
+    >>> cokernel_enumeration(IntMat([[-4, -3], [-4, 2]]))
+    20
     """
     if a.rows > COKER_MAX_DIM or a.cols > COKER_MAX_DIM:
         raise DomainLimitError(
@@ -269,19 +278,19 @@ def cokernel_enumeration(a: IntMat):
     bound = max_entry * a.cols + 1
     box = range(-bound, bound + 1)
     last = a.rows - 1
-    residues: dict[tuple[int, ...], set[int]] = {}  # last row's, by prefix label
-
-    def walk(r: int, offsets: list[int], label: tuple[int, ...]) -> None:
-        # offsets[i - r]: what the reductions of rows < r added to
-        # coordinate i.  The recursion is at most COKER_MAX_DIM deep.
+    # Level r: (label, offsets) per prefix of r coordinates, label its
+    # residues, offsets[i - r] what their reductions added to coordinate i.
+    prefixes = [((), [0] * a.rows)]
+    for r in range(last):
         b = basis[r]
-        if r == last:
-            residues.setdefault(label, set()).update([(x + offsets[0]) % b[r] for x in box])
-            return
-        for x in box:
-            q, residue = divmod(x + offsets[0], b[r])
-            walk(r + 1, [o - q * b[i] for i, o in enumerate(offsets[1:], r + 1)],
-                 label + (residue,))
-
-    walk(0, [0] * a.rows, ())
-    return sum(map(len, residues.values()))
+        prefixes = [(label + (residue,), [o - q * b[i] for i, o in enumerate(offsets[1:], r + 1)])
+                    for label, offsets in prefixes
+                    for x in box for q, residue in [divmod(x + offsets[0], b[r])]]
+    # Under a prefix the last coordinate's len(box) values leave residues
+    # mod p in one cyclic window; a label counts the union of its windows.
+    p = basis[last][last]
+    starts: dict[tuple[int, ...], list[int]] = {}
+    for label, offsets in prefixes:
+        starts.setdefault(label, []).append((offsets[0] - bound) % p)
+    return sum(min(hi - lo, len(box)) for s in map(sorted, starts.values())
+               for lo, hi in zip(s, s[1:] + [s[0] + p]))

@@ -98,8 +98,10 @@ def cokernel_enumeration_reference(a: IntMat):
     """The cokernel oracle's class count, one point at a time: every point
     of the oracle's box is reduced from scratch against the oracle's own
     lattice basis, row by row, and the distinct results are counted.  The
-    size box is not applied.  Checks that the oracle's prefix-shared walk
-    labels the points as this loop does."""
+    size box is not applied.  Checks that the oracle's count, which walks
+    only the box's prefixes and counts the last coordinate as a union of
+    residue windows, equals the number of distinct labels of the box's
+    points."""
     basis = oracle._triangular_lattice_basis(a)
     if None in basis:
         return INFINITE

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -372,6 +373,26 @@ class TestCokernelEnumeration:
         assert counts == [cokernel_enumeration_reference(a) for a in matrices]
         assert counts[:3] == [256, 65, 18]
         assert INFINITE in counts and sum(c is not INFINITE for c in counts) > 500
+
+    def test_windows_united_past_the_box_side(self):
+        # The last pivot, 20, exceeds the box side 2 * (4 * 2 + 1) + 1 = 19,
+        # so no single prefix's window covers every class of the last row.
+        a = IntMat([[-4, -3], [-4, 2]])
+        assert oracle._triangular_lattice_basis(a)[-1][-1] == 20
+        assert cokernel_enumeration(a) == cokernel_enumeration_reference(a) == 20
+
+    def test_every_small_shape_exhaustively(self):
+        # Every 1x1, 1x2, 2x1, 2x2, 1x3 and 3x1 matrix with entries in
+        # [-4, 4]: 8,190 matrices, singular and rectangular ones included.
+        matrices = [
+            IntMat([list(e[i * cols:(i + 1) * cols]) for i in range(rows)], cols=cols)
+            for rows, cols in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]
+            for e in itertools.product(range(-4, 5), repeat=rows * cols)
+        ]
+        counts = [cokernel_enumeration(a) for a in matrices]
+        assert counts == [cokernel_order(a) for a in matrices]
+        assert counts == [cokernel_enumeration_reference(a) for a in matrices]
+        assert len(counts) == 8190 and counts.count(INFINITE) == 1358
 
     def test_matches_snf_on_admissible_domain(self):
         rng = random.Random(20)
