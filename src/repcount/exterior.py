@@ -35,7 +35,8 @@ touches it and open if touched but not closed.  Inputs whose rank^2 times
 the sum of those counts (each times the next row's support) is past
 ``MAX_EXTERIOR_WORK`` are refused.  The sum is at most N * 2^N; it is
 103 for the determinant-6 example stabilized to N = 102.  The
-product-cylinder value is boxed by the worst case, rank^2 * N * 2^N with
+product-cylinder value runs on the same kernel, one block per y_j^(g-h)
+over 2(g-h) factors, and is boxed by the worst case, rank^2 * N * 2^N with
 N = g - h.
 
 Signs are relative to the lexicographic ordering of (factor, generator)
@@ -85,28 +86,12 @@ class ExteriorWorkLimitError(ValueError):
     """An expansion would exceed ``MAX_EXTERIOR_WORK`` term steps."""
 
 
-# Term steps (times rank^2) an expansion may take.  A P2 step on bitmask
-# keys took about 0.1-0.15 us under CPython 3.11 on an AMD EPYC vCPU, so
-# the box stops P2 within a second or two there (dense U(1) at N = 19:
-# 1.5 s); a product-cylinder step on tuple keys took up to about 1 us.
-# The rank^2 factor is for the product-cylinder expansion, whose keys grow
-# to rank * N pairs; in P2 it caps the Lie rank, which also bounds P1's
-# |det|^rank.
+# Term steps (times rank^2) an expansion may take.  A step on bitmask keys
+# took about 0.1-0.15 us under CPython 3.11 on an AMD EPYC vCPU, so the box
+# stops P2 within a second or two there (dense U(1) at N = 19: 1.5 s).  Both
+# expansions run on bitmask keys, so the rank^2 factor only caps the Lie
+# rank, which also bounds P1's |det|^rank.
 MAX_EXTERIOR_WORK = 10_000_000
-
-
-def _require_work_in_box(kind: GroupKind, n: int, what: str) -> None:
-    """Raise :class:`ExteriorWorkLimitError` when rank^2 * n * 2^n is past
-    ``MAX_EXTERIOR_WORK``: rank blocks of about n * 2^n term steps each, on
-    keys of up to rank * n pairs in the product-cylinder expansion."""
-    rank = kind.lie_rank
-    # From n = bit_length on, 2^n alone is past the limit; testing n first
-    # keeps a huge n from building a huge estimate.
-    if n >= MAX_EXTERIOR_WORK.bit_length() or rank * rank * n << n > MAX_EXTERIOR_WORK:
-        raise ExteriorWorkLimitError(
-            f"{what} for {kind.label} at N = {n} is past the limit of "
-            f"{MAX_EXTERIOR_WORK} term steps (rank^2 * N * 2^N)"
-        )
 
 
 @dataclass(frozen=True)
@@ -153,7 +138,9 @@ class ExtElement:
 
     ``terms`` maps a sorted tuple of (factor k, generator j) pairs, each
     pair at most once, to a nonzero integer coefficient.  Instances are
-    immutable; arithmetic returns new elements.
+    immutable; arithmetic returns new elements.  No expansion here calls
+    it: it is kept apart from the bitmask kernel as an independent
+    reference for the tests, and the benchmark's tracer counts its wedges.
     """
 
     __slots__ = ("kind", "n_factors", "terms")
@@ -216,9 +203,6 @@ class ExtElement:
         return ExtElement(self.kind, self.n_factors,
                           {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return self + (-other)
-
     def __rmul__(self, scalar: int) -> "ExtElement":
         if not isinstance(scalar, int):
             return NotImplemented
@@ -253,22 +237,11 @@ class ExtElement:
         return ExtElement(self.kind, self.n_factors,
                           self._wedge_terms(self.terms, other.terms))
 
-    def wedge_power(self, e: int) -> "ExtElement":
-        if e < 0:
-            raise ValueError("negative wedge power")
-        acc = ExtElement.unit(self.kind, self.n_factors)
-        for _ in range(e):
-            acc = acc.wedge(self)
-        return acc
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtElement):
             return NotImplemented
         return (self.kind == other.kind and self.n_factors == other.n_factors
                 and self.terms == other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.n_factors, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -278,11 +251,6 @@ class ExtElement:
             factors = "^".join(f"x{j}[{k}]" for k, j in key) or "1"
             parts.append(f"{self.terms[key]}*{factors}")
         return "ExtElement(" + " + ".join(parts) + ")"
-
-
-def _top_key(kind: GroupKind, n_factors: int) -> tuple:
-    return tuple(sorted((k, j) for k in range(1, n_factors + 1)
-                 for j in kind.generator_range))
 
 
 def _row_supports(f: FreeHom) -> list[list[tuple[int, int]]]:
@@ -321,18 +289,22 @@ def _frontier_work(rows: list, closing: list[int], limit: int) -> int:
 
 
 def _wedge_row(block: dict[int, int], row: list, need: int) -> dict[int, int]:
-    """One row step of a block: wedge with sum_k e_k x[j]-of-factor-k, then
-    drop the terms that lack a factor of the mask ``need``.
+    """One row step of a block: wedge with the row's terms, then drop the
+    terms that lack a factor of the mask ``need``.
 
-    ``row`` holds (bit, k, e) with bit = 1 << k.  Inserting factor k moves
-    it past the factors above k, one sign each; a term holding k drops.
+    ``row`` holds (bits, k, e), the term e times the wedge of the factors in
+    ``bits``.  A term sharing a factor with ``bits`` drops; otherwise the
+    sign flips once per factor of the term at or above k.  P2 passes
+    (1 << k, k, e): factor k moves past the factors above it.  The product
+    cylinder passes an adjacent pair with k at the block's width: each
+    factor above the pair is passed twice, so no sign flips.
     """
     out: dict[int, int] = {}
     for mask, coeff in block.items():
-        for bit, k, e in row:
-            if mask & bit:
+        for bits, k, e in row:
+            if mask & bits:
                 continue
-            key = mask | bit
+            key = mask | bits
             step = -e * coeff if (mask >> k).bit_count() & 1 else e * coeff
             out[key] = out.get(key, 0) + step
     return {m: c for m, c in out.items() if c and m & need == need}
@@ -397,23 +369,30 @@ def cylinder_monomial_value(g_minus_h: int, kind: GroupKind) -> int:
     of the top monomial in prod_j y_j^(g-h).  Its absolute value is
     ((g-h)!)^lie_rank.
 
-    Each y_j^(g-h) holds up to C(g-h, (g-h)/2) terms, so this raises
+    Block j expands y_j^(g-h) on bitmasks over the 2(g-h) factors, one row
+    of pair terms per power.  Moving the top class from block-major to
+    factor-major order takes C(rank, 2) * C(2(g-h), 2) transpositions, of
+    the parity of C(rank, 2) * (g-h).
+
+    A block holds up to C(g-h, (g-h)/2) terms, so this raises
     :class:`ExteriorWorkLimitError` before expanding when
     rank^2 * (g-h) * 2^(g-h) exceeds ``MAX_EXTERIOR_WORK``.
     """
     if g_minus_h < 1:
         raise ValueError("g_minus_h must be at least 1")
-    _require_work_in_box(kind, g_minus_h, "product-cylinder expansion")
-    m = g_minus_h
-    n_factors = 2 * m
-    acc = ExtElement.unit(kind, n_factors)
-    for j in kind.generator_range:
-        y_j = ExtElement.zero(kind, n_factors)
-        for p in range(1, m + 1):
-            y_j = y_j + ExtElement.monomial(
-                kind, n_factors, 1, [(2 * p - 1, j), (2 * p, j)]
-            )
-        acc = acc.wedge(y_j.wedge_power(m))
-        if acc.is_zero:
-            return 0
-    return acc.terms.get(_top_key(kind, n_factors), 0)
+    m, rank = g_minus_h, kind.lie_rank
+    # From m = bit_length on, 2^m alone is past the limit; testing m first
+    # keeps a huge m from building a huge estimate.
+    if m >= MAX_EXTERIOR_WORK.bit_length() or rank * rank * m << m > MAX_EXTERIOR_WORK:
+        raise ExteriorWorkLimitError(
+            f"product-cylinder expansion for {kind.label} at N = {m} is past the "
+            f"limit of {MAX_EXTERIOR_WORK} term steps (rank^2 * N * 2^N)"
+        )
+    row = [(3 << 2 * p, 2 * m, 1) for p in range(m)]
+    value = 1
+    for _ in kind.generator_range:
+        block = {0: 1}
+        for _ in range(m):
+            block = _wedge_row(block, row, 0)
+        value *= block[(1 << 2 * m) - 1]
+    return -value if comb(rank, 2) * m & 1 else value

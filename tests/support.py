@@ -8,7 +8,9 @@ from fractions import Fraction
 from repcount import (
     INFINITE,
     AdaptedSplitting,
+    ExtElement,
     FreeHom,
+    GroupKind,
     IntMat,
     Word,
     abelianize,
@@ -82,6 +84,24 @@ def random_t0_splitting(rng: random.Random, max_rank: int = 5,
 def random_int_mat(rng: random.Random, rows: int, cols: int,
                    lo: int = -5, hi: int = 5) -> IntMat:
     return IntMat([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def reference_cylinder(m: int, kind: GroupKind) -> int:
+    """The product-cylinder value expanded with ExtElement on sorted tuple
+    keys, independent of the package's bitmask kernel: for each generator
+    j, y_j = sum_p a_j^(p) ^ b_j^(p) over the 2m factors is wedged onto the
+    accumulator m times, and the coefficient of the factor-major top
+    monomial is read off."""
+    n = 2 * m
+    acc = ExtElement.unit(kind, n)
+    for j in kind.generator_range:
+        y_j = ExtElement.zero(kind, n)
+        for p in range(1, m + 1):
+            y_j = y_j + ExtElement.monomial(kind, n, 1, [(2 * p - 1, j), (2 * p, j)])
+        for _ in range(m):
+            acc = acc.wedge(y_j)
+    top = tuple((k, j) for k in range(1, n + 1) for j in kind.generator_range)
+    return acc.terms.get(top, 0)
 
 
 def mayer_vietoris_reference(s: AdaptedSplitting) -> IntMat:

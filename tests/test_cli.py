@@ -8,6 +8,7 @@ from repcount import (
     format_splitting_document,
     glue_matrix,
     intlinalg,
+    invariants,
     parse_splitting_document,
     stabilize,
     unitary,
@@ -152,6 +153,14 @@ class TestInvariantCommand:
         code, out, err = run(capsys, "validate", "-")
         assert code == 1 and out == ""
         assert err.startswith("error: standard input: 'utf-8' codec can't decode byte 0xff")
+
+    def test_pipeline_disagreement_exit_3(self, capsys, det6_path, monkeypatch):
+        det = invariants.det
+        monkeypatch.setattr(invariants, "det", lambda m: det(m) + 1)
+        code, out, err = run(capsys, "invariant", det6_path)
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: pipelines disagree")
+        assert "Traceback" not in err
 
     def test_deterministic_output(self, capsys, det6_path):
         _, out1, _ = run(capsys, "invariant", det6_path, "--format", "machine")
@@ -548,6 +557,12 @@ class TestMultiindexCommand:
     def test_malformed_exit_1(self, capsys):
         code, _, _ = run(capsys, "multiindex", "--I", "0:1")
         assert code == 1
+
+    @pytest.mark.parametrize("pairs", ["x", "1:y"])
+    def test_unparsable_pairs_exit_1(self, capsys, pairs):
+        code, out, err = run(capsys, "multiindex", "--I", pairs)
+        assert code == 1 and out == ""
+        assert err.startswith("error: I:")
 
 
 class TestUsageErrors:

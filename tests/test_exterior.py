@@ -26,7 +26,7 @@ from repcount import (
     unitary,
 )
 from repcount import exterior
-from support import composite, identity_hom, random_free_hom
+from support import composite, identity_hom, random_free_hom, reference_cylinder
 
 U1, U2, U3 = unitary(1), unitary(2), unitary(3)
 SU2, SU3 = special_unitary(2), special_unitary(3)
@@ -189,6 +189,32 @@ class TestCylinderMonomialValue:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cylinder_monomial_value(0, U2)
+
+    @pytest.mark.parametrize("kind", [U1, U2, U3, unitary(4), SU2, SU3,
+                                      special_unitary(4), special_unitary(5)],
+                             ids=lambda k: k.label)
+    def test_matches_tuple_key_reference(self, kind):
+        # The signed value, against ExtElement's expansion in factor-major
+        # order: the block-major sign is (-1)^(C(rank, 2) * m).
+        for m in range(1, 7):
+            assert cylinder_monomial_value(m, kind) == reference_cylinder(m, kind)
+
+    # The first m with rank^2 * m * 2^m past MAX_EXTERIOR_WORK, per Lie rank.
+    FIRST_REFUSED = {1: 20, 2: 18, 3: 17, 4: 16}
+
+    @pytest.mark.parametrize("rank", sorted(FIRST_REFUSED))
+    def test_first_refused_m(self, rank):
+        m = self.FIRST_REFUSED[rank]
+        assert rank * rank * (m - 1) << (m - 1) <= exterior.MAX_EXTERIOR_WORK
+        for kind in (unitary(rank), special_unitary(rank + 1)):
+            start = time.perf_counter()
+            with pytest.raises(ExteriorWorkLimitError, match="product-cylinder"):
+                cylinder_monomial_value(m, kind)
+            assert time.perf_counter() - start < 0.05
+
+    def test_box_edge_u4(self):
+        # 16 * 15 * 2^15 term steps: the last admitted m for Lie rank 4.
+        assert cylinder_monomial_value(15, unitary(4)) == math.factorial(15) ** 4
 
     @pytest.mark.parametrize("m,kind", [(28, U1), (10 ** 9, U1), (1, unitary(3000))],
                              ids=["g-h=28", "g-h=1e9", "U(3000)"])
@@ -366,8 +392,8 @@ class TestBlockOrderDegree:
 
     @pytest.mark.parametrize("n", [3163, 20_000, 10 ** 9])
     def test_work_box_grows_with_rank_squared(self, n):
-        # F is 1 here; the box also counts the keys of the product-cylinder
-        # expansion, which grow to rank * N pairs, and caps P1's |det|^rank.
+        # F is 1 here; the rank^2 factor caps the Lie rank, which also
+        # bounds P1's |det|^rank.
         start = time.perf_counter()
         with pytest.raises(ExteriorWorkLimitError, match=r"rank\^2"):
             degree_of_word_map(identity_hom(1), unitary(n))

@@ -110,6 +110,20 @@ class TestValidate:
         assert validate(s) == []
         assert validation_warnings(s) == ["odd positive codimension T=1"]
 
+    @pytest.mark.parametrize("change,message", [
+        ({"h1": 0}, "h1 must be positive, got 0"),
+        ({"h2": 0}, "h2 must be positive, got 0"),
+        ({"u": 0}, "u must be positive, got 0"),
+        ({"g1": -1}, "g1 must be nonnegative, got -1"),
+        ({"k_map": FreeHom(2, 1, (Word(), Word()))}, "k_map source rank 2 != u=1"),
+        ({"l_map": FreeHom(2, 1, (Word(), Word()))}, "l_map source rank 2 != u=1"),
+        ({"l_map": FreeHom(1, 2, (Word(),))}, "l_map target rank 2 != h2=1"),
+    ], ids=["h1", "h2", "u", "g1", "k_source", "l_source", "l_target"])
+    def test_each_violation_reported(self, change, message):
+        with pytest.raises(InvalidSplittingError) as info:
+            dataclasses.replace(trivial_splitting(), **change)
+        assert message in info.value.violations
+
     def test_u_hat_genus_defaults_to_u(self):
         s = trivial_splitting()
         assert s.u_hat_genus == s.u
@@ -315,6 +329,8 @@ class TestDocumentFormat:
         (lambda t: t + "h1 = 9\n", "duplicate"),
         (lambda t: t.replace("k_map = g1", "k_map = g1 ; g1"), "expected u="),
         (lambda t: t.replace("k_map = g1", "k_map = q1"), "bad word token"),
+        (lambda t: t + "orientation_reversed = maybe\n", "must be 'true' or 'false'"),
+        (lambda t: t.replace("\nu = 1\n", "\nu = 0\n"), "k_map must be empty when u=0"),
     ])
     def test_parse_errors(self, mutation, message):
         with pytest.raises(DocumentError, match=message):
