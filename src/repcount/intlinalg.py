@@ -19,7 +19,13 @@ to the entries the other rows carry on.  Least remainders are the
 classical remedy for that coefficient growth in integer echelon forms
 (Havas, Majewski & Matthews, Exp. Math. 7, 1998).  The pivots and the
 lattice of rows left zero are invariants of the row lattice, so the
-rounding changes neither, only how large the carried entries get.
+rounding changes neither, only how large the carried entries get.  An
+echelon over 10 columns or more runs with each row packed into one
+nonnegative int, entry j in bits [j w, (j + 1) w), so that one big-int
+subtraction does a row operation (Kronecker substitution; Harvey,
+J. Symb. Comput. 44, 2009).  The packed loop takes the same steps as the
+list loop and returns equal results; ``echelon`` states its layout and
+why it stays exact.
 
 ``SnfResult`` reads its rank, cokernel order and kernel basis off one
 factorization with both transforms, so a caller needing several of them
@@ -240,9 +246,36 @@ def echelon(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
 
     >>> echelon(IntMat([[2, 1, 0], [4, 0, 1]]), 1)
     ((2,), IntMat[-2 1])
+
+    Two loops take these steps and return equal results, not merely the
+    same lattice.  When ``ncols`` is below ``_PACKED_MIN_COLS`` = 10 the
+    rows are lists of ints.  From 10 on, each active row is one
+    nonnegative int, v = sum_j (x_j + 2^(w-1)) 2^(j w): entry j in field
+    j of w bits, offset to be nonnegative.  A row step is one big-int
+    expression, v_r - q (v_p - C) with C the packed offsets; the leading
+    entry is (v & (2^w - 1)) - 2^(w-1); dropping a column is v >> w.
+    That is exact while every entry fits its field, so no field borrows
+    from or carries into the next.  Each row keeps a bound b >= max
+    |entry|, raised to b_r + |q| b_p before each step.  A step that would
+    bring a bound to 2^(w-1) first decodes every active row, whose fields
+    all still hold their entries, sets the bounds exact and re-encodes
+    every row at the width for 1 + |q| times the largest bound: the bits
+    it needs, a quarter more and ``_PACKED_HEADROOM`` = 64, rounded up to
+    whole bytes, so a field is read, compared and resized as a byte
+    string.  When the exact bounds fit the fields as they are, no row is
+    re-encoded.  Under CPython 3.11.7 on a 2-vCPU Intel Xeon VM, on the
+    matrices of one pass of the homology benchmark, the packed loop took
+    3x the list loop's time over 1 column (9.9 against 3.3 us per call),
+    the same over 7-9 columns, and 1.1x less over 10-12, 1.5x less over
+    13-16 and 1.8x less over 17-24.  The columns reduced decide, not the
+    width: packing the rows costs the same whatever ``ncols`` is, and
+    over 4 of 44 columns, or 5 of 10, the packed loop took 2.2-2.7x the
+    list loop's time.
     """
     if not 0 <= ncols <= a.cols:
         raise ShapeError(f"cannot echelon {ncols} columns of a {a.rows}x{a.cols} matrix")
+    if ncols >= _PACKED_MIN_COLS:
+        return _echelon_packed(a, ncols)
     # Each active row holds its entries from the current column on: the
     # columns before it are zero in every active row, so they are dropped.
     active = [list(row) for row in a.data]
@@ -272,6 +305,119 @@ def echelon(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
         active = [row[1:] for row in active if row is not pivot]
     kernel = tuple(map(tuple, active))
     return tuple(pivots), IntMat._trusted(kernel, a.cols - ncols)
+
+
+# Echelons over at least this many columns run on packed rows.
+_PACKED_MIN_COLS = 10
+# Spare bits a field gets past the bits its widest entry needs and a quarter more.
+_PACKED_HEADROOM = 64
+
+
+def _field_width(bound: int) -> int:
+    """Bits per field for entries of |x| <= ``bound``, a whole number of bytes."""
+    bits = bound.bit_length() + 1
+    return -(-(bits + bits // 4 + _PACKED_HEADROOM) // 8) * 8
+
+
+def _pack(row, w: int) -> int:
+    """``row`` as one int: entry j plus 2^(w-1) in bits [j w, (j+1) w)."""
+    half, size = 1 << (w - 1), w // 8
+    return int.from_bytes(b"".join([(x + half).to_bytes(size, "big") for x in reversed(row)]),
+                          "big")
+
+
+def _unpack(v: int, width: int, w: int) -> list[int]:
+    """The ``width`` entries of a row packed by :func:`_pack`."""
+    half, size = 1 << (w - 1), w // 8
+    data = v.to_bytes(width * size, "big")
+    return [int.from_bytes(data[o:o + size], "big") - half
+            for o in range((width - 1) * size, -1, -size)]
+
+
+def _repack(vals: list[int], bounds: list[int], active: list[int], width: int,
+            w: int, scale: int) -> int:
+    """Set the active rows' ``bounds`` exact and, where entries up to
+    ``scale`` times the largest need wider fields, re-encode the rows at
+    that width; returns the field width.
+
+    A field's bytes compare as its value, so each row's extreme fields are
+    found without converting the others.  Padded with zero bytes, a field
+    keeps its value, and one addition moves every field of a row from the
+    old offset to the new."""
+    half, size = 1 << (w - 1), w // 8
+    rows = []
+    for i in active:
+        data = vals[i].to_bytes(width * size, "big")
+        fields = [data[o:o + size] for o in range(0, width * size, size)]
+        bounds[i] = max(int.from_bytes(max(fields), "big") - half,
+                        half - int.from_bytes(min(fields), "big"))
+        rows.append(fields)
+    new_w = _field_width(scale * max(bounds[i] for i in active))
+    if new_w <= w:
+        return w
+    offsets = _pack((0,) * width, new_w)
+    pad = bytes(new_w // 8 - size)
+    shift = offsets - half * (offsets >> (new_w - 1))
+    for i, fields in zip(active, rows):
+        vals[i] = int.from_bytes(pad + pad.join(fields), "big") + shift
+    return new_w
+
+
+def _echelon_packed(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
+    """:func:`echelon` on rows packed by :func:`_pack`, step for step.
+
+    ``vals[i]`` and ``bounds[i]`` are row i's packed int and its bound;
+    ``active`` lists the rows not yet taken as pivots, in their order, and
+    ``width`` counts the columns they still hold."""
+    width = a.cols
+    bounds = [max(map(abs, row), default=0) for row in a.data]
+    w = _field_width(max(bounds, default=0))
+    vals = [_pack(row, w) for row in a.data]
+    offsets = _pack((0,) * width, w)
+    active = list(range(a.rows))
+    pivots = []
+    for _ in range(ncols):
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+        column, leads = [], []
+        for i in active:
+            x = (vals[i] & mask) - half
+            if x:
+                column.append(i)
+                leads.append(x)
+        pivot = None
+        if column:
+            while len(column) > 1:
+                sizes = list(map(abs, leads))
+                t = sizes.index(min(sizes))  # the first row of least |entry|
+                pivot, p = column.pop(t), leads.pop(t)
+                p2 = 2 * p
+                d, bp = vals[pivot] - offsets, bounds[pivot]
+                left, left_leads = [pivot], [p]
+                for i, x in zip(column, leads):
+                    q = (2 * x + p) // p2
+                    b = bounds[i] + abs(q) * bp
+                    if b >= half:
+                        w = _repack(vals, bounds, active, width, w, 1 + abs(q))
+                        mask, half = (1 << w) - 1, 1 << (w - 1)
+                        offsets = _pack((0,) * width, w)
+                        d, bp = vals[pivot] - offsets, bounds[pivot]
+                        b = bounds[i] + abs(q) * bp
+                    vals[i] = v = vals[i] - q * d
+                    bounds[i] = b
+                    x = (v & mask) - half
+                    if x:
+                        left.append(i)
+                        left_leads.append(x)
+                column, leads = left, left_leads
+            pivot = column[0]
+            pivots.append(abs(leads[0]))
+        active = [i for i in active if i != pivot]
+        for i in active:
+            vals[i] >>= w
+        width -= 1
+        offsets >>= w
+    kernel = tuple(tuple(_unpack(vals[i], width, w)) for i in active)
+    return tuple(pivots), IntMat._trusted(kernel, width)
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,12 @@ def _parse_word_list(value: str, expected: int, target_rank: int, field: str) ->
         raise DocumentError(
             f"{field} lists {len(words)} words, expected u={expected}"
         )
+    # The table holds every letter the words use, so within the target
+    # rank it clears them all; otherwise FreeHom checks the reduced words
+    # and names the first at fault, or refuses a negative rank.
+    if max([g for g, _ in table.values()], default=0) <= target_rank:
+        return _trusted(FreeHom, source_rank=expected, target_rank=target_rank,
+                        images=tuple(words))
     try:
         return FreeHom(expected, target_rank, tuple(words))
     except (MalformedWordError, RankMismatchError) as exc:

@@ -22,12 +22,14 @@ where the checks are already done:
 :func:`free_reduce` has checked every letter and merged every run as it
 builds its word; ``_parse_word``, behind :func:`parse_word` and the
 document parser, builds letters only from tokens its regular expression
-matched and merges every run as :func:`free_reduce` does; and
+matched and merges every run as :func:`free_reduce` does;
 ``splitting.assembled_word_map`` re-indexes the letters of validated maps
-into its target range.  A trusted value equals and hashes like the
-checked one of the same data.  The document parser still builds each map
-with the public ``FreeHom``, so target ranks are checked on the reduced
-words.
+into its target range; and the document parser builds a map trusted when
+every token it read, a superset of the words' letters, is within the
+target rank.  A trusted value equals and hashes like the checked one of
+the same data.  Otherwise the parser builds the map with the public
+``FreeHom``, so a letter that reduced away is not refused and a refusal
+names the first reduced word at fault.
 """
 
 from __future__ import annotations

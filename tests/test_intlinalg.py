@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repcount import intlinalg
 from repcount import (
     INFINITE,
     IntMat,
@@ -184,9 +185,10 @@ class TestEchelonEquivalence:
         assert same_row_lattice(rest, ref_rest)
 
     def test_seeded_matrices(self):
+        # Up to 24 columns, so echelons over 10 or more run on packed rows.
         rng = random.Random(14)
         for _ in range(400):
-            rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+            rows, cols = rng.randint(0, 12), rng.randint(0, 24)
             bound = rng.choice((1, 3, 20, 10**6))
             a = random_int_mat(rng, rows, cols, -bound, bound)
             self.assert_equivalent(a, rng.randint(0, cols))
@@ -232,6 +234,101 @@ class TestEchelonEquivalence:
         a = IntMat([[fib[-1], 1, 0], [fib[-2], 0, 1]])
         assert echelon(a, 1)[0] == (1,)
         self.assert_equivalent(a, 1)
+
+
+def echelon_on(path: str, a: IntMat, ncols: int):
+    """``echelon`` on packed rows (``path == "packed"``) or on the list loop,
+    whatever ``ncols`` is."""
+    threshold = 0 if path == "packed" else a.cols + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "_PACKED_MIN_COLS", threshold)
+        return echelon(a, ncols)
+
+
+def wide_strategy(max_rows=14, max_cols=24):
+    """Matrices of 0..max_rows rows and 0..max_cols columns, entries small
+    or near 2^64, and a column count to reduce."""
+    entries = st.one_of(st.integers(-9, 9), st.integers(-2**64, 2**64))
+
+    def build(shape):
+        m, n = shape
+        rows = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
+        return st.tuples(rows.map(lambda r: IntMat(r, cols=n)), st.integers(0, n))
+
+    return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)).flatmap(build)
+
+
+def fibonacci_rows(count: int, cols: int, start: int) -> IntMat:
+    """Rows of consecutive Fibonacci numbers from F(start + i), the slowest
+    inputs of Euclid's algorithm with floor quotients."""
+    fib = [0, 1]
+    while len(fib) < start + count + cols:
+        fib.append(fib[-1] + fib[-2])
+    return IntMat([fib[start + i:start + i + cols] for i in range(count)], cols=cols)
+
+
+class TestPackedEchelon:
+    """Echelons over ``_PACKED_MIN_COLS`` columns or more run on packed rows.
+    They take the list loop's steps, so the pivots and the rows left zero
+    are equal to the list loop's, not merely the same lattice."""
+
+    @staticmethod
+    def wide_matrices():
+        rng = random.Random(2024)
+        for _ in range(120):
+            rows, cols = rng.randint(0, 16), rng.randint(10, 24)
+            bound = rng.choice((1, 3, 20, 10**6, 2**64))
+            yield random_int_mat(rng, rows, cols, -bound, bound), rng.randint(0, cols)
+        for _ in range(20):
+            # Every entry is negative, so is every column's least entry.
+            cols = rng.randint(10, 24)
+            yield random_int_mat(rng, rng.randint(2, 12), cols, -2**64, -1), rng.randint(1, cols)
+        for count, cols, start in ((2, 10, 90), (6, 12, 40), (12, 24, 1), (3, 16, 300)):
+            yield fibonacci_rows(count, cols, start), cols
+        for cols, start in ((12, 90), (24, 300)):
+            # One column of consecutive Fibonacci numbers beside the identity.
+            yield with_identity(fibonacci_rows(1, cols, start)), 1
+
+    def assert_paths_equal(self, a: IntMat, ncols: int):
+        packed = echelon_on("packed", a, ncols)
+        assert packed == echelon_on("lists", a, ncols)
+        if ncols >= intlinalg._PACKED_MIN_COLS:
+            assert echelon(a, ncols) == packed
+
+    def test_seeded_wide_matrices(self):
+        for a, ncols in self.wide_matrices():
+            self.assert_paths_equal(a, ncols)
+
+    @pytest.mark.parametrize("headroom", [1, 2])
+    def test_little_headroom_widens_often(self, monkeypatch, headroom):
+        # With almost no spare bits the fields are widened whenever an
+        # entry's bound outgrows them; the results must not move.
+        monkeypatch.setattr(intlinalg, "_PACKED_HEADROOM", headroom)
+        repack = intlinalg._repack
+        widths = []
+
+        def counted(vals, bounds, active, width, w, scale):
+            widths.append((w, repack(vals, bounds, active, width, w, scale)))
+            return widths[-1][1]
+
+        monkeypatch.setattr(intlinalg, "_repack", counted)
+        for a, ncols in self.wide_matrices():
+            self.assert_paths_equal(a, ncols)
+        # Some steps widen the fields; others find the exact bounds fit.
+        assert any(new > old for old, new in widths)
+        assert any(new == old for old, new in widths)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(wide_strategy(), wide_strategy(max_rows=5, max_cols=6)))
+    def test_hypothesis_matrices(self, a_and_ncols):
+        self.assert_paths_equal(*a_and_ncols)
+
+    def test_input_unchanged(self):
+        a = with_identity(random_int_mat(random.Random(8), 12, 14, -2**70, 2**70))
+        data = a.data
+        rows = [list(row) for row in data]
+        echelon(a, 12)
+        assert a.data is data and [list(row) for row in a.data] == rows
 
 
 class TestSmithNormalForm:

@@ -354,6 +354,21 @@ class TestDocumentFormat:
         with pytest.raises(DocumentError) as err:
             parse_splitting_document(text)
         assert str(err.value) == "k_map: image g1 g5 uses generator beyond target rank 1"
+        # The first word at fault is named, not the first token past the rank.
+        text = TRIVIAL_DOCUMENT.replace("\nu = 1\n", "\nu = 3\n").replace(
+            "k_map = g1", "k_map = g7 g7^-1 ; g1 g4^2 ; g3").replace("l_map = g1", "l_map = ;;")
+        with pytest.raises(DocumentError) as err:
+            parse_splitting_document(text)
+        assert str(err.value) == "k_map: image g1 g4^2 uses generator beyond target rank 1"
+
+    @pytest.mark.parametrize("k_map", ["g1", "", "g1^0"])
+    def test_negative_target_rank(self, k_map):
+        # A map with no letter at all is refused as well as one with letters.
+        text = TRIVIAL_DOCUMENT.replace("\nh1 = 1\n", "\nh1 = -1\n").replace(
+            "k_map = g1", f"k_map = {k_map}")
+        with pytest.raises(DocumentError) as err:
+            parse_splitting_document(text)
+        assert str(err.value) == "k_map: ranks must be nonnegative"
 
     def test_su_document(self):
         text = TRIVIAL_DOCUMENT.replace("group = U", "group = SU").replace("n = 2", "n = 3")
