@@ -32,12 +32,14 @@ an orientation sign.  Its work is boxed before expanding by a frontier
 bound read off the support: after i rows a block holds at most
 C(open, i - closed) terms, where a factor is closed once no later row
 touches it and open if touched but not closed.  Inputs whose rank^2 times
-the sum of those counts (each times the next row's support) is past
-``MAX_EXTERIOR_WORK`` are refused.  The sum is at most N * 2^N; it is
-103 for the determinant-6 example stabilized to N = 102.  The
-product-cylinder value runs on the same kernel, one block per y_j^(g-h)
-over 2(g-h) factors, and is boxed by the worst case, rank^2 * N * 2^N with
-N = g - h.
+the sum F of those counts (each times the next row's support) is past
+``MAX_EXTERIOR_WORK`` are refused.  F is at most N * 2^N; it is 103 for
+the determinant-6 example stabilized to N = 102.  The box reads the
+worst case rank^2 * N * 2^N first, which costs nothing, and sums the
+exact F only when that could pass the limit, so it admits and refuses
+exactly the inputs the exact sum alone would.  The product-cylinder
+value runs on the same kernel, one block per y_j^(g-h) over 2(g-h)
+factors, and is boxed by the worst case, rank^2 * N * 2^N with N = g - h.
 
 Signs are relative to the lexicographic ordering of (factor, generator)
 pairs; no claim is made about a preferred global orientation.
@@ -94,7 +96,7 @@ class ExteriorWorkLimitError(ValueError):
 MAX_EXTERIOR_WORK = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupKind:
     """One of the groups U(n) or SU(n), n >= 1 (n >= 2 for SU)."""
 
@@ -267,6 +269,18 @@ def _row_supports(f: FreeHom) -> list[list[tuple[int, int]]]:
     return rows
 
 
+def _closing_masks(rows: list, n_factors: int) -> list[int] | None:
+    """Bit k of mask i is set when row i is the last to touch factor k;
+    None when a factor is untouched, where the degree is 0."""
+    last_row = {k: i for i, row in enumerate(rows) for k, _ in row}
+    if len(last_row) < n_factors:
+        return None
+    closing = [0] * n_factors
+    for k, i in last_row.items():
+        closing[i] |= 1 << k
+    return closing
+
+
 def _frontier_work(rows: list, closing: list[int], limit: int) -> int:
     """F, a bound on one block's term steps computed from the support.
 
@@ -334,14 +348,14 @@ def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
         )
     n_factors = f.source_rank
     rows = _row_supports(f)
-    last_row = {k: i for i, row in enumerate(rows) for k, _ in row}
-    if len(last_row) < n_factors:
+    closing = _closing_masks(rows, n_factors)
+    if closing is None:
         return 0  # no pullback holds an untouched factor's generators
-    closing = [0] * n_factors
-    for k, i in last_row.items():
-        closing[i] |= 1 << k
     limit = MAX_EXTERIOR_WORK // kind.lie_rank ** 2
-    if _frontier_work(rows, closing, limit) > limit:
+    # F <= N * 2^N, so the exact sum is needed only when that could pass
+    # the limit; from N = bit_length on, 2^N alone does.
+    if ((n_factors >= limit.bit_length() or n_factors << n_factors > limit)
+            and _frontier_work(rows, closing, limit) > limit):
         raise ExteriorWorkLimitError(
             f"degree expansion for {kind.label} at N = {n_factors} is past the "
             f"limit of {MAX_EXTERIOR_WORK} term steps (rank^2 * F, F from the "

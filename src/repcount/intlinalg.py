@@ -420,7 +420,7 @@ def _echelon_packed(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
     return tuple(pivots), IntMat._trusted(kernel, width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SnfResult:
     """Smith normal form U @ A @ V == D with unimodular U, V.
 

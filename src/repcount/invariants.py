@@ -85,7 +85,7 @@ class WrongCodimensionError(ValueError):
     """The numerical invariant was requested at T != 0."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineValues:
     """The three independently computed magnitudes and their agreement,
     which also compares P1's sign with P2's."""
@@ -113,7 +113,7 @@ class PipelineDisagreementError(RuntimeError):
         self.word_map = word_map
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantReport:
     """Result of the invariant computation at T == 0.
 
@@ -248,7 +248,7 @@ def orientation_flip_sign(kind: GroupKind) -> int:
     return -1 if kind.lie_rank % 2 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
     """Multi-index (I, J) labeling a monomial in the polynomial invariants.
 

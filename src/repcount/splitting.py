@@ -29,6 +29,7 @@ lives at T = 0.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from . import intlinalg
@@ -42,7 +43,6 @@ from .words import (
     _parse_word,
     _trusted,
     format_word,
-    free_reduce,
 )
 
 __all__ = [
@@ -83,7 +83,7 @@ class DocumentError(ValueError):
     """Malformed splitting document."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdaptedSplitting:
     """Combinatorial encoding of an adapted handlebody decomposition.
 
@@ -190,7 +190,7 @@ def glue_matrix(s: AdaptedSplitting) -> IntMat:
     return IntMat._trusted(_mayer_vietoris_rows(s)[s.g1:], s.u).transpose()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairHomologyReport:
     """Homological summary of the pair (M, marked surface)."""
 
@@ -274,16 +274,28 @@ def assembled_word_map(s: AdaptedSplitting) -> FreeHom:
     times (its H2 image, re-indexed, inverted).  The abelianization of the
     result is the transpose of :func:`glue_matrix`.
     """
-    free1 = s.h1 - s.g1
+    g1, free1 = s.g1, s.h1 - s.g1
     images = []
-    for i in range(s.u):
-        letters = [
-            (g - s.g1, e) for g, e in s.k_map.images[i].letters if g > s.g1
-        ]
-        l_word = s.l_map.images[i]
-        letters.extend((g + free1, -e) for g, e in reversed(l_word.letters))
-        images.append(free_reduce(letters))
-    # Every letter was re-indexed into 1..free1 + h2 from a validated map.
+    # The maps are validated, so the letters need no checks.  Deleting the
+    # marked letters can join runs of the H1 part, which merge or cancel as
+    # in free_reduce.  The H2 part, a reduced word inverted on generators
+    # past free1, joins no run.
+    for k_word, l_word in zip(s.k_map.images, s.l_map.images):
+        stack: list[tuple[int, int]] = []
+        for g, e in k_word.letters:
+            if g <= g1:
+                continue
+            g -= g1
+            if stack and stack[-1][0] == g:
+                e += stack[-1][1]
+                if e:
+                    stack[-1] = (g, e)
+                else:
+                    stack.pop()
+            else:
+                stack.append((g, e))
+        stack.extend((g + free1, -e) for g, e in reversed(l_word.letters))
+        images.append(_trusted(Word, letters=tuple(stack)))
     return _trusted(FreeHom, source_rank=s.u, target_rank=free1 + s.h2,
                     images=tuple(images))
 
@@ -299,6 +311,7 @@ def assembled_word_map(s: AdaptedSplitting) -> FreeHom:
 
 _REQUIRED_FIELDS = ("n", "group", "h1", "h2", "u", "g1", "k_map", "l_map")
 _OPTIONAL_FIELDS = ("u_hat_genus", "orientation_reversed")
+_INTEGER = re.compile(r"-?[0-9]+")
 # Largest |value| of a rank or genus field (h1, h2, u, g1, u_hat_genus).
 MAX_DOCUMENT_RANK = 1000
 
@@ -371,10 +384,15 @@ def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
             raise DocumentError(f"missing required field {key!r}")
 
     def int_field(key: str) -> int:
-        try:
-            return int(fields[key])
-        except ValueError as exc:
-            raise DocumentError(f"field {key!r} must be an integer") from exc
+        # The syntax of a word's exponent, so no '+', '_', space or
+        # non-ASCII digit that int() would read; int() then fails only past
+        # CPython's digit limit.
+        if _INTEGER.fullmatch(fields[key]):
+            try:
+                return int(fields[key])
+            except ValueError:
+                pass
+        raise DocumentError(f"field {key!r} must be an integer")
 
     group_text = fields["group"]
     if group_text not in ("U", "SU"):

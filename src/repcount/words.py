@@ -12,7 +12,15 @@ pairs, because input files use compact power notation, and are always
 freely reduced.  The empty word is the identity.
 
 All values are immutable and every operation is a pure function, so
-everything in this module is safe for concurrent use.
+everything in this module is safe for concurrent use.  ``Word`` and
+``FreeHom`` are slotted frozen dataclasses, as are the package's other
+value classes: an instance holds its fields and no ``__dict__``.
+
+Letters are kept, not copied.  ``Word(...)`` and :func:`free_reduce` keep
+each letter given as an exact ``tuple`` and build a new ``(index,
+exponent)`` only for a list, a tuple subclass, or where two letters
+merge; they check every letter either way.  ``_parse_word`` shares one
+letter per distinct token among the words of a map.
 
 Two ways to build each value.  ``Word(...)`` and ``FreeHom(...)`` are the
 public constructors and check their data: letters that are reduced pairs
@@ -24,12 +32,13 @@ builds its word; ``_parse_word``, behind :func:`parse_word` and the
 document parser, builds letters only from tokens its regular expression
 matched and merges every run as :func:`free_reduce` does;
 ``splitting.assembled_word_map`` re-indexes the letters of validated maps
-into its target range; and the document parser builds a map trusted when
-every token it read, a superset of the words' letters, is within the
-target rank.  A trusted value equals and hashes like the checked one of
-the same data.  Otherwise the parser builds the map with the public
-``FreeHom``, so a letter that reduced away is not refused and a refusal
-names the first reduced word at fault.
+into its target range and merges the runs that deleting letters joins;
+and the document parser builds a map trusted when every token it read, a
+superset of the words' letters, is within the target rank.  A trusted
+value equals and hashes like the checked one of the same data.
+Otherwise the parser builds the map with the public ``FreeHom``, so a
+letter that reduced away is not refused and a refusal names the first
+reduced word at fault.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ class RankMismatchError(ValueError):
     """A negative rank, or an image count other than the source rank."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A freely reduced word, as a tuple of ``(index, exponent)`` runs.
 
@@ -74,8 +83,12 @@ class Word:
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "letters",
-                           tuple((g, e) for g, e in self.letters))
+        # Unpacking refuses a letter that is not a pair; an exact tuple is
+        # kept, anything else is rebuilt as one.
+        object.__setattr__(self, "letters", tuple([
+            letter if type(letter) is tuple else (g, e)
+            for letter in self.letters for g, e in (letter,)
+        ]))
         prev = None
         for index, exponent in self.letters:
             if not isinstance(index, int) or not isinstance(exponent, int):
@@ -116,8 +129,9 @@ def free_reduce(letters: Iterable[tuple[int, int]]) -> Word:
     >>> free_reduce([(1, 1), (2, 1), (2, -1), (1, -1)])
     Word('')
     """
-    stack: list[list[int]] = []
-    for index, exponent in letters:
+    stack: list[tuple[int, int]] = []
+    for letter in letters:
+        index, exponent = letter
         if not isinstance(index, int) or not isinstance(exponent, int):
             raise MalformedWordError("letters must be pairs of ints")
         if index < 1:
@@ -125,15 +139,17 @@ def free_reduce(letters: Iterable[tuple[int, int]]) -> Word:
         if exponent == 0:
             continue
         if stack and stack[-1][0] == index:
-            stack[-1][1] += exponent
-            if stack[-1][1] == 0:
+            exponent = stack[-1][1] + exponent
+            if exponent:
+                stack[-1] = (index, exponent)
+            else:
                 stack.pop()
         else:
-            stack.append([index, exponent])
-    return _trusted(Word, letters=tuple([(g, e) for g, e in stack]))
+            stack.append(letter if type(letter) is tuple else (index, exponent))
+    return _trusted(Word, letters=tuple(stack))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeHom:
     """Homomorphism of free groups, recorded by generator images.
 

@@ -113,6 +113,18 @@ class TestInvariantCommand:
         assert code == 1
         assert err.startswith("error: l_map:")
 
+    @pytest.mark.parametrize("command", ["validate", "invariant", "homology", "stabilize"])
+    @pytest.mark.parametrize("line,field", [("h1 = 1_0", "h1"), ("n = +2", "n"),
+                                            ("u = \u0661", "u")])
+    def test_integer_field_syntax_exit_1(self, capsys, tmp_path, command, line, field):
+        p = tmp_path / "number.split"
+        key = line.split(" ", 1)[0]
+        p.write_text("".join(f"{line}\n" if row.startswith(key + " ") else f"{row}\n"
+                             for row in TRIVIAL_DOCUMENT.splitlines()), encoding="utf-8")
+        code, out, err = run(capsys, command, str(p))
+        assert (code, out) == (1, "")
+        assert err == f"error: field {field!r} must be an integer\n"
+
     def test_parse_error_exit_1(self, capsys, tmp_path):
         p = tmp_path / "bad.split"
         p.write_text("not a document\n")

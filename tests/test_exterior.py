@@ -295,6 +295,15 @@ def dense_hom(rng, n):
     return FreeHom(n, n, tuple(images))
 
 
+def frontier(f, limit):
+    """F read off the support of ``f`` by the helpers degree_of_word_map
+    calls, summed until it passes ``limit``; None when a factor is
+    untouched, where the degree is 0 before any box is read."""
+    rows = exterior._row_supports(f)
+    closing = exterior._closing_masks(rows, f.source_rank)
+    return None if closing is None else exterior._frontier_work(rows, closing, limit)
+
+
 class TestBlockOrderDegree:
     @pytest.mark.parametrize("kind", [U1, U2, U3, SU2, SU3, special_unitary(4)],
                              ids=lambda k: k.label)
@@ -421,27 +430,57 @@ class TestBlockOrderDegree:
         assert degree_of_word_map(identity_hom(10_000), U1) == 1
         assert time.perf_counter() - start < 1.0
 
-    def test_frontier_bound(self, monkeypatch):
+    def test_frontier_bound(self):
         bounds = []
-        original = exterior._frontier_work
-
-        def recording(rows, closing, limit):
-            work = original(rows, closing, limit)
-            bounds.append((len(rows), work))
-            return work
-
-        monkeypatch.setattr(exterior, "_frontier_work", recording)
         rng = random.Random(53)
         for _ in range(300):
             n = rng.randint(1, 9)
             f = dense_hom(rng, n) if rng.random() < 0.2 else random_free_hom(rng, n, n)
-            degree_of_word_map(f, rng.choice((U1, U2, U3, SU3)))
+            kind = rng.choice((U1, U2, U3, SU3))
+            limit = exterior.MAX_EXTERIOR_WORK // kind.lie_rank ** 2
+            work = frontier(f, limit)
+            # The box admits what the exact sum admits: every map here.
+            assert work is None or work <= limit
+            degree_of_word_map(f, kind)
+            if work is not None:
+                bounds.append((n, work))
         assert len(bounds) > 100
         # Nothing inside the worst-case box rank^2 * N * 2^N is refused.
         assert all(work <= n * 2 ** n for n, work in bounds)
-        bounds.clear()
-        degree_of_word_map(dense_hom(rng, 9), U1)
-        degree_of_word_map(identity_hom(9), U1)
+        maps = (dense_hom(rng, 9), identity_hom(9))
+        for f in maps:
+            degree_of_word_map(f, U1)
+        bounds = [(9, frontier(f, exterior.MAX_EXTERIOR_WORK)) for f in maps]
         # Dense: no factor closes before the last row.  Identity: each row
         # closes its factor, so every step meets one term.
         assert bounds == [(9, 9 * (2 ** 9 - 1)), (9, 9)]
+
+    def test_box_refuses_exactly_past_the_exact_sum(self, monkeypatch):
+        # The worst case N * 2^N is read first and the exact F only when
+        # that could pass the box; the box must refuse exactly when
+        # rank^2 * F does.  Each limit is tried at both boundaries.
+        rng = random.Random(59)
+        maps = [identity_hom(1), identity_hom(30), dense_hom(rng, 9)]
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            maps.append(dense_hom(rng, n) if rng.random() < 0.3 else random_free_hom(rng, n, n))
+        refusals = admissions = 0
+        for f in maps:
+            n, kind = f.source_rank, rng.choice((U1, U2, U3, SU3))
+            r2, work = kind.lie_rank ** 2, frontier(f, 1 << 64)
+            worst = r2 * n << n
+            limits = {0, 1, worst - 1, worst, worst + 1, rng.randint(0, worst)}
+            if work is not None:
+                limits |= {r2 * work - 1, r2 * work, r2 * work + 1}
+            for limit in sorted(limits):
+                monkeypatch.setattr(exterior, "MAX_EXTERIOR_WORK", limit)
+                try:
+                    degree_of_word_map(f, kind)
+                except ExteriorWorkLimitError:
+                    refused = True
+                else:
+                    refused = False
+                assert refused == (work is not None and r2 * work > limit), (f, kind, limit)
+                refusals += refused
+                admissions += not refused
+        assert refusals > 100 and admissions > 100

@@ -7,6 +7,7 @@ ones the checking constructors would build, and that the checking
 constructors still refuse bad data.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -14,10 +15,13 @@ import pytest
 import repcount.invariants
 import repcount.splitting
 from repcount import (
+    AdaptedSplitting,
     ExteriorWorkLimitError,
     FreeHom,
     IntMat,
+    InvalidSplittingError,
     MalformedWordError,
+    MultiIndex,
     Word,
     abelianize,
     assembled_word_map,
@@ -27,11 +31,21 @@ from repcount import (
     glue_matrix,
     lambda_invariant,
     lambda_invariants,
+    pair_cohomology,
+    parse_splitting_document,
+    parse_word,
+    smith_normal_form,
     special_unitary,
     stabilize,
     unitary,
 )
-from support import det6_splitting, mayer_vietoris_reference, random_t0_splitting
+from support import (
+    DET6_DOCUMENT,
+    det6_splitting,
+    mayer_vietoris_reference,
+    random_free_hom,
+    random_t0_splitting,
+)
 
 
 def assert_same_as_checked(m: IntMat) -> None:
@@ -211,6 +225,134 @@ class TestTrustedWords:
             checked = FreeHom(f.source_rank, f.target_rank, f.images)
             assert f == checked and hash(f) == hash(checked)
             assert (f.source_rank, f.target_rank) == (s.u, s.h1 - s.g1 + s.h2)
+
+
+def reference_word_map(s) -> FreeHom:
+    """The assembled word map through the checking constructors."""
+    free1 = s.h1 - s.g1
+    images = []
+    for k_word, l_word in zip(s.k_map.images, s.l_map.images):
+        letters = [(g - s.g1, e) for g, e in k_word.letters if g > s.g1]
+        letters.extend((g + free1, -e) for g, e in reversed(l_word.letters))
+        images.append(free_reduce(letters))
+    return FreeHom(s.u, free1 + s.h2, tuple(images))
+
+
+def splitting_with_g1(rng: random.Random, g1: int, h1: int) -> AdaptedSplitting:
+    """A random T = 0 splitting with the given g1 and h1; h2 is drawn."""
+    h2 = rng.randint(1, 4)
+    u = h1 + h2 - g1
+    return AdaptedSplitting(h1=h1, h2=h2, u=u, g1=g1,
+                            k_map=random_free_hom(rng, u, h1),
+                            l_map=random_free_hom(rng, u, h2))
+
+
+class TestAssembledWordMap:
+    """``assembled_word_map`` reduces its re-indexed letters without the
+    checks of ``free_reduce``; its images are the reference's."""
+
+    def assert_reference(self, s):
+        f = assembled_word_map(s)
+        reference = reference_word_map(s)
+        assert f == reference and hash(f) == hash(reference)
+        assert (f.source_rank, f.target_rank) == (reference.source_rank, reference.target_rank)
+        assert all(type(letter) is tuple for w in f.images for letter in w.letters)
+        return f
+
+    def test_g1_zero(self):
+        rng = random.Random(71)
+        for _ in range(80):
+            s = splitting_with_g1(rng, 0, rng.randint(1, 4))
+            f = self.assert_reference(s)
+            # Nothing is deleted or re-indexed in the H1 part.
+            for k_word, image in zip(s.k_map.images, f.images):
+                assert image.letters[:len(k_word.letters)] == k_word.letters
+
+    def test_g1_equal_to_h1(self):
+        rng = random.Random(72)
+        for _ in range(80):
+            h1 = rng.randint(1, 4)
+            s = splitting_with_g1(rng, h1, h1)
+            f = self.assert_reference(s)
+            # Every H1 letter is a marked-surface letter and is deleted.
+            assert all(g > 0 for w in f.images for g, _ in w.letters)
+
+    def test_seeded_splittings(self):
+        for s in seeded_splittings(73, 150):
+            self.assert_reference(s)
+
+    def test_cancellation_across_deleted_letters(self):
+        # g1 = 1, h1 = 3, h2 = 1.  Deleting the marked g1 joins runs of the
+        # free H1 generators, which cancel (first word) or merge (second)
+        # up to the junction with the inverted, re-indexed H2 word.  The
+        # two parts use disjoint target generators (1..2 and 3), so no run
+        # crosses the junction itself.
+        s = AdaptedSplitting(
+            h1=3, h2=1, u=3, g1=1,
+            k_map=FreeHom(3, 3, (parse_word("g2 g1 g2^-1"),
+                                 parse_word("g3 g2 g1 g2 g1^-2 g2^-3"),
+                                 parse_word("g1 g3^2 g1"))),
+            l_map=FreeHom(3, 1, (parse_word("g1^2"), parse_word("g1^-1"), Word())),
+        )
+        f = self.assert_reference(s)
+        assert [str(w) for w in f.images] == ["g3^-2", "g2 g1^-1 g3", "g2^2"]
+
+
+class TestSlottedValues:
+    """Value classes are slotted frozen dataclasses: no instance
+    ``__dict__``, no assignment, and a checked copy equals and hashes
+    like the value."""
+
+    @staticmethod
+    def values():
+        s = det6_splitting()
+        report = lambda_invariant(s, unitary(2))
+        return [s.k_map.images[0], s.k_map, report.kind, s, pair_cohomology(s),
+                report.pipelines, report, MultiIndex(I=((1, 2),), J=((2, 1),)),
+                smith_normal_form(IntMat([[2, 4], [6, 8]]))]
+
+    def test_the_value_classes(self):
+        assert [type(v).__name__ for v in self.values()] == [
+            "Word", "FreeHom", "GroupKind", "AdaptedSplitting", "PairHomologyReport",
+            "PipelineValues", "InvariantReport", "MultiIndex", "SnfResult"]
+
+    def test_no_instance_dict(self):
+        for value in self.values():
+            names = tuple(field.name for field in dataclasses.fields(value))
+            assert not hasattr(value, "__dict__")
+            assert type(value).__slots__ == names
+
+    def test_fields_cannot_be_assigned(self):
+        for value in self.values():
+            for field in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, field.name, getattr(value, field.name))
+            # A name that is not a field is refused too; some CPython
+            # versions raise TypeError from a slotted frozen __setattr__.
+            with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+                value.extra = 1
+            assert not hasattr(value, "extra")
+
+    def test_checked_copy_equal_and_hash(self):
+        for value in self.values():
+            copy = dataclasses.replace(value)
+            assert copy == value and hash(copy) == hash(value)
+
+    def test_trusted_values_equal_checked_ones(self):
+        parsed, _ = parse_splitting_document(DET6_DOCUMENT)
+        built = det6_splitting()
+        assert parsed == built and hash(parsed) == hash(built)
+        for trusted in (parsed.k_map, parsed.l_map):
+            checked = FreeHom(trusted.source_rank, trusted.target_rank,
+                              tuple(Word(w.letters) for w in trusted.images))
+            assert trusted == checked and hash(trusted) == hash(checked)
+
+    def test_replace_still_validates(self):
+        s = det6_splitting()
+        with pytest.raises(InvalidSplittingError, match="negative codimension"):
+            dataclasses.replace(s, h1=1, g1=1, k_map=FreeHom(2, 1, (Word(), Word())))
+        with pytest.raises(MalformedWordError):
+            dataclasses.replace(s.k_map.images[0], letters=((1, 1), (1, 1)))
 
 
 class TestPublicConstructorsStillCheck:

@@ -345,6 +345,24 @@ class TestDocumentFormat:
             with pytest.raises(DocumentError, match=f"'{field}' is past the rank limit"):
                 parse_splitting_document(text)
 
+    @pytest.mark.parametrize("field", ["n", "h1", "h2", "u", "g1", "u_hat_genus"])
+    @pytest.mark.parametrize("value", ["1_0", "+1", "+0", "\u0661", "\uff11", "1\u0660",
+                                       "1.0", "0x1", "", "1 0", "--1", "-+1"])
+    def test_integer_fields_take_only_ascii_digits(self, field, value):
+        # int() reads '1_0' as 10, '+1' as 1 and ARABIC-INDIC DIGIT ONE as
+        # 1; a field takes only the syntax of a word's exponent.
+        lines = [line for line in TRIVIAL_DOCUMENT.splitlines()
+                 if not line.startswith(field + " ")]
+        text = "\n".join(lines + [f"{field} = {value}"]) + "\n"
+        with pytest.raises(DocumentError) as err:
+            parse_splitting_document(text)
+        assert str(err.value) == f"field {field!r} must be an integer"
+
+    @pytest.mark.parametrize("value,expected", [("7", 7), ("007", 7), ("-0", 0), ("0", 0)])
+    def test_integer_fields_in_exponent_syntax(self, value, expected):
+        s, _ = parse_splitting_document(TRIVIAL_DOCUMENT + f"u_hat_genus = {value}\n")
+        assert s == dataclasses.replace(trivial_splitting(), u_hat_genus=expected)
+
     def test_letters_past_target_rank_that_reduce_away(self):
         # k_map's target rank is h1 = 1: g5^0 and g5 g5^-1 leave no letter
         # past it, so the map is accepted as if they were not written.

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import namedtuple
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,9 @@ from support import (
     random_free_hom,
     random_word,
 )
+
+Pair = namedtuple("Pair", "index exponent")
+Triple = namedtuple("Triple", "index exponent extra")
 
 raw_letters = st.lists(
     st.tuples(st.integers(min_value=1, max_value=4),
@@ -67,6 +71,54 @@ class TestFreeReduce:
         for (g1, e1), (g2, _) in zip(w.letters, w.letters[1:]):
             assert g1 != g2
             assert e1 != 0
+
+
+class TestLettersKept:
+    """``free_reduce`` and ``Word(...)`` keep a letter given as an exact
+    tuple; only a list, a tuple subclass or a merge builds a new one."""
+
+    @pytest.mark.parametrize("build", [free_reduce, Word])
+    def test_exact_tuples_kept(self, build):
+        a, b, c = (1, 2), (2, -1), (1, 5)
+        w = build((a, b, c))
+        assert w.letters == ((1, 2), (2, -1), (1, 5))
+        assert all(kept is given for kept, given in zip(w.letters, (a, b, c)))
+
+    @pytest.mark.parametrize("build", [free_reduce, Word])
+    def test_lists_and_subclasses_made_plain(self, build):
+        w = build([[1, 2], Pair(2, -1), (3, 1)])
+        assert w == Word(((1, 2), (2, -1), (3, 1)))
+        assert hash(w) == hash(Word(((1, 2), (2, -1), (3, 1))))
+        assert all(type(letter) is tuple for letter in w.letters)
+
+    def test_merges_build_new_letters(self):
+        a, b, c = (1, 2), (1, 3), (2, 1)
+        w = free_reduce([a, b, c, (2, -1), (2, 4)])
+        assert w.letters == ((1, 5), (2, 4))
+        assert all(type(letter) is tuple for letter in w.letters)
+        # The run (2, 1) (2, -1) cancels before (2, 4), which is kept.
+        w = free_reduce([c, (2, -1), (3, 1)])
+        assert w.letters == ((3, 1),)
+
+    @given(raw_letters)
+    def test_same_word_from_lists_and_tuples(self, letters):
+        as_lists = [list(letter) for letter in letters]
+        assert free_reduce(letters) == free_reduce(as_lists)
+        assert free_reduce(letters).letters == free_reduce(as_lists).letters
+
+    @pytest.mark.parametrize("build", [free_reduce, Word])
+    @pytest.mark.parametrize("letter,error,message", [
+        ((1, 1, 1), ValueError, "too many values to unpack"),
+        ([1, 1, 1], ValueError, "too many values to unpack"),
+        (Triple(1, 1, 1), ValueError, "too many values to unpack"),
+        ((1,), ValueError, "not enough values to unpack"),
+        ((1.0, 1), MalformedWordError, "pairs of ints"),
+        ((1, 1.0), MalformedWordError, "pairs of ints"),
+        ((0, 1), MalformedWordError, "index 0 is not positive"),
+    ])
+    def test_bad_letters_still_refused(self, build, letter, error, message):
+        with pytest.raises(error, match=message):
+            build([(2, 1), letter])
 
 
 class TestAbelianize:
