@@ -46,6 +46,7 @@ from .splitting import (
     stabilize,
     validation_warnings,
 )
+from .words import _read_integer
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -223,7 +224,7 @@ def _parse_pairs(text: str, name: str) -> tuple[tuple[int, int], ...]:
             raise DocumentError(f"{name}: expected 'index:multiplicity', got {chunk!r}")
         left, right = chunk.split(":", 1)
         try:
-            out.append((int(left), int(right)))
+            out.append((_read_integer(left), _read_integer(right)))
         except ValueError as exc:
             raise DocumentError(f"{name}: {exc}") from exc
     return tuple(out)
@@ -239,6 +240,13 @@ def cmd_multiindex(args: argparse.Namespace) -> int:
         pairs.append(("su_admissible", _bool(m.is_special_unitary_admissible())))
     _emit(pairs, args, "multi-index degree")
     return EXIT_OK
+
+
+def _flag_integer(text: str) -> int:
+    try:  # argparse reports an ArgumentTypeError's own message
+        return _read_integer(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -275,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_command("degree", cmd_degree, "exterior degree of the assembled word map")
     add_command("stabilize", cmd_stabilize, "write the stabilized document to stdout")
     p = add_command("oracle", cmd_oracle, "run the applicable brute-force oracles")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_flag_integer, default=0,
                    help="any integer; picks the torus oracle's three targets")
     p = add_command("poly", cmd_poly, "product-cylinder polynomial example value",
                     with_input=False)
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--g", type=_flag_integer, required=True)
+    p.add_argument("--h", type=_flag_integer, required=True)
     p.add_argument("--group", choices=("U", "SU"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_flag_integer, required=True)
     p = add_command("multiindex", cmd_multiindex, "degree T of a multi-index (I, J)",
                     with_input=False)
     p.add_argument("--I", default="", help="comma list of index:multiplicity")

@@ -302,6 +302,14 @@ def _frontier_work(rows: list, closing: list[int], limit: int) -> int:
     return work
 
 
+def _past_worst_case(n: int, rank: int) -> bool:
+    """Whether rank^2 * n * 2^n exceeds ``MAX_EXTERIOR_WORK``, read at the
+    call.  From n = bit_length on (n >= 1), 2^n alone does, so testing n
+    first keeps a huge n from building a huge product."""
+    limit = MAX_EXTERIOR_WORK
+    return n > 0 and n >= limit.bit_length() or rank * rank * n << n > limit
+
+
 def _wedge_row(block: dict[int, int], row: list, need: int) -> dict[int, int]:
     """One row step of a block: wedge with the row's terms, then drop the
     terms that lack a factor of the mask ``need``.
@@ -353,9 +361,8 @@ def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
         return 0  # no pullback holds an untouched factor's generators
     limit = MAX_EXTERIOR_WORK // kind.lie_rank ** 2
     # F <= N * 2^N, so the exact sum is needed only when that could pass
-    # the limit; from N = bit_length on, 2^N alone does.
-    if ((n_factors >= limit.bit_length() or n_factors << n_factors > limit)
-            and _frontier_work(rows, closing, limit) > limit):
+    # the limit.
+    if _past_worst_case(n_factors, kind.lie_rank) and _frontier_work(rows, closing, limit) > limit:
         raise ExteriorWorkLimitError(
             f"degree expansion for {kind.label} at N = {n_factors} is past the "
             f"limit of {MAX_EXTERIOR_WORK} term steps (rank^2 * F, F from the "
@@ -395,9 +402,7 @@ def cylinder_monomial_value(g_minus_h: int, kind: GroupKind) -> int:
     if g_minus_h < 1:
         raise ValueError("g_minus_h must be at least 1")
     m, rank = g_minus_h, kind.lie_rank
-    # From m = bit_length on, 2^m alone is past the limit; testing m first
-    # keeps a huge m from building a huge estimate.
-    if m >= MAX_EXTERIOR_WORK.bit_length() or rank * rank * m << m > MAX_EXTERIOR_WORK:
+    if _past_worst_case(m, rank):
         raise ExteriorWorkLimitError(
             f"product-cylinder expansion for {kind.label} at N = {m} is past the "
             f"limit of {MAX_EXTERIOR_WORK} term steps (rank^2 * N * 2^N)"

@@ -8,24 +8,24 @@ form uses unimodular row/column operations with a minimal-absolute-value
 pivot rule, which bounds intermediate coefficient growth without affecting
 the (unique) invariant factors.
 
-A matrix is reduced once.  ``echelon`` row-reduces without building a
-transform; a lattice index, a rank and the image of a kernel under a
-projection are read off its pivots and its zero rows, which is all the
-cohomology computation needs.  Its Euclid steps take least remainders:
-the quotient is rounded to the nearest integer, so each remainder is at
-most half the pivot.  A floor quotient leaves up to the whole pivot, so a
-column takes more rounds, and each round adds a multiple of the pivot row
-to the entries the other rows carry on.  Least remainders are the
-classical remedy for that coefficient growth in integer echelon forms
-(Havas, Majewski & Matthews, Exp. Math. 7, 1998).  The pivots and the
-lattice of rows left zero are invariants of the row lattice, so the
-rounding changes neither, only how large the carried entries get.  An
-echelon over 10 columns or more runs with each row packed into one
-nonnegative int, entry j in bits [j w, (j + 1) w), so that one big-int
-subtraction does a row operation (Kronecker substitution; Harvey,
-J. Symb. Comput. 44, 2009).  The packed loop takes the same steps as the
-list loop and returns equal results; ``echelon`` states its layout and
-why it stays exact.
+A matrix is reduced once.  ``echelon`` row-reduces every column without
+building a transform and returns a pivot per column; a lattice index, a
+rank and the index of a kernel's image under a projection are read off
+them, which is all the cohomology computation needs.  Its Euclid steps
+take least remainders: the quotient is rounded to the nearest integer, so
+each remainder is at most half the pivot.  A floor quotient leaves up to
+the whole pivot, so a column takes more rounds, and each round adds a
+multiple of the pivot row to the entries the other rows carry on.  Least
+remainders are the classical remedy for that coefficient growth in
+integer echelon forms (Havas, Majewski & Matthews, Exp. Math. 7, 1998).
+The pivots are invariants of the row lattice, so the rounding does not
+change them, only how large the carried entries get.  An echelon of 10
+columns or more runs with each row packed into one nonnegative int,
+entry j in bits [j w, (j + 1) w), so that one big-int subtraction does a
+row operation (Kronecker substitution; Harvey, J. Symb. Comput. 44,
+2009).  The packed loop takes the same steps as the list loop and
+returns equal pivots; ``echelon`` states its layout and why it stays
+exact.
 
 ``SnfResult`` reads its rank, cokernel order and kernel basis off one
 factorization with both transforms, so a caller needing several of them
@@ -223,32 +223,31 @@ def det(a: IntMat) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def echelon(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
-    """Row-reduce the first ``ncols`` columns of ``a`` to echelon form.
+def echelon(a: IntMat) -> tuple[int, ...]:
+    """Row-reduce ``a`` to echelon form; returns one absolute pivot per
+    column, 0 for a column that has none.
 
     The row operations are unimodular: Euclid down each column, the first
     row of least nonzero |entry| as pivot, with no transform accumulated
     and no back-reduction.  Each step subtracts the nearest-integer
     multiple of the pivot row, leaving a remainder of at most half the
     pivot, so a column clears in fewer rounds and the entries carried to
-    later columns stay small.  Returns the absolute pivots, one per column
-    that has one, and the rows left zero in the first ``ncols`` columns,
-    as an ``IntMat`` of their trailing ``a.cols - ncols`` entries.
+    later columns stay small.
 
-    The pivots number the rank of those columns, and their product is the
-    index of the row lattice when the rank is ``ncols``.  Both, and the
-    lattice the rows left zero span, depend only on the row lattice, not
-    on the remainders chosen.  Because the operations are unimodular, the
-    rows left zero hold a Z-basis of the left kernel of the first
-    ``ncols`` columns, carried through the rest: echelon ``[A^T | I]``
-    over ``A.rows`` columns and they are a basis of ker A.  Here
-    A = [[2, 4]], with cokernel Z/2 and kernel spanned by (-2, 1):
+    The pivots depend only on the row lattice, not on the remainders
+    chosen.  Over the first k columns the nonzero pivots number the rank
+    and, when none is 0, multiply to the index of the lattice's
+    projection there; the rows they leave zero span the lattice's kernel
+    there, and the later pivots are that kernel's.  Echelon ``[A^T | I]``:
+    the first ``A.rows`` pivots multiply to |coker A|, or to 0 when it is
+    infinite, and ``A.cols`` less the count of nonzero ones is rank ker A.
+    Here A = [[2, 4]], with cokernel Z/2 and kernel spanned by (-2, 1):
 
-    >>> echelon(IntMat([[2, 1, 0], [4, 0, 1]]), 1)
-    ((2,), IntMat[-2 1])
+    >>> echelon(IntMat([[2, 1, 0], [4, 0, 1]]))
+    (2, 2, 0)
 
-    Two loops take these steps and return equal results, not merely the
-    same lattice.  When ``ncols`` is below ``_PACKED_MIN_COLS`` = 10 the
+    Two loops take these steps and return equal pivots, not merely the
+    same products.  When ``a.cols`` is below ``_PACKED_MIN_COLS`` = 10 the
     rows are lists of ints.  From 10 on, each active row is one
     nonnegative int, v = sum_j (x_j + 2^(w-1)) 2^(j w): entry j in field
     j of w bits, offset to be nonnegative.  A row step is one big-int
@@ -267,20 +266,15 @@ def echelon(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
     matrices of one pass of the homology benchmark, the packed loop took
     3x the list loop's time over 1 column (9.9 against 3.3 us per call),
     the same over 7-9 columns, and 1.1x less over 10-12, 1.5x less over
-    13-16 and 1.8x less over 17-24.  The columns reduced decide, not the
-    width: packing the rows costs the same whatever ``ncols`` is, and
-    over 4 of 44 columns, or 5 of 10, the packed loop took 2.2-2.7x the
-    list loop's time.
+    13-16 and 1.8x less over 17-24.
     """
-    if not 0 <= ncols <= a.cols:
-        raise ShapeError(f"cannot echelon {ncols} columns of a {a.rows}x{a.cols} matrix")
-    if ncols >= _PACKED_MIN_COLS:
-        return _echelon_packed(a, ncols)
+    if a.cols >= _PACKED_MIN_COLS:
+        return _echelon_packed(a)
     # Each active row holds its entries from the current column on: the
     # columns before it are zero in every active row, so they are dropped.
     active = [list(row) for row in a.data]
     pivots = []
-    for _ in range(ncols):
+    for _ in range(a.cols):
         column = [row for row in active if row[0]]
         pivot = None
         if column:
@@ -301,10 +295,9 @@ def echelon(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
                             left.append(row)
                 column = left
             pivot = column[0]
-            pivots.append(abs(pivot[0]))
+        pivots.append(abs(pivot[0]) if column else 0)
         active = [row[1:] for row in active if row is not pivot]
-    kernel = tuple(map(tuple, active))
-    return tuple(pivots), IntMat._trusted(kernel, a.cols - ncols)
+    return tuple(pivots)
 
 
 # Echelons over at least this many columns run on packed rows.
@@ -324,14 +317,6 @@ def _pack(row, w: int) -> int:
     half, size = 1 << (w - 1), w // 8
     return int.from_bytes(b"".join([(x + half).to_bytes(size, "big") for x in reversed(row)]),
                           "big")
-
-
-def _unpack(v: int, width: int, w: int) -> list[int]:
-    """The ``width`` entries of a row packed by :func:`_pack`."""
-    half, size = 1 << (w - 1), w // 8
-    data = v.to_bytes(width * size, "big")
-    return [int.from_bytes(data[o:o + size], "big") - half
-            for o in range((width - 1) * size, -1, -size)]
 
 
 def _repack(vals: list[int], bounds: list[int], active: list[int], width: int,
@@ -363,7 +348,7 @@ def _repack(vals: list[int], bounds: list[int], active: list[int], width: int,
     return new_w
 
 
-def _echelon_packed(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
+def _echelon_packed(a: IntMat) -> tuple[int, ...]:
     """:func:`echelon` on rows packed by :func:`_pack`, step for step.
 
     ``vals[i]`` and ``bounds[i]`` are row i's packed int and its bound;
@@ -376,7 +361,7 @@ def _echelon_packed(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
     offsets = _pack((0,) * width, w)
     active = list(range(a.rows))
     pivots = []
-    for _ in range(ncols):
+    for _ in range(a.cols):
         mask, half = (1 << w) - 1, 1 << (w - 1)
         column, leads = [], []
         for i in active:
@@ -410,14 +395,13 @@ def _echelon_packed(a: IntMat, ncols: int) -> tuple[tuple[int, ...], IntMat]:
                         left_leads.append(x)
                 column, leads = left, left_leads
             pivot = column[0]
-            pivots.append(abs(leads[0]))
+        pivots.append(abs(leads[0]) if column else 0)
         active = [i for i in active if i != pivot]
         for i in active:
             vals[i] >>= w
         width -= 1
         offsets >>= w
-    kernel = tuple(tuple(_unpack(vals[i], width, w)) for i in active)
-    return tuple(pivots), IntMat._trusted(kernel, width)
+    return tuple(pivots)
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,9 +7,9 @@ computed three times, by routes that share no algebra:
       of its transpose, the rows of MV^T past the first g1);
   P2  the magnitude of the symbolic exterior-algebra degree of the
       assembled word map;
-  P3  the order of H^2 of the pair, raised to the Lie rank (integer
-      echelon forms of the Mayer-Vietoris matrix and of the restriction
-      quotient).
+  P3  the order of H^2 of the pair, raised to the Lie rank (one integer
+      echelon form of the Mayer-Vietoris matrix beside the restriction
+      coordinates, reduced over every column).
 
 The three values must agree exactly; disagreement is an internal fault,
 never expected.  P1 and P3 read one assembly of the Mayer-Vietoris rows;
@@ -39,7 +39,7 @@ Vanishing reason.  A zero invariant must come with a rational reason,
 read once per splitting from P3's own report: ``H2_nonzero`` when
 H^2(M, Q) != 0 (|H^2(M)| is INFINITE), else ``restriction_not_iso`` when
 H^1(M, Q) -> H^1(S1, Q) is not an isomorphism.  Reading it there loses no
-check: a separate vanishing test would reduce the same matrices with the
+check: a separate vanishing test would reduce the same matrix with the
 same deterministic echelon, so it could never disagree with P3.  The
 check that stays is that a zero from all three pipelines has such a
 reason.

@@ -17,8 +17,8 @@ data.
 Cohomology is contravariant, so the pullback maps b, c on first cohomology
 are the transposes of the pi_1-level abelianizations.  That orientation of
 the maps is fixed once here and reused by the invariant pipelines.  The
-cohomology of M and of the pair is read off two transform-free integer
-echelon forms (``intlinalg.echelon``), one per matrix, so no Smith
+cohomology of M and of the pair is read off the pivots of one
+transform-free integer echelon form (``intlinalg.echelon``), so no Smith
 normal form is built and the entries stay small.
 
 The codimension count is T = (h1 + h2 - u) - g1, the difference of Euler
@@ -29,7 +29,6 @@ lives at T = 0.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 from . import intlinalg
@@ -41,6 +40,7 @@ from .words import (
     RankMismatchError,
     Word,
     _parse_word,
+    _read_integer,
     _trusted,
     format_word,
 )
@@ -206,13 +206,13 @@ def pair_cohomology(s: AdaptedSplitting) -> PairHomologyReport:
     |H^2(pair)| = |H^2(M)| * |H^1(S1) / image of H^1(M)| when both factors
     are finite, INFINITE otherwise.  ``restriction_iso`` records whether
     the rational restriction H^1(M, Q) -> H^1(S1, Q) is an isomorphism.
-    Each matrix is reduced once, by a transform-free echelon.  First
-    ``[MV^T | E]`` over its u columns, where MV^T is (h1+h2) x u and E is
-    the first g1 columns of the (h1+h2) identity, the H^1(S1)
-    coordinates: by Mayer-Vietoris, |H^2(M)| is the product of its pivots
-    (INFINITE when there are fewer than u), and the rows it leaves zero
-    span, in their g1 entries, the image of ker(b - c) = H^1(M) in
-    H^1(S1).  Then that image, over its g1 columns.
+    One matrix, ``[MV^T | E]`` with E the first g1 columns of the (h1+h2)
+    identity (the H^1(S1) coordinates), is reduced once, over every
+    column, by a transform-free echelon.  By Mayer-Vietoris, |H^2(M)| is
+    the product of the first u pivots, and b1(M) is h1 + h2 less the count
+    of nonzero ones.  The rows those columns leave zero span, in their g1
+    entries, the image of ker(b - c) = H^1(M) in H^1(S1), so the last g1
+    pivots multiply to the quotient's order.  A product of 0 is INFINITE.
     """
     return _pair_cohomology(s, _mayer_vietoris_rows(s))
 
@@ -220,28 +220,23 @@ def pair_cohomology(s: AdaptedSplitting) -> PairHomologyReport:
 def _pair_cohomology(s: AdaptedSplitting,
                      mv_rows: tuple[tuple[int, ...], ...]) -> PairHomologyReport:
     """:func:`pair_cohomology` from the rows of MV^T, already assembled."""
-    g1 = s.g1
+    u, g1 = s.u, s.g1
     zeros = (0,) * g1
     augmented = IntMat._trusted(
         tuple(row + (zeros[:i] + (1,) + zeros[i + 1:] if i < g1 else zeros)
               for i, row in enumerate(mv_rows)),
-        s.u + g1,
+        u + g1,
     )
     # Looked up on the module at call time, so a wrapper installed there
     # (a counter or a trace) sees every call.
-    pivots, kernel = intlinalg.echelon(augmented, s.u)
-    order_h2 = math.prod(pivots) if len(pivots) == s.u else INFINITE
-    pivots, _ = intlinalg.echelon(kernel, g1)
-    quotient = math.prod(pivots) if len(pivots) == g1 else INFINITE
-    if order_h2 is INFINITE or quotient is INFINITE:
-        order_pair = INFINITE
-    else:
-        order_pair = order_h2 * quotient
+    pivots = intlinalg.echelon(augmented)
+    order_h2, quotient = math.prod(pivots[:u]), math.prod(pivots[u:])
+    betti1 = len(mv_rows) - u + pivots[:u].count(0)
     return PairHomologyReport(
-        betti1_M=kernel.rows,
-        order_H2_M=order_h2,
-        order_H2_pair=order_pair,
-        restriction_iso=kernel.rows == g1 and len(pivots) == g1,
+        betti1_M=betti1,
+        order_H2_M=order_h2 or INFINITE,
+        order_H2_pair=order_h2 * quotient or INFINITE,
+        restriction_iso=betti1 == g1 and quotient > 0,
     )
 
 
@@ -311,7 +306,6 @@ def assembled_word_map(s: AdaptedSplitting) -> FreeHom:
 
 _REQUIRED_FIELDS = ("n", "group", "h1", "h2", "u", "g1", "k_map", "l_map")
 _OPTIONAL_FIELDS = ("u_hat_genus", "orientation_reversed")
-_INTEGER = re.compile(r"-?[0-9]+")
 # Largest |value| of a rank or genus field (h1, h2, u, g1, u_hat_genus).
 MAX_DOCUMENT_RANK = 1000
 
@@ -384,15 +378,10 @@ def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
             raise DocumentError(f"missing required field {key!r}")
 
     def int_field(key: str) -> int:
-        # The syntax of a word's exponent, so no '+', '_', space or
-        # non-ASCII digit that int() would read; int() then fails only past
-        # CPython's digit limit.
-        if _INTEGER.fullmatch(fields[key]):
-            try:
-                return int(fields[key])
-            except ValueError:
-                pass
-        raise DocumentError(f"field {key!r} must be an integer")
+        try:
+            return _read_integer(fields[key])
+        except ValueError:
+            raise DocumentError(f"field {key!r} must be an integer") from None
 
     group_text = fields["group"]
     if group_text not in ("U", "SU"):

@@ -192,7 +192,19 @@ def abelianize(f: FreeHom) -> IntMat:
     return IntMat._trusted(tuple(map(tuple, rows)), f.source_rank)
 
 
-_TOKEN = re.compile(r"g([1-9][0-9]*)(?:\^(-?[0-9]+))?\Z")
+# The one integer syntax of exponents, document fields and command-line
+# numbers: an optional '-', then ASCII digits.  int() also takes '+', '_',
+# spaces and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+_TOKEN = re.compile(rf"g([1-9][0-9]*)(?:\^({_INTEGER.pattern}))?\Z")
+
+
+def _read_integer(text: str) -> int:
+    """``text`` in the integer syntax, as an int; :class:`ValueError`
+    otherwise, or past CPython's str-to-int digit limit."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def parse_word(text: str) -> Word:

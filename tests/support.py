@@ -17,7 +17,6 @@ from repcount import (
     free_reduce,
     oracle,
     parse_word,
-    smith_normal_form,
 )
 
 
@@ -199,17 +198,18 @@ def torus_preimage_count_reference(a: IntMat, t) -> int:
     return walk(0, base)
 
 
-def echelon_reference(a: IntMat, ncols: int):
+def echelon_reference(a: IntMat):
     """``intlinalg.echelon`` as it was written with floor quotients: Euclid
     down each column with the first row of least |entry| as pivot, every
     row kept at full width, each step subtracting ``row[c] // p`` times the
-    pivot.  The same pivots and the same lattice of rows left zero, by
-    other remainders; the shape check is left out."""
+    pivot.  One absolute pivot per column, 0 for a column without one: the
+    same pivots, by other remainders."""
     active = [list(row) for row in a.data]
     pivots = []
-    for c in range(ncols):
+    for c in range(a.cols):
         column = [row for row in active if row[c]]
         if not column:
+            pivots.append(0)
             continue
         while len(column) > 1:
             pivot = column[0]
@@ -228,22 +228,7 @@ def echelon_reference(a: IntMat, ncols: int):
         pivot = column[0]
         pivots.append(abs(pivot[c]))
         active = [row for row in active if row is not pivot]
-    return tuple(pivots), IntMat([row[ncols:] for row in active], cols=a.cols - ncols)
-
-
-def same_row_lattice(a: IntMat, b: IntMat) -> bool:
-    """Whether the rows of ``a`` and of ``b`` span one lattice, read off
-    Smith normal forms: the lattice of ``a`` lies in that of both stacked,
-    with index the ratio of their nonzero invariant factors' products, so
-    the two are equal exactly when ``a``, ``b`` and both stacked have one
-    rank and one such product."""
-    def rank_and_volume(m: IntMat):
-        diag = [x for x in smith_normal_form(m).diag if x]
-        return len(diag), math.prod(diag)
-
-    both = IntMat(a.data + b.data, cols=a.cols)
-    return a.cols == b.cols and \
-        rank_and_volume(a) == rank_and_volume(b) == rank_and_volume(both)
+    return tuple(pivots)
 
 
 def p3_scale_document(u: int) -> str:

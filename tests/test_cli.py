@@ -577,6 +577,50 @@ class TestMultiindexCommand:
         assert err.startswith("error: I:")
 
 
+class TestFlagIntegers:
+    """Numbers on the command line take the documents' integer syntax, an
+    optional '-' and ASCII digits; int() would read the other spellings."""
+
+    REFUSED = ["+2", "1_0", " 2", "2 ", "\u0661", "2.0", ""]
+
+    @pytest.mark.parametrize("spelling", REFUSED)
+    @pytest.mark.parametrize("flag", ["--g", "--h", "--n"])
+    def test_poly_flags_exit_1(self, capsys, flag, spelling):
+        values = {"--g": "4", "--h": "2", "--n": "1", flag: spelling}
+        argv = [x for item in values.items() for x in item]
+        code, out, err = run(capsys, "poly", "--group", "U", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: argument {flag}: invalid integer {spelling!r}\n")
+
+    @pytest.mark.parametrize("spelling", REFUSED)
+    def test_seed_exit_1(self, capsys, det6_path, spelling):
+        code, out, err = run(capsys, "oracle", det6_path, "--seed", spelling)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: argument --seed: invalid integer {spelling!r}\n")
+
+    @pytest.mark.parametrize("pairs, bad", [
+        ("1_0:1", "1_0"), ("1:+1", "+1"), ("\u0661:1", "\u0661"),
+        (" 1:1", " 1"), ("1: 1", " 1"), ("1:2, 3:1", " 3"),
+    ])
+    @pytest.mark.parametrize("flag", ["--I", "--J"])
+    def test_pairs_exit_1(self, capsys, flag, pairs, bad):
+        code, out, err = run(capsys, "multiindex", flag, pairs, "--format", "machine")
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag[2:]}: invalid integer {bad!r}\n"
+
+    def test_syntax_accepted(self, capsys, det6_path):
+        code, out, _ = run(capsys, "poly", "--g", "04", "--h", "02", "--group", "U",
+                           "--n", "2", "--format", "machine")
+        assert code == 0 and machine_dict(out)["g"] == "4"
+        code, out, _ = run(capsys, "multiindex", "--I", "01:2,3:1", "--J", "2:1",
+                           "--format", "machine")
+        assert code == 0
+        assert out == run(capsys, "multiindex", "--I", "1:2,3:1", "--J", "2:1",
+                          "--format", "machine")[1]
+        seeded = run(capsys, "oracle", det6_path, "--seed", "-7", "--format", "machine")
+        assert seeded[0] == 0
+
+
 class TestUsageErrors:
     """A command line argparse refuses returns the input-error status 1,
     distinct from the wrong-codimension status 2, without raising."""

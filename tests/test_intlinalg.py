@@ -21,7 +21,6 @@ from support import (
     echelon_reference,
     identity_matrix,
     random_int_mat,
-    same_row_lattice,
     zero_matrix,
 )
 
@@ -117,11 +116,17 @@ def low_rank_strategy(max_dim=5, bound=4):
     return st.tuples(dims, dims, dims).flatmap(build)
 
 
+def beside_identity(a: IntMat) -> IntMat:
+    """``[A | I]``: the identity block records each row's combination, so
+    the rows the columns of A leave zero feed the identity block's pivots."""
+    return IntMat([row + tuple(int(i == j) for j in range(a.rows))
+                   for i, row in enumerate(a.data)], cols=a.cols + a.rows)
+
+
 def with_identity(a: IntMat) -> IntMat:
-    """``[A^T | I]``: its echelon over ``a.rows`` columns carries ker A."""
-    n = a.cols
-    return IntMat([row + tuple(int(i == j) for j in range(n))
-                   for i, row in enumerate(a.transpose().data)], cols=a.rows + n)
+    """``[A^T | I]``: its first ``a.rows`` pivots read coker A, and the rows
+    they leave zero span ker A in the identity block."""
+    return beside_identity(a.transpose())
 
 
 class TestEchelon:
@@ -129,131 +134,122 @@ class TestEchelon:
     @given(st.one_of(low_rank_strategy(), low_rank_strategy(max_dim=3, bound=30)))
     def test_against_smith_normal_form(self, a):
         snf = smith_normal_form(a)
-        pivots, rest = echelon(with_identity(a), a.rows)
-        assert len(pivots) == snf.rank
-        assert all(p > 0 for p in pivots)
-        order = math.prod(pivots) if len(pivots) == a.rows else INFINITE
-        assert order == snf.cokernel_order
-        # The rows left zero lie in ker A and number its rank.  ker A is
-        # saturated, so they span the same lattice as the SNF kernel basis
-        # exactly when their own lattice is saturated: all invariant
-        # factors 1.
-        kb = snf.kernel_basis
-        assert (rest.rows, rest.cols) == (kb.cols, a.cols)
-        assert a @ rest.transpose() == zero_matrix(a.rows, rest.rows)
-        assert smith_normal_form(rest).diag == (1,) * rest.rows
-        assert smith_normal_form(kb.transpose()).diag == (1,) * kb.cols
+        pivots = echelon(with_identity(a))
+        assert len(pivots) == a.rows + a.cols
+        head, tail = pivots[:a.rows], pivots[a.rows:]
+        assert all(p >= 0 for p in pivots)
+        # What P3 reads: the product of the first a.rows pivots is the
+        # cokernel order, and the rows they leave zero number ker A.
+        assert (math.prod(head) or INFINITE) == snf.cokernel_order
+        assert a.rows - head.count(0) == snf.rank
+        assert a.cols - (a.rows - head.count(0)) == snf.kernel_basis.cols
+        # Those rows span ker A, the lattice of the SNF kernel basis, and
+        # pivots are invariants of the row lattice.
+        assert tail == echelon_reference(snf.kernel_basis.transpose())
 
     def test_pivots_without_trailing_columns(self):
-        pivots, rest = echelon(IntMat([[2, 1], [0, 3]]).transpose(), 2)
+        pivots = echelon(IntMat([[2, 1], [0, 3]]).transpose())
+        assert pivots == (1, 6)
         assert math.prod(pivots) == 6
-        assert (rest.rows, rest.cols) == (0, 0)
 
     def test_zero_columns_keep_every_row(self):
-        a = IntMat([[1, 2], [3, 4]])
-        assert echelon(a, 0) == ((), a)
+        assert echelon(IntMat([[], []])) == ()
+        # A zero first column takes no row, so both reach the second.
+        assert echelon(IntMat([[0, 2], [0, 3]])) == (0, 1)
 
     def test_empty(self):
-        assert echelon(IntMat([], cols=3), 2) == ((), IntMat([], cols=1))
+        assert echelon(IntMat([], cols=3)) == (0, 0, 0)
 
     def test_zero_matrix(self):
-        assert echelon(zero_matrix(3, 2), 2) == ((), IntMat([[], [], []], cols=0))
-
-    @pytest.mark.parametrize("ncols", [-1, 3])
-    def test_bad_column_count(self, ncols):
-        with pytest.raises(ShapeError):
-            echelon(zero_matrix(2, 2), ncols)
+        assert echelon(zero_matrix(3, 2)) == (0, 0)
 
     def test_input_unchanged(self):
         a = IntMat([[4, 6, 1], [6, 9, 0]])
         data = a.data
-        echelon(a, 2)
+        echelon(a)
         assert a.data == data
 
 
 class TestEchelonEquivalence:
     """``echelon`` takes least remainders on shrinking rows; the floor
-    quotient reference must give the same pivots and a kernel of the same
-    lattice."""
+    quotient reference must give the same pivots, those of the columns
+    its rows leave zero included."""
 
     @staticmethod
-    def assert_equivalent(a: IntMat, ncols: int):
-        pivots, rest = echelon(a, ncols)
-        ref_pivots, ref_rest = echelon_reference(a, ncols)
-        assert pivots == ref_pivots
-        assert (rest.rows, rest.cols) == (ref_rest.rows, ref_rest.cols)
-        assert same_row_lattice(rest, ref_rest)
+    def assert_equivalent(a: IntMat):
+        assert echelon(a) == echelon_reference(a)
 
     def test_seeded_matrices(self):
-        # Up to 24 columns, so echelons over 10 or more run on packed rows.
+        # Up to 24 columns, so echelons of 10 or more run on packed rows.
         rng = random.Random(14)
         for _ in range(400):
             rows, cols = rng.randint(0, 12), rng.randint(0, 24)
             bound = rng.choice((1, 3, 20, 10**6))
-            a = random_int_mat(rng, rows, cols, -bound, bound)
-            self.assert_equivalent(a, rng.randint(0, cols))
+            self.assert_equivalent(random_int_mat(rng, rows, cols, -bound, bound))
 
     def test_seeded_low_rank_with_identity(self):
         # [A^T | I] with dependent rows: some columns have no pivot and
-        # the kernel carries the identity part.
+        # the identity block's pivots are those of the kernel.
         rng = random.Random(41)
         for _ in range(150):
             k, n = rng.randint(1, 3), rng.randint(1, 6)
             left = random_int_mat(rng, rng.randint(1, 6), k, -9, 9)
             a = left @ random_int_mat(rng, k, n, -9, 9)
-            self.assert_equivalent(with_identity(a), a.rows)
+            self.assert_equivalent(with_identity(a))
 
     @pytest.mark.parametrize("rows, cols, ncols",
                              [(0, 0, 0), (0, 4, 2), (3, 0, 0), (3, 4, 0), (3, 4, 4)])
     def test_degenerate_shapes(self, rows, cols, ncols):
-        self.assert_equivalent(zero_matrix(rows, cols), ncols)
-        self.assert_equivalent(random_int_mat(random.Random(rows), rows, cols), ncols)
+        for a in (zero_matrix(rows, cols), random_int_mat(random.Random(rows), rows, cols)):
+            self.assert_equivalent(a)
+            # The first ncols pivots are those of the first ncols columns.
+            left = IntMat([row[:ncols] for row in a.data], cols=ncols)
+            assert echelon(a)[:ncols] == echelon(left)
 
     def test_negative_pivots(self):
         # The least |entry| is negative in every column; pivots are returned
         # as absolute values.
         a = IntMat([[-3, 5, 1, 0], [7, -2, 0, 1], [-3, -4, 2, 2]])
-        assert echelon(a, 2)[0] == (1, 1)
-        self.assert_equivalent(a, 2)
+        assert echelon(a)[:2] == (1, 1)
+        self.assert_equivalent(a)
         rng = random.Random(5)
         for _ in range(100):
-            a = random_int_mat(rng, 4, 5, -30, -1)
-            self.assert_equivalent(a, rng.randint(1, 5))
+            self.assert_equivalent(random_int_mat(rng, 4, 5, -30, -1))
 
     def test_large_entries_terminate(self):
         rng = random.Random(64)
         bound = 2**64
         for _ in range(60):
             a = random_int_mat(rng, rng.randint(1, 6), rng.randint(1, 6), -bound, bound)
-            self.assert_equivalent(a, rng.randint(0, a.cols))
+            self.assert_equivalent(a)
         # Consecutive Fibonacci numbers are Euclid's slowest case for
         # floor quotients.
         fib = [1, 1]
         while fib[-1] < bound:
             fib.append(fib[-1] + fib[-2])
         a = IntMat([[fib[-1], 1, 0], [fib[-2], 0, 1]])
-        assert echelon(a, 1)[0] == (1,)
-        self.assert_equivalent(a, 1)
+        assert echelon(a)[:1] == (1,)
+        self.assert_equivalent(a)
 
 
-def echelon_on(path: str, a: IntMat, ncols: int):
+def echelon_on(path: str, a: IntMat):
     """``echelon`` on packed rows (``path == "packed"``) or on the list loop,
-    whatever ``ncols`` is."""
+    whatever the width of ``a``."""
     threshold = 0 if path == "packed" else a.cols + 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intlinalg, "_PACKED_MIN_COLS", threshold)
-        return echelon(a, ncols)
+        return echelon(a)
 
 
 def wide_strategy(max_rows=14, max_cols=24):
     """Matrices of 0..max_rows rows and 0..max_cols columns, entries small
-    or near 2^64, and a column count to reduce."""
+    or near 2^64."""
     entries = st.one_of(st.integers(-9, 9), st.integers(-2**64, 2**64))
 
     def build(shape):
         m, n = shape
         rows = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
-        return st.tuples(rows.map(lambda r: IntMat(r, cols=n)), st.integers(0, n))
+        return rows.map(lambda r: IntMat(r, cols=n))
 
     return st.tuples(st.integers(0, max_rows), st.integers(0, max_cols)).flatmap(build)
 
@@ -268,9 +264,9 @@ def fibonacci_rows(count: int, cols: int, start: int) -> IntMat:
 
 
 class TestPackedEchelon:
-    """Echelons over ``_PACKED_MIN_COLS`` columns or more run on packed rows.
-    They take the list loop's steps, so the pivots and the rows left zero
-    are equal to the list loop's, not merely the same lattice."""
+    """Echelons of ``_PACKED_MIN_COLS`` columns or more run on packed rows.
+    They take the list loop's steps, so the pivots are equal to the list
+    loop's."""
 
     @staticmethod
     def wide_matrices():
@@ -278,26 +274,39 @@ class TestPackedEchelon:
         for _ in range(120):
             rows, cols = rng.randint(0, 16), rng.randint(10, 24)
             bound = rng.choice((1, 3, 20, 10**6, 2**64))
-            yield random_int_mat(rng, rows, cols, -bound, bound), rng.randint(0, cols)
+            yield random_int_mat(rng, rows, cols, -bound, bound)
         for _ in range(20):
             # Every entry is negative, so is every column's least entry.
-            cols = rng.randint(10, 24)
-            yield random_int_mat(rng, rng.randint(2, 12), cols, -2**64, -1), rng.randint(1, cols)
+            yield random_int_mat(rng, rng.randint(2, 12), rng.randint(10, 24), -2**64, -1)
         for count, cols, start in ((2, 10, 90), (6, 12, 40), (12, 24, 1), (3, 16, 300)):
-            yield fibonacci_rows(count, cols, start), cols
+            yield fibonacci_rows(count, cols, start)
         for cols, start in ((12, 90), (24, 300)):
             # One column of consecutive Fibonacci numbers beside the identity.
-            yield with_identity(fibonacci_rows(1, cols, start)), 1
+            yield with_identity(fibonacci_rows(1, cols, start))
 
-    def assert_paths_equal(self, a: IntMat, ncols: int):
-        packed = echelon_on("packed", a, ncols)
-        assert packed == echelon_on("lists", a, ncols)
-        if ncols >= intlinalg._PACKED_MIN_COLS:
-            assert echelon(a, ncols) == packed
+    @staticmethod
+    def assert_paths_equal(a: IntMat):
+        # Beside the identity, the rows the columns of a leave zero carry
+        # on into more columns.
+        for m in (a, beside_identity(a)):
+            packed = echelon_on("packed", m)
+            assert packed == echelon_on("lists", m)
+            assert len(packed) == m.cols
+            if m.cols >= intlinalg._PACKED_MIN_COLS:
+                assert echelon(m) == packed
 
     def test_seeded_wide_matrices(self):
-        for a, ncols in self.wide_matrices():
-            self.assert_paths_equal(a, ncols)
+        for a in self.wide_matrices():
+            self.assert_paths_equal(a)
+
+    @pytest.mark.parametrize("cols, packed", [(9, False), (10, True), (13, True)])
+    def test_loop_chosen_by_width(self, monkeypatch, cols, packed):
+        calls = []
+        packed_loop = intlinalg._echelon_packed
+        monkeypatch.setattr(intlinalg, "_echelon_packed",
+                            lambda a: calls.append(a.cols) or packed_loop(a))
+        echelon(random_int_mat(random.Random(cols), 4, cols))
+        assert calls == ([cols] if packed else [])
 
     @pytest.mark.parametrize("headroom", [1, 2])
     def test_little_headroom_widens_often(self, monkeypatch, headroom):
@@ -312,22 +321,41 @@ class TestPackedEchelon:
             return widths[-1][1]
 
         monkeypatch.setattr(intlinalg, "_repack", counted)
-        for a, ncols in self.wide_matrices():
-            self.assert_paths_equal(a, ncols)
+        for a in self.wide_matrices():
+            self.assert_paths_equal(a)
         # Some steps widen the fields; others find the exact bounds fit.
         assert any(new > old for old, new in widths)
         assert any(new == old for old, new in widths)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(wide_strategy(), wide_strategy(max_rows=5, max_cols=6)))
-    def test_hypothesis_matrices(self, a_and_ncols):
-        self.assert_paths_equal(*a_and_ncols)
+    def test_hypothesis_matrices(self, a):
+        self.assert_paths_equal(a)
+
+    @pytest.mark.parametrize("path", ["lists", "packed"])
+    @pytest.mark.parametrize("cols", [5, 14])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_pivotless_columns(self, path, cols, where):
+        # A zero column, or one equal to an earlier column, gets pivot 0:
+        # the rows left after that earlier column are zero on both.  It
+        # takes no row, so every other pivot is that of the matrix without it.
+        rng = random.Random(cols)
+        at = {"first": 0, "middle": cols // 2, "last": cols - 1}[where]
+        for rows in (3, cols - 1, cols + 2):
+            base = random_int_mat(rng, rows, cols - 1, -2**40, 2**40)
+            fills = [lambda row: 0] + ([lambda row: row[0], lambda row: row[at - 1]] if at else [])
+            for fill in fills:
+                a = IntMat([row[:at] + (fill(row),) + row[at:] for row in base.data], cols=cols)
+                pivots = echelon_on(path, a)
+                assert pivots[at] == 0
+                assert pivots[:at] + pivots[at + 1:] == echelon_on(path, base)
+                assert pivots == echelon_reference(a)
 
     def test_input_unchanged(self):
         a = with_identity(random_int_mat(random.Random(8), 12, 14, -2**70, 2**70))
         data = a.data
         rows = [list(row) for row in data]
-        echelon(a, 12)
+        echelon(a)
         assert a.data is data and [list(row) for row in a.data] == rows
 
 

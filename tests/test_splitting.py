@@ -241,8 +241,8 @@ class TestPairCohomology:
                 assert d == rep.order_H2_pair
 
     def test_p3_at_scale(self):
-        # u = 130: the first echelon is 162 x 162 over 130 columns, and its
-        # least-remainder steps keep the kernel rows it carries small.
+        # u = 130: the echelon is 162 x 162, and its least-remainder steps
+        # keep the rows it carries past column u small.
         s, _ = parse_splitting_document(p3_scale_document(130))
         rep = pair_cohomology(s)
         assert isinstance(rep.order_H2_pair, int)
