@@ -4,9 +4,10 @@ Everything here is arbitrary precision.  Entries are Python ints and no
 result is ever approximated.  Determinants use fraction-free (Bareiss)
 elimination because glue matrices assembled from long words can have large
 entries and the cross-checks downstream demand exactness.  Smith normal
-form uses unimodular row/column operations with a minimal-absolute-value
-pivot rule, which bounds intermediate coefficient growth without affecting
-the (unique) invariant factors.
+form is one loop over the diagonal: the least nonzero |entry| left is the
+pivot, and a nonzero floor remainder replaces it, so the pivot only
+shrinks; this bounds coefficient growth without affecting the (unique)
+invariant factors.
 
 A matrix is reduced once.  ``echelon`` row-reduces every column without
 building a transform and returns a pivot per column; a lattice index, a
@@ -440,6 +441,14 @@ class SnfResult:
 def smith_normal_form(a: IntMat) -> SnfResult:
     """Diagonalize ``a`` by unimodular row/column operations.
 
+    One loop over the diagonal position t: the least nonzero |entry| of
+    the block from (t, t) on is the pivot p.  Column t and row t are
+    cleared by floor quotients, and a nonzero remainder, below |p|, is the
+    pivot at once; then a row holding an entry p does not divide is added
+    into row t and cleared again.  Each step zeroes an entry or shrinks
+    |p|, so the loop ends with p dividing the rest, which makes the
+    diagonal a divisibility chain.  A negative p is negated with its row.
+
     >>> smith_normal_form(IntMat([[2, 0], [0, 3]])).diag
     (1, 6)
     """
@@ -472,74 +481,43 @@ def smith_normal_form(a: IntMat) -> SnfResult:
         for row in v:
             row[j], row[k] = row[k], row[j]
 
-    def row_neg(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    def diagonalize() -> None:
-        for t in range(min(m, n)):
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    x = d[i][j]
-                    if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                return
-            if best[0] != t:
-                row_swap(t, best[0])
-            if best[1] != t:
-                col_swap(t, best[1])
-            while True:
-                swapped = False
-                for i in range(t + 1, m):
-                    if d[i][t] != 0:
-                        row_sub(i, t, d[i][t] // d[t][t])
-                        if d[i][t] != 0:
-                            # Remainder is strictly smaller; adopt it as pivot.
-                            row_swap(t, i)
-                            swapped = True
-                            break
-                if swapped:
-                    continue
-                for j in range(t + 1, n):
-                    if d[t][j] != 0:
-                        col_sub(j, t, d[t][j] // d[t][t])
-                        if d[t][j] != 0:
-                            col_swap(t, j)
-                            swapped = True
-                            break
-                if swapped:
-                    continue
-                break
-            if d[t][t] < 0:
-                row_neg(t)
-
-    diagonalize()
     k = min(m, n)
-    while True:
-        clean = True
-        for t in range(k - 1):
-            a0, b0 = d[t][t], d[t + 1][t + 1]
-            if a0 == 0 and b0 != 0:
-                row_swap(t, t + 1)
-                col_swap(t, t + 1)
-                clean = False
-                break
-            if a0 != 0 and b0 % a0 != 0:
-                # Fold column t+1 into column t; re-diagonalizing replaces the
-                # pair by (gcd, lcm) without changing the product.
-                col_sub(t, t + 1, -1)
-                clean = False
-                break
-        if clean:
+    for t in range(k):
+        block = [(abs(x), i, j) for i in range(t, m) for j in range(t, n) if (x := d[i][j])]
+        if not block:
             break
-        diagonalize()
+        _, i, j = min(block)  # the first least nonzero |entry|
+        row_swap(t, i)
+        col_swap(t, j)
+        while True:
+            p = d[t][t]
+            # Clear column t, then row t; a nonzero remainder is the pivot.
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    row_sub(i, t, d[i][t] // p)
+                    if d[i][t]:
+                        row_swap(t, i)
+                        break
+            else:
+                for j in range(t + 1, n):
+                    if d[t][j]:
+                        col_sub(j, t, d[t][j] // p)
+                        if d[t][j]:
+                            col_swap(t, j)
+                            break
+                else:
+                    # Both are clear: add in a row that p does not divide.
+                    i = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1:])), 0)
+                    if not i:
+                        break
+                    row_sub(t, i, -1)
+        if d[t][t] < 0:
+            d[t][t] = -d[t][t]
+            u[t] = [-x for x in u[t]]
 
-    big_d = IntMat(d, cols=n)
     return SnfResult(
         U=IntMat(u, cols=m),
-        D=big_d,
+        D=IntMat(d, cols=n),
         V=IntMat(v, cols=n),
         diag=tuple(d[i][i] for i in range(k)),
     )

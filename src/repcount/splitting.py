@@ -39,6 +39,7 @@ from .words import (
     MalformedWordError,
     RankMismatchError,
     Word,
+    _INTEGER,
     _parse_word,
     _read_integer,
     _trusted,
@@ -380,7 +381,9 @@ def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
     def int_field(key: str) -> int:
         try:
             return _read_integer(fields[key])
-        except ValueError:
+        except ValueError as exc:
+            if _INTEGER.fullmatch(fields[key]):  # past the digit limit
+                raise DocumentError(f"field {key!r}: {exc}") from None
             raise DocumentError(f"field {key!r} must be an integer") from None
 
     group_text = fields["group"]

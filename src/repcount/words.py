@@ -44,6 +44,7 @@ reduced word at fault.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -199,12 +200,21 @@ _INTEGER = re.compile(r"-?[0-9]+")
 _TOKEN = re.compile(rf"g([1-9][0-9]*)(?:\^({_INTEGER.pattern}))?\Z")
 
 
+def _too_long(digits: str) -> str:
+    """The one refusal of ``digits`` past CPython's str-to-int digit limit."""
+    return (f"number of {len(digits.lstrip('-'))} digits is too long to read; "
+            f"the limit is {sys.get_int_max_str_digits()} digits")
+
+
 def _read_integer(text: str) -> int:
     """``text`` in the integer syntax, as an int; :class:`ValueError`
     otherwise, or past CPython's str-to-int digit limit."""
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"invalid integer {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(_too_long(text)) from None
 
 
 def parse_word(text: str) -> Word:
@@ -237,9 +247,7 @@ def _parse_word(text: str, table: dict[str, tuple[int, int]]) -> Word:
                 letter = (int(m.group(1)), int(m.group(2) or 1))
             except ValueError as exc:
                 # Only CPython's str-to-int digit limit can fail on these digits.
-                raise MalformedWordError(
-                    f"word token of {len(token)} characters has a number too long to read"
-                ) from exc
+                raise MalformedWordError(_too_long(max(m.groups(""), key=len))) from exc
             table[token] = letter
         index, exponent = letter
         if not exponent:

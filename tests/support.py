@@ -234,8 +234,8 @@ def echelon_reference(a: IntMat):
 def p3_scale_document(u: int) -> str:
     """A T = 0 U(1) document of rank u: g1 = u // 4, h1 = g1 + u // 2, and
     every word 30 random letters g_i^(+-1), drawn from ``random.Random(u)``,
-    unreduced.  The same text as the continuous-integration step that runs
-    ``repcount homology`` at u = 200 writes."""
+    unreduced.  The continuous-integration step that runs ``repcount
+    homology`` at u = 200 reads its document from here."""
     rng = random.Random(u)
     g1 = u // 4
     h1 = g1 + u // 2
@@ -281,6 +281,7 @@ l_map = g1^-1 ; g1^-3
 
 # A U(1) document whose 9x9 acting matrix has |det| = 4 and row sums whose
 # product W = prod (row sum + 1) is about 5.8e9, far past the torus box.
+# The continuous-integration step on the torus box reads it from here.
 DENSE9_DOCUMENT = """\
 n = 1
 group = U

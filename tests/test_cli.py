@@ -621,6 +621,39 @@ class TestFlagIntegers:
         assert seeded[0] == 0
 
 
+class TestOverlongNumbers:
+    """A number past CPython's str-to-int digit limit is refused in one
+    wording, on a flag, in a pair list, in a document field and in a word,
+    and never with the interpreter's own advice."""
+
+    ONES = "1" * 5000
+    WORDING = "number of 5000 digits is too long to read; the limit is 4300 digits"
+
+    def check(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert self.WORDING in err and "set_int_max_str_digits" not in err
+        return err
+
+    def test_flag(self, capsys):
+        err = self.check(capsys, "poly", "--g", self.ONES, "--h", "2", "--group", "U", "--n", "1")
+        assert err.startswith(f"error: argument --g: {self.WORDING}\n")
+
+    def test_pairs(self, capsys):
+        err = self.check(capsys, "multiindex", "--I", f"{self.ONES}:1")
+        assert err == f"error: I: {self.WORDING}\n"
+
+    def test_document_field(self, capsys, tmp_path):
+        p = tmp_path / "long.split"
+        p.write_text(TRIVIAL_DOCUMENT.replace("n = 2", f"n = {self.ONES}"))
+        assert self.check(capsys, "validate", str(p)) == f"error: field 'n': {self.WORDING}\n"
+
+    def test_word_exponent(self, capsys, tmp_path):
+        p = tmp_path / "long.split"
+        p.write_text(DET6_DOCUMENT.replace("k_map = g2^2 ; g1", f"k_map = g2^{self.ONES} ; g1"))
+        assert self.check(capsys, "validate", str(p)) == f"error: k_map: {self.WORDING}\n"
+
+
 class TestUsageErrors:
     """A command line argparse refuses returns the input-error status 1,
     distinct from the wrong-codimension status 2, without raising."""

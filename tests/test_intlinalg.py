@@ -35,6 +35,20 @@ def square_strategy(max_n=4, bound=5):
     )
 
 
+@st.composite
+def snf_matrices(draw):
+    """Shapes 0..6 x 0..6 with entries up to 10^6, built with ``cols=`` so
+    that a matrix of no rows keeps its width; some draws make the last row
+    an integer combination of the others, so the rank falls short."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.integers(-10**6, 10**6)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=m - 1, max_size=m - 1))
+        rows[-1] = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    return IntMat(rows, cols=n)
+
+
 def cofactor_det(a: IntMat) -> int:
     """Naive cofactor expansion; the independent determinant oracle."""
     n = a.rows
@@ -56,10 +70,19 @@ class TestIntMat:
     def test_empty_shapes(self):
         assert IntMat([], cols=3).rows == 0
         assert IntMat([[], []]).cols == 0
+        assert (IntMat([]).rows, IntMat([]).cols) == (0, 0)
 
     def test_ragged_rejected(self):
         with pytest.raises(ShapeError):
             IntMat([[1, 2], [3]])
+
+    @pytest.mark.parametrize("data, cols, message", [
+        ([[1, 2], [3, 4]], 3, "declared cols=3 but rows have width 2"),
+        ([], -1, "negative column count"),
+    ], ids=["declared-width", "negative-width"])
+    def test_bad_column_count_rejected(self, data, cols, message):
+        with pytest.raises(ShapeError, match=message):
+            IntMat(data, cols=cols)
 
     def test_non_int_rejected(self):
         with pytest.raises(TypeError):
@@ -365,6 +388,7 @@ class TestSmithNormalForm:
         ([[1, 0], [0, 0]], (1, 0)),
         ([[2, 4], [4, 8]], (2, 0)),
         ([[6, 0], [0, 10]], (2, 30)),
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], (1, 1, 6)),  # 2 does not divide 3 at t = 1
     ])
     def test_known_diagonals(self, rows, diag):
         assert smith_normal_form(IntMat(rows)).diag == diag
@@ -376,13 +400,8 @@ class TestSmithNormalForm:
         s = smith_normal_form(IntMat([], cols=0))
         assert s.diag == ()
 
-    @settings(max_examples=80)
-    @given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
-        lambda shape: st.lists(
-            st.lists(st.integers(-6, 6), min_size=shape[1], max_size=shape[1]),
-            min_size=shape[0], max_size=shape[0],
-        ).map(IntMat)
-    ))
+    @settings(max_examples=150)
+    @given(snf_matrices())
     def test_reconstruction_and_chain(self, a):
         s = smith_normal_form(a)
         assert s.U @ a @ s.V == s.D
@@ -404,6 +423,16 @@ class TestSmithNormalForm:
             for j in range(s.D.cols):
                 if i != j:
                     assert s.D[i, j] == 0
+
+    def test_independent_of_echelon_and_det(self, monkeypatch):
+        # The reference for P3's echelon and P1's determinant uses neither.
+        def refuse(a):
+            raise AssertionError("smith_normal_form called a pipeline's reduction")
+
+        monkeypatch.setattr(intlinalg, "echelon", refuse)
+        monkeypatch.setattr(intlinalg, "det", refuse)
+        assert smith_normal_form(IntMat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])).diag == (1, 1, 6)
+        assert smith_normal_form(IntMat([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])).diag == (2, 2, 156)
 
     def test_diag_unique_under_unimodular_change(self):
         a = IntMat([[2, 1], [0, 3]])

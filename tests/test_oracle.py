@@ -60,6 +60,12 @@ class TestTorusPreimageCount:
         with pytest.raises(SingularMatrixError):
             torus_preimage_count(IntMat([[1, 1]]), [(Fraction(1, 3),)])
 
+    @pytest.mark.parametrize("targets", [[(0,)], [(0, 0), (0, 0, 0)]], ids=["short", "long-second"])
+    def test_target_length_rejected(self, targets):
+        bad = len(targets[-1])
+        with pytest.raises(ValueError, match=f"target length {bad} != 2"):
+            torus_preimage_count(IntMat([[2, 1], [0, 3]]), targets)
+
     def test_zero_target_counts_det(self):
         # x = 0 and x = 1/2 solve 2x == 0; x = 1 is the same torus point as 0
         assert torus_preimage_count(IntMat([[2]]), [(Fraction(0),)]) == (2,)

@@ -254,9 +254,9 @@ class TestTokenTable:
         ("g2^2 g1^+2", "bad word token 'g1^+2'"),
         ("g1 g0", "bad word token 'g0'"),
         ("g1 g2^" + "3" * 4400,
-         "word token of 4403 characters has a number too long to read"),
+         "number of 4400 digits is too long to read; the limit is 4300 digits"),
         ("g2 g" + "1" * 4301,
-         "word token of 4302 characters has a number too long to read"),
+         "number of 4301 digits is too long to read; the limit is 4300 digits"),
     ], ids=["unknown", "plus-sign", "index-0", "long-exponent", "long-index"])
     def test_errors_after_good_tokens(self, bad, message):
         table = {}
