@@ -67,13 +67,12 @@ def _read_input(path: str) -> str:
         raise DocumentError(f"{where}: {exc}") from exc
 
 
-def _emit(pairs: list[tuple[str, str]], args: argparse.Namespace, title: str = "") -> None:
+def _emit(pairs: list[tuple[str, str]], args: argparse.Namespace, title: str) -> None:
     if args.output_format == "machine":
         for key, value in pairs:
             print(f"{key}={value}")
     else:
-        if title:
-            print(title)
+        print(title)
         for key, value in pairs:
             print(f"  {key}: {value if value != '' else '-'}")
 

@@ -38,7 +38,10 @@ Degenerate shapes are legal throughout: ``det`` of a 0x0 matrix is 1 and the
 cokernel of the empty map Z^0 -> Z^0 has order 1, which is what degenerate
 splittings produce.
 
-Matrices are immutable after construction and all functions are pure.
+No function here mutates a matrix, and all functions are pure.  ``IntMat``
+is not frozen: its trusted constructor runs twice per invariant call and
+took 0.26-0.37 us with plain slots, 0.63-0.75 us frozen through
+``object.__setattr__`` (CPython 3.11, 2-vCPU Intel Xeon VM).
 
 Two constructors.  ``IntMat(...)`` is the public one: it checks that every
 entry is an int and that the rows have one width, because matrices built
@@ -106,7 +109,7 @@ def format_int(x) -> str:
 
 
 class IntMat:
-    """Immutable integer matrix, stored row major.
+    """Integer matrix, stored row major; nothing in the package mutates one.
 
     ``cols`` must be given explicitly when there are no rows, since the
     width cannot be inferred from an empty row list.

@@ -27,13 +27,14 @@ Sign policy.  The true sign of the invariant depends on orientation data
 that is not pinned down to a computable convention, so the absolute value
 is always reported, and a sign only relative to this package's declared
 convention, marked UNDETERMINED unless the caller opts in.  The declared
-convention is: the lexicographic sign of the exterior degree, times the
-domain orientation factor (-1)^(lie_rank * (h1-g1) * (h2+1)).  The factor
-is chosen so that one stabilization flips the convention sign by exactly
-(-1)^lie_rank, matching the geometric stabilization law; the normalization
-by (-1)^(lie_rank * u_hat_genus) then makes the reported sign stable under
+convention is the lexicographic sign of the exterior degree times (-1)^p,
+for the one parity p = lie_rank * ((h1-g1)(h2+1) + u_hat_genus +
+orientation_reversed).  Its (h1-g1)(h2+1) term makes one stabilization
+flip the sign, before the u_hat_genus term, by exactly (-1)^lie_rank,
+matching the geometric stabilization law; the u_hat_genus term, which
+stabilization raises by one, then makes the reported sign stable under
 stabilization.  Reversing the ambient orientation multiplies the sign by
-(-1)^lie_rank.
+(-1)^lie_rank, :func:`orientation_flip_sign`.
 
 Vanishing reason.  A zero invariant must come with a rational reason,
 read once per splitting from P3's own report: ``H2_nonzero`` when
@@ -148,15 +149,6 @@ class InvariantReport:
         ]
 
 
-def _domain_orientation_sign(s: AdaptedSplitting, lie_rank: int) -> int:
-    # Declared convention factor; see the module docstring.  Chosen so one
-    # stabilization (h1 -> h1+1, u -> u+1) flips the cycle sign by
-    # (-1)^lie_rank: the lexicographic degree sign alone picks up
-    # (-1)^(lie_rank*h2) from the position of the new row and column.
-    exponent = lie_rank * (s.h1 - s.g1) * (s.h2 + 1)
-    return -1 if exponent % 2 else 1
-
-
 def require_codimension_zero(s: AdaptedSplitting) -> None:
     """Raise :class:`WrongCodimensionError` unless ``s`` has T == 0."""
     if s.T != 0:
@@ -224,10 +216,14 @@ def lambda_invariants(
 
         sign: Optional[int] = None
         if use_sign_convention and p1 > 0:
-            cycle_sign = (1 if degree > 0 else -1) * _domain_orientation_sign(s, lie_rank)
-            sign = cycle_sign * (-1) ** (lie_rank * s.u_hat_genus)
-            if s.orientation_reversed:
-                sign *= (-1) ** lie_rank
+            # The declared convention; see the module docstring.  Its
+            # (h1 - g1)(h2 + 1) term makes one stabilization (h1 -> h1+1,
+            # u -> u+1) flip the cycle sign by (-1)^lie_rank: the
+            # lexicographic degree sign alone picks up (-1)^(lie_rank*h2)
+            # from the position of the new row and column.
+            parity = lie_rank * ((s.h1 - s.g1) * (s.h2 + 1) + s.u_hat_genus
+                                 + s.orientation_reversed)
+            sign = -1 if (degree < 0) ^ (parity & 1) else 1
 
         reports.append(InvariantReport(
             kind=kind, T=s.T, abs_value=p1, sign=sign, K=k_order,

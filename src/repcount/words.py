@@ -14,7 +14,8 @@ freely reduced.  The empty word is the identity.
 All values are immutable and every operation is a pure function, so
 everything in this module is safe for concurrent use.  ``Word`` and
 ``FreeHom`` are slotted frozen dataclasses, as are the package's other
-value classes: an instance holds its fields and no ``__dict__``.
+value classes but ``IntMat``, which is slotted and not frozen: an
+instance holds its fields and no ``__dict__``.
 
 Letters are kept, not copied.  ``Word(...)`` and :func:`free_reduce` keep
 each letter given as an exact ``tuple`` and build a new ``(index,

@@ -118,12 +118,13 @@ class TestInvariantCommand:
                                             ("u = \u0661", "u")])
     def test_integer_field_syntax_exit_1(self, capsys, tmp_path, command, line, field):
         p = tmp_path / "number.split"
-        key = line.split(" ", 1)[0]
+        key, value = line.split(" = ", 1)
         p.write_text("".join(f"{line}\n" if row.startswith(key + " ") else f"{row}\n"
                              for row in TRIVIAL_DOCUMENT.splitlines()), encoding="utf-8")
         code, out, err = run(capsys, command, str(p))
         assert (code, out) == (1, "")
-        assert err == f"error: field {field!r} must be an integer\n"
+        # The wording of a flag outside the syntax, after the field's name.
+        assert err == f"error: field {field!r}: invalid integer {value!r}\n"
 
     def test_parse_error_exit_1(self, capsys, tmp_path):
         p = tmp_path / "bad.split"

@@ -122,6 +122,19 @@ class TestWedge:
         })
         assert odd_part.wedge(odd_part).is_zero
 
+    def test_repr(self):
+        assert repr(ExtElement.zero(U2, 2)) == "ExtElement(0)"
+        assert repr(ExtElement.unit(U2, 2)) == "ExtElement(1*1)"
+        # Sorting (2, 1) past (1, 0) is one swap.
+        a = ExtElement.monomial(U2, 2, 3, [(2, 1), (1, 0)]) + gen(U2, 2, 2, 0)
+        assert repr(a) == "ExtElement(-3*x0[1]^x1[2] + 1*x0[2])"
+
+    def test_assignment_refused(self):
+        a = gen(U2, 2, 1, 0)
+        with pytest.raises(AttributeError):
+            a.terms = {}
+        assert a == gen(U2, 2, 1, 0)
+
 
 class TestDegreeOfWordMap:
     def test_identity(self):

@@ -94,6 +94,15 @@ class TestIntMat:
         assert (a @ b).data == ((2, 1), (4, 3))
         assert a.transpose().data == ((1, 3), (2, 4))
 
+    def test_matmul_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="cannot multiply 1x2 by 1x2"):
+            IntMat([[1, 2]]) @ IntMat([[3, 4]])
+
+    def test_repr(self):
+        assert repr(IntMat([], cols=3)) == "IntMat(0x3)"
+        assert repr(IntMat([[], []])) == "IntMat(2x0)"
+        assert repr(IntMat([[1, 2], [3, -4]])) == "IntMat[1 2; 3 -4]"
+
 
 class TestDet:
     def test_identity(self):

@@ -356,7 +356,7 @@ class TestDocumentFormat:
         text = "\n".join(lines + [f"{field} = {value}"]) + "\n"
         with pytest.raises(DocumentError) as err:
             parse_splitting_document(text)
-        assert str(err.value) == f"field {field!r} must be an integer"
+        assert str(err.value) == f"field {field!r}: invalid integer {value!r}"
 
     @pytest.mark.parametrize("value,expected", [("7", 7), ("007", 7), ("-0", 0), ("0", 0)])
     def test_integer_fields_in_exponent_syntax(self, value, expected):
