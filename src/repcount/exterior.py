@@ -56,6 +56,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .intlinalg import ShapeError
@@ -143,7 +144,8 @@ class ExtElement:
     """Element of the exterior algebra of H*(G^N, Z).
 
     ``terms`` maps a sorted tuple of (factor k, generator j) pairs, each
-    pair at most once, to a nonzero integer coefficient.  Arithmetic
+    pair at most once, to a nonzero integer coefficient; it is a read-only
+    view, so no holder of an element can change it.  Arithmetic
     returns new elements.  No expansion here calls it: it is kept apart
     from the bitmask kernel as an independent reference for the tests, and
     the benchmark's tracer counts its wedges.
@@ -156,7 +158,7 @@ class ExtElement:
     def __post_init__(self):
         object.__setattr__(self, "n_factors", int(self.n_factors))
         clean = {key: coeff for key, coeff in (self.terms or {}).items() if coeff != 0}
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def zero(cls, kind: GroupKind, n_factors: int) -> "ExtElement":

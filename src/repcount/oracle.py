@@ -2,13 +2,15 @@
 
 Nothing here imports the determinant, Smith normal form, or exterior
 algebra code: the point of an oracle is to disagree loudly if those are
-wrong.  Rational linear algebra is done locally with ``fractions.Fraction``
-(exact Gauss-Jordan), and lattice-quotient counting uses plain Euclidean
-column reduction plus enumeration of a box.  That reduction's basis is
-also the rank test: a row left without a pivot is a free direction of
-the cokernel.  The basis is lower triangular, so the enumeration reduces
-the box's prefixes level by level and counts the last coordinate under
-each prefix as cyclic windows of residues, without visiting its points.
+wrong.  Rational linear algebra is done locally by exact Gauss-Jordan,
+each row held as plain ints over one denominator, and lattice-quotient
+counting uses plain Euclidean column reduction plus enumeration of a
+box.  That reduction's basis is also the rank test: a row left without a
+pivot is a free direction of the cokernel.  The basis is lower
+triangular, so the enumeration reduces the box's prefixes level by
+level, expands each distinct prefix state once, and counts the last
+coordinate under each prefix as cyclic windows of residues, without
+visiting its points.
 
 The torus oracle realizes the n = 1 case of the degree law.  A word map
 induces the self-map x -> A x of the torus R^N / Z^N, with A its
@@ -25,7 +27,10 @@ its sum of |entries|, open at each nonzero end, so offset d ranges over
 at most r_d integers; the narrower offsets are walked and the widest is
 counted as one interval, so the walk reaches at most
 prod_d r_d / max_d r_d intervals, fewer than W^((N-1)/N) for the box's
-W = prod_d (r_d + 1).  Floating point never appears.
+W = prod_d (r_d + 1).  The rows whose last weight is negative are
+reflected once per target, so an interval costs two floor quotients and
+two compares per row.  Neither ``Fraction`` arithmetic nor floating point
+appears in a count.
 """
 
 from __future__ import annotations
@@ -61,10 +66,11 @@ class DomainLimitError(ValueError):
 # W = prod_i (sum_j |a_ij| + 1): W bounds the intervals the count walks
 # (fewer than W^((N-1)/N)), |det| (below W, by Hadamard's inequality) and
 # N (at most log2 W).  The slowest three-target counts measured took
-# 0.4-0.6 s: dense 6x6 matrices with row sums 7, 8, 8, 8, 8, 8
-# (W = 472,392) and fractional targets, under CPython 3.11 on a 2-vCPU
-# Intel Xeon VM.  The cokernel enumeration visits
-# (2 * (entry * cols + 1) + 1)^(rows - 1) prefixes, at most 27^2 = 729.
+# 0.15-0.3 s: dense 6x6 matrices with row sums 7, 8, 8, 8, 8, 8
+# (W = 472,392) and fractional targets, under CPython 3.11.7 on a 2-vCPU
+# Intel Xeon VM shared with other work.  The cokernel enumeration visits
+# (2 * (entry * cols + 1) + 1)^(rows - 1) prefixes, at most 27^2 = 729,
+# and expands each distinct prefix state once.
 TORUS_MAX_WORK = 500_000
 COKER_MAX_DIM = 3
 COKER_MAX_ENTRY = 4
@@ -72,35 +78,47 @@ COKER_MAX_ENTRY = 4
 
 def _det_and_adjugate(a: IntMat) -> tuple[int, list[list[int]]]:
     """Exact determinant and integer adjugate, by Gauss-Jordan over the
-    rationals.
+    rationals on integer rows.
 
-    Deliberately a different algorithm from the fraction-free elimination
-    used elsewhere; raises SingularMatrixError on rank deficiency.
+    Row i of [a | I] is held as a list of ints over one positive
+    denominator, both divided by their gcd after every row operation, and
+    the determinant as a reduced fraction.  Deliberately a different
+    algorithm from the fraction-free (Bareiss) elimination used
+    elsewhere, which divides exactly by the previous pivot.  Raises
+    SingularMatrixError on rank deficiency.
     """
     n = a.rows
-    m = [[Fraction(x) for x in row] for row in a.data]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d = Fraction(1)
+    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a.data)]
+    dens = [1] * n
+    num, den = 1, 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             raise SingularMatrixError("acting matrix is singular")
         if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            d = -d
-        pivot = m[col][col]
-        d *= pivot
-        m[col] = [x / pivot for x in m[col]]
-        inv[col] = [x / pivot for x in inv[col]]
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            dens[col], dens[pivot_row] = dens[pivot_row], dens[col]
+            num = -num
+        pivot = rows[col]
+        p = pivot[col]
+        num *= p
+        den *= dens[col]
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
         for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    adj = [[x * d for x in row] for row in inv]
-    assert d.denominator == 1 and all(x.denominator == 1 for row in adj for x in row)
-    return d.numerator, [[x.numerator for x in row] for row in adj]
+            factor = rows[r][col]
+            if r != col and factor:
+                # rows[r] / dens[r] minus factor / (dens[r] p) times the
+                # pivot row: the pivot row's own denominator cancels.
+                row = [p * x - factor * y for x, y in zip(rows[r], pivot)]
+                d = dens[r] * p
+                g = math.gcd(d, *row) if d > 0 else -math.gcd(d, *row)
+                rows[r] = [x // g for x in row]
+                dens[r] = d // g
+    # Row i is now row[i] e_i | row[n:] over its denominator, so row i of
+    # a^-1 is row[n:] / row[i], and the adjugate is det times a^-1.
+    assert den == 1 and all(num * x % row[i] == 0 for i, row in enumerate(rows) for x in row[n:])
+    return num, [[num * x // row[i] for x in row[n:]] for i, row in enumerate(rows)]
 
 
 def torus_preimage_count(a: IntMat,
@@ -170,27 +188,38 @@ def _count_offsets(det_a: int, adj: list[list[int]], low: list[int],
               for lo, hi, ci in zip(low, high, c)]
     order = sorted(range(n), key=lambda j: ranges[j][1] - ranges[j][0])
     ranges = [ranges[j] for j in order]
-    # columns[d][i] = w_ij for j = order[d].
-    columns = [[flip * den * row[j] for row in adj] for j in order]
-
     last = n - 1
     top = scale - 1
+    # Row i needs 0 <= x_i <= top, with x_i = base_i + sum_d w_id k_d for
+    # the offsets taken in that order.  Reflecting a row, x_i -> top - x_i,
+    # keeps that range, so each row whose last weight is negative is
+    # reflected, and the rows whose last weight is positive come first.
+    rows = [(b, [flip * den * row[j] for j in order]) for b, row in zip(base, adj)]
+    rows = [(top - b, [-w for w in ws]) if ws[last] < 0 else (b, ws) for b, ws in rows]
+    rows.sort(key=lambda row: row[1][last] == 0)
+    base = [b for b, _ in rows]
+    columns = [list(column) for column in zip(*(ws for _, ws in rows))]
+    up = [w for w in columns[last] if w]
+    n_up = len(up)
+    last_lo, last_hi = ranges[last]
 
     def walk(depth: int, partial: list[int]) -> int:
         # The recursion is n <= log2(TORUS_MAX_WORK) deep.
         if depth == last:
-            # Row i needs 0 <= p + w k <= top: an integer interval in k.
-            lo_k, hi_k = ranges[last]
-            for p, w in zip(partial, columns[last]):
-                if w > 0:
-                    lo_k = max(lo_k, -(p // w))
-                    hi_k = min(hi_k, (top - p) // w)
-                elif w < 0:
-                    lo_k = max(lo_k, -((top - p) // -w))
-                    hi_k = min(hi_k, p // -w)
-                elif not 0 <= p <= top:
+            # Row i needs 0 <= p + w k <= top: for w > 0 an integer
+            # interval in k; a row with w = 0 holds for every k or none.
+            lo_k, hi_k = last_lo, last_hi
+            for p, w in zip(partial, up):
+                k = -(p // w)
+                if k > lo_k:
+                    lo_k = k
+                k = (top - p) // w
+                if k < hi_k:
+                    hi_k = k
+            for p in partial[n_up:]:
+                if not 0 <= p <= top:
                     return 0
-            return max(0, hi_k - lo_k + 1)
+            return hi_k - lo_k + 1 if hi_k >= lo_k else 0
         lo_k, hi_k = ranges[depth]
         column = columns[depth]
         return sum(walk(depth + 1, [p + w * k for p, w in zip(partial, column)])
@@ -255,9 +284,11 @@ def cokernel_enumeration(a: IntMat):
     max|entry| * cols + 1, and the count is the number of distinct exact
     canonical-reduction labels of the box's points.  Row r's reduction
     reads only coordinates 0..r, so only the first rows - 1 coordinates
-    are walked.  Under each prefix the last coordinate's side =
-    2 * bound + 1 consecutive values leave residues mod its pivot p that
-    fill one cyclic window; a prefix label counts the union of its
+    are walked, and a prefix's reduction state (its label and what it
+    added to the later coordinates) fixes everything under it, so each
+    distinct state is expanded once.  Under each prefix the last
+    coordinate's side = 2 * bound + 1 consecutive values leave residues
+    mod its pivot p that fill one cyclic window; a prefix label counts the union of its
     windows, each cyclic gap between sorted window starts counted up to
     side.  Here p = 20 exceeds the side, 19:
 
@@ -278,19 +309,28 @@ def cokernel_enumeration(a: IntMat):
     bound = max_entry * a.cols + 1
     box = range(-bound, bound + 1)
     last = a.rows - 1
-    # Level r: (label, offsets) per prefix of r coordinates, label its
-    # residues, offsets[i - r] what their reductions added to coordinate i.
-    prefixes = [((), [0] * a.rows)]
-    for r in range(last):
+    # A state is a prefix of r coordinates as (label, offsets): label its
+    # residues, offsets[i - r] what their reductions added to coordinate
+    # i.  Equal states have equal subtrees, so each is expanded once.
+    states = {((), (0,) * a.rows)}
+    for r in range(last - 1):
         b = basis[r]
-        prefixes = [(label + (residue,), [o - q * b[i] for i, o in enumerate(offsets[1:], r + 1)])
-                    for label, offsets in prefixes
-                    for x in box for q, residue in [divmod(x + offsets[0], b[r])]]
+        states = {(label + (residue,),
+                   tuple(o - q * b[i] for i, o in enumerate(offsets[1:], r + 1)))
+                  for label, offsets in states
+                  for x in box for q, residue in [divmod(x + offsets[0], b[r])]}
     # Under a prefix the last coordinate's len(box) values leave residues
     # mod p in one cyclic window; a label counts the union of its windows.
+    # The last prefix level puts each window start under its label.
     p = basis[last][last]
-    starts: dict[tuple[int, ...], list[int]] = {}
-    for label, offsets in prefixes:
-        starts.setdefault(label, []).append((offsets[0] - bound) % p)
+    if not last:
+        return min(p, len(box))  # one window, under the empty prefix
+    b = basis[last - 1]
+    starts: dict[tuple[int, ...], set[int]] = {}
+    for label, (first, last_offset) in states:
+        for x in box:
+            q, residue = divmod(x + first, b[last - 1])
+            start = (last_offset - q * b[last] - bound) % p
+            starts.setdefault(label + (residue,), set()).add(start)
     return sum(min(hi - lo, len(box)) for s in map(sorted, starts.values())
                for lo, hi in zip(s, s[1:] + [s[0] + p]))

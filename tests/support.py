@@ -136,18 +136,20 @@ def cokernel_enumeration_reference(a: IntMat):
     return len(labels)
 
 
-def torus_preimage_count_reference(a: IntMat, t) -> int:
-    """The torus oracle's count for one target as it was written before one
-    solve served every target: its own Fraction Gauss-Jordan for det a and
-    the adjugate, offset ranges by ``math.ceil`` and ``math.floor`` on
-    Fractions, and a walk that enumerates every offset, the last one
-    included.  The size box is not applied; ``a`` must be nonsingular."""
+def det_and_adjugate_reference(a: IntMat) -> tuple[int, list[list[int]]]:
+    """Determinant and adjugate of a square ``a`` by Gauss-Jordan on
+    ``Fraction`` entries, as the torus oracle computed them before its rows
+    were held as ints: each pivot row is divided by its pivot, and the
+    adjugate is det times the reduced right half of [a | I].  Raises
+    ``oracle.SingularMatrixError`` when a column has no pivot."""
     n = a.rows
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a.data)]
     d = Fraction(1)
     for col in range(n):
-        pivot_row = next(r for r in range(col, n) if m[r][col] != 0)
+        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot_row is None:
+            raise oracle.SingularMatrixError("acting matrix is singular")
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             d = -d
@@ -158,8 +160,18 @@ def torus_preimage_count_reference(a: IntMat, t) -> int:
             if r != col and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    det_a = int(d)
-    adj = [[int(x * d) for x in row[n:]] for row in m]
+    return int(d), [[int(x * d) for x in row[n:]] for row in m]
+
+
+def torus_preimage_count_reference(a: IntMat, t) -> int:
+    """The torus oracle's count for one target as it was written before one
+    solve served every target: det a and the adjugate from
+    ``det_and_adjugate_reference``, offset ranges by ``math.ceil`` and
+    ``math.floor`` on Fractions, and a walk that enumerates every offset,
+    the last one included.  The size box is not applied; ``a`` must be
+    nonsingular."""
+    n = a.rows
+    det_a, adj = det_and_adjugate_reference(a)
 
     target = tuple(Fraction(x) for x in t)
     den = math.lcm(*(x.denominator for x in target))
@@ -295,6 +307,23 @@ g2^-2 g3^2 g4 g5^2 g6 g7^-1 g8 g9 ; g2^-2 g3 g4 g5 g6^2 g7^-1 g8 g9^2 ; \
 g2^-2 g4^-1 g6^-2 g7^3 ; g4^-1 g5^-1 g6^-2 g7^-1 g8^-1 g9^-1 ; g2^2 g5 g6^-1 g7^2 g8 ; \
 g2^2 g4^-1 g6^-1 g9^-1
 l_map = g1 ; g1^-1 ;  ; g1^-3 ; g1^-1 ; g1^-3 ; g1^-1 ; g1^-1 ; g1^-3
+"""
+
+# A U(1) document whose acting matrix is the dense 6x6 with row sums
+# 7, 8, 8, 8, 8, 8 (W = 472,392, |det| = 375), the slowest torus shape the
+# box admits: word i is g2^A[0][i] ... g6^A[4][i] in k_map and g1^-A[5][i]
+# in l_map.  The continuous-integration step on the slowest torus count
+# reads it from here.
+DENSE6_DOCUMENT = """\
+n = 1
+group = U
+h1 = 6
+h2 = 1
+u = 6
+g1 = 1
+k_map = g4^2 g5^2 g6 ; g2^-2 g3^-1 g5^2 g6^-1 ; g2 g4^2 g5 g6^-2 ; g2 g3^-3 g4 g5^2 ; \
+g2^-3 g3^-2 g4^-2 g6 ; g3^-2 g4 g5^-1 g6^-3
+l_map = g1^3 ;  ; g1^-1 ; g1^-3 ;  ; g1
 """
 
 TRIVIAL_DOCUMENT = """\

@@ -16,7 +16,13 @@ from repcount import (
 from repcount import cli, oracle
 from repcount.cli import main
 from repcount.oracle import COKER_MAX_DIM, COKER_MAX_ENTRY, TORUS_MAX_WORK
-from support import DENSE9_DOCUMENT, DET6_DOCUMENT, TRIVIAL_DOCUMENT, det6_splitting
+from support import (
+    DENSE6_DOCUMENT,
+    DENSE9_DOCUMENT,
+    DET6_DOCUMENT,
+    TRIVIAL_DOCUMENT,
+    det6_splitting,
+)
 
 
 def run(capsys, *argv):
@@ -498,6 +504,20 @@ class TestOracleCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert machine_dict(out)["torus_counts"] == "6,6,6"
+
+    def test_slowest_torus_shape(self, capsys, tmp_path):
+        # The dense 6x6 acting matrix (W = 472,392) is the slowest torus
+        # shape the box admits; its 6x6 glue matrix is past the cokernel box.
+        p = tmp_path / "dense6.split"
+        p.write_text(DENSE6_DOCUMENT)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "oracle", str(p), "--format", "machine")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and err == ""
+        kv = machine_dict(out)
+        assert kv["torus_counts"] == "375,375,375"
+        assert kv["coker_applicable"] == "false"
+        assert kv["agree"] == "true"
 
     def test_n2_skips_torus(self, capsys, det6_path):
         code, out, _ = run(capsys, "oracle", det6_path, "--format", "machine")

@@ -135,6 +135,16 @@ class TestWedge:
             a.terms = {}
         assert a == gen(U2, 2, 1, 0)
 
+    def test_terms_read_only(self):
+        # A stored coefficient of 0 would break the rule that every stored
+        # coefficient is nonzero, so the terms refuse item assignment.
+        a = gen(U2, 2, 1, 0)
+        with pytest.raises(TypeError):
+            a.terms[((1, 0),)] = 0
+        with pytest.raises(TypeError):
+            del a.terms[((1, 0),)]
+        assert a == gen(U2, 2, 1, 0) and not a.is_zero
+
 
 class TestDegreeOfWordMap:
     def test_identity(self):

@@ -16,12 +16,14 @@ from repcount import (
     IntMat,
     SingularMatrixError,
     Word,
+    abelianize,
     assembled_word_map,
     cokernel_enumeration,
     cokernel_order,
     det,
     lambda_invariant,
     numeric_degree_u1,
+    parse_splitting_document,
     torus_preimage_count,
     unitary,
 )
@@ -29,8 +31,10 @@ from repcount import oracle
 from repcount.cli import oracle_targets
 from repcount.oracle import TORUS_MAX_WORK
 from support import (
+    DENSE6_DOCUMENT,
     cokernel_enumeration_reference,
     det6_splitting,
+    det_and_adjugate_reference,
     identity_hom,
     identity_matrix,
     random_int_mat,
@@ -170,6 +174,39 @@ class TestHalfOpenCount:
         assert counts == (abs(d),) * len(targets)
 
 
+class TestSolve:
+    """The torus oracle's solve, integer rows over one denominator, against
+    the Fraction Gauss-Jordan it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.sampled_from(("as drawn", "last row a multiple of the first", "zero column")),
+        st.integers(-3, 3))
+    def test_matches_fraction_reference(self, rows, singular, factor):
+        # The second and third variants are singular, as are some drawn ones.
+        n = len(rows)
+        if singular == "last row a multiple of the first" and n >= 2:
+            rows[-1] = [factor * x for x in rows[0]]
+        elif singular == "zero column":
+            rows = [row[:-1] + [0] for row in rows]
+        a = IntMat(rows)
+        if det(a) == 0:
+            with pytest.raises(SingularMatrixError):
+                oracle._det_and_adjugate(a)
+            with pytest.raises(SingularMatrixError):
+                det_and_adjugate_reference(a)
+            return
+        d, adj = oracle._det_and_adjugate(a)
+        assert (d, adj) == det_and_adjugate_reference(a)
+        assert d == det(a)
+        assert IntMat(adj) @ a == IntMat([[d * int(i == j) for j in range(n)] for i in range(n)])
+
+    def test_empty_matrix(self):
+        empty = IntMat([], cols=0)
+        assert oracle._det_and_adjugate(empty) == det_and_adjugate_reference(empty) == (1, [])
+
+
 class TestReferenceCount:
     def test_matches_reference(self):
         # Seeded nonsingular matrices up to 5x5 inside the box, each with
@@ -245,6 +282,10 @@ class TestWidestLastWalk:
         assert counts == (abs(det(a)),) * 3
         if a.rows <= 4:
             assert counts == tuple(torus_preimage_count_reference(a, t) for t in targets)
+
+    def test_dense6_document_acts_by_the_dense_6x6(self):
+        s, _ = parse_splitting_document(DENSE6_DOCUMENT)
+        assert abelianize(assembled_word_map(s)) == IntMat(self.SHAPES["dense 6x6"])
 
 
 def intervals_walked(a, target):
