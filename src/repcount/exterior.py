@@ -62,20 +62,6 @@ from typing import Iterable, Mapping
 from .intlinalg import ShapeError
 from .words import FreeHom
 
-__all__ = [
-    "GroupFamily",
-    "GroupKind",
-    "unitary",
-    "special_unitary",
-    "ExtElement",
-    "AmbientMismatchError",
-    "GeneratorRangeError",
-    "ExteriorWorkLimitError",
-    "MAX_EXTERIOR_WORK",
-    "degree_of_word_map",
-    "cylinder_monomial_value",
-]
-
 
 class GroupFamily(enum.Enum):
     UNITARY = "U"

@@ -60,18 +60,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Sequence
 
-__all__ = [
-    "IntMat",
-    "SnfResult",
-    "INFINITE",
-    "ShapeError",
-    "format_int",
-    "det",
-    "echelon",
-    "smith_normal_form",
-    "cokernel_order",
-]
-
 
 class ShapeError(ValueError):
     """Matrix shape incompatible with the requested operation."""
@@ -222,7 +210,6 @@ def det(a: IntMat) -> int:
             for j in range(k + 1, n):
                 # Exact division: Bareiss guarantees prev divides the product.
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 

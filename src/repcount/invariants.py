@@ -61,21 +61,6 @@ from .splitting import (
 )
 from .words import FreeHom
 
-__all__ = [
-    "InvariantReport",
-    "PipelineValues",
-    "MultiIndex",
-    "WrongCodimensionError",
-    "PipelineDisagreementError",
-    "UNDETERMINED",
-    "lambda_invariant",
-    "lambda_invariants",
-    "require_codimension_zero",
-    "orientation_flip_sign",
-    "multiindex_degree",
-    "lambda_polynomial_cylinder",
-]
-
 UNDETERMINED = "UNDETERMINED"
 
 VANISH_H2_NONZERO = "H2_nonzero"

@@ -42,17 +42,6 @@ from typing import Sequence
 from .intlinalg import INFINITE, IntMat
 from .words import FreeHom, abelianize
 
-__all__ = [
-    "SingularMatrixError",
-    "DomainLimitError",
-    "TORUS_MAX_WORK",
-    "COKER_MAX_DIM",
-    "COKER_MAX_ENTRY",
-    "torus_preimage_count",
-    "numeric_degree_u1",
-    "cokernel_enumeration",
-]
-
 
 class SingularMatrixError(ValueError):
     """The torus oracle needs a nonsingular acting matrix."""

@@ -45,23 +45,6 @@ from .words import (
     format_word,
 )
 
-__all__ = [
-    "AdaptedSplitting",
-    "PairHomologyReport",
-    "InvalidSplittingError",
-    "DocumentError",
-    "MAX_DOCUMENT_RANK",
-    "group_kind",
-    "validate",
-    "validation_warnings",
-    "glue_matrix",
-    "pair_cohomology",
-    "stabilize",
-    "assembled_word_map",
-    "parse_splitting_document",
-    "format_splitting_document",
-]
-
 
 class InvalidSplittingError(ValueError):
     """A splitting was constructed from data with validation violations.

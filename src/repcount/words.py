@@ -51,17 +51,6 @@ from typing import Iterable
 
 from .intlinalg import IntMat
 
-__all__ = [
-    "Word",
-    "FreeHom",
-    "MalformedWordError",
-    "RankMismatchError",
-    "free_reduce",
-    "abelianize",
-    "parse_word",
-    "format_word",
-]
-
 
 class MalformedWordError(ValueError):
     """A letter uses a non-positive generator index or a bad exponent."""

@@ -12,6 +12,7 @@ from repcount import (
     FreeHom,
     GroupKind,
     IntMat,
+    PairHomologyReport,
     Word,
     abelianize,
     free_reduce,
@@ -280,16 +281,86 @@ def det6_splitting() -> AdaptedSplitting:
     )
 
 
-DET6_DOCUMENT = """\
-n = 2
-group = U
-h1 = 2
-h2 = 1
-u = 2
-g1 = 1
-k_map = g2^2 ; g1
-l_map = g1^-1 ; g1^-3
-"""
+def planted_document(rng: random.Random, u: int, variant: str):
+    """A T = 0 U(1) document of rank u >= 8, with g1 = 3 and h2 = 5, whose
+    answer is known by construction, and that answer: ``(document,
+    signed det of the glue matrix, PairHomologyReport, vanishing reason)``.
+
+    The glue matrix's transpose is P = E1 D E2: D is diagonal and E1, E2
+    are u transvections in all (row or column i += +-1 times row or column
+    k, with 1 <= |i - k| <= 3 and no wrap-around), so det P = prod D by the
+    product rule alone.  P's free-H1 rows are the ``k_map`` exponent sums
+    of g4 .. g_h1, its H2 rows, negated, those of the ``l_map``; each
+    word's letters are shuffled.  D holds 2, 3 and -7 and ones.
+
+    - ``"a"``: the marked rows are 0, so det = -42, |H^2(M)| = K = 42,
+      b1(M) = g1 and the restriction is an isomorphism.
+    - ``"b"``: D also holds a 0 and the marked rows are 0: H^2(M, Q) != 0.
+    - ``"c"``: D also holds a 0 at j, and the first marked row is e_j (word
+      j gets one letter g1).  j is taken where (E2^-1)_jj != 0, so e_j is
+      outside P's row space: |H^2(M)| = 42 |(E2^-1)_jj|, the cofactor of
+      e_j among E2's other rows, is finite, but H^1(M) misses a direction
+      of H^1(S1), so K is INFINITE.
+    """
+    g1, h2 = 3, 5
+    free1 = u - h2
+    e2 = [[int(i == k) for k in range(u)] for i in range(u)]
+    e2_inv = [row[:] for row in e2]
+    left = []
+    for _ in range(u):
+        i = rng.randrange(u)
+        k = rng.choice([k for k in range(i - 3, i + 4) if k != i and 0 <= k < u])
+        c = rng.choice((-1, 1))
+        if rng.random() < 0.5:
+            left.append((i, k, c))
+        else:
+            # E2 <- E2 T with column i += c column k, so row k of the
+            # inverse loses c times its row i.
+            for row in e2:
+                row[i] += c * row[k]
+            e2_inv[k] = [x - c * y for x, y in zip(e2_inv[k], e2_inv[i])]
+    j = rng.choice([i for i in range(u) if e2_inv[i][i]])
+    diagonal = [1] * u
+    for i, d in zip(rng.sample([i for i in range(u) if i != j], 3), (2, 3, -7)):
+        diagonal[i] = d
+    if variant != "a":
+        diagonal[j] = 0
+    p = [[d * x for x in row] for d, row in zip(diagonal, e2)]
+    for i, k, c in left:
+        p[i] = [x + c * y for x, y in zip(p[i], p[k])]
+
+    def word(sums) -> str:
+        letters = [f"g{g}" if e > 0 else f"g{g}^-1" for g, e in sums for _ in range(abs(e))]
+        rng.shuffle(letters)
+        return " ".join(letters)
+
+    k_map = " ; ".join(
+        word([(g1 + 1 + r, p[r][i]) for r in range(free1)]
+             + ([(1, 1)] if variant == "c" and i == j else []))
+        for i in range(u))
+    l_map = " ; ".join(word([(r + 1, -p[free1 + r][i]) for r in range(h2)]) for i in range(u))
+    document = (f"n = 1\ngroup = U\nh1 = {free1 + g1}\nh2 = {h2}\nu = {u}\ng1 = {g1}\n"
+                f"k_map = {k_map}\nl_map = {l_map}\n")
+    if variant == "a":
+        return document, -42, PairHomologyReport(g1, 42, 42, True), None
+    if variant == "b":
+        return document, 0, PairHomologyReport(g1 + 1, INFINITE, INFINITE, False), "H2_nonzero"
+    return (document, 0, PairHomologyReport(g1, 42 * abs(e2_inv[j][j]), INFINITE, False),
+            "restriction_not_iso")
+
+
+def det6_document(n: int = 2, u: int = 2, u_hat_genus: int | None = None) -> str:
+    """The det6 document for U(n), stabilized to rank u >= 2: handle i >= 3
+    maps to g_i in H1 and to the identity in H2, so K = 6 at every u.  The
+    ``u_hat_genus`` line is written only when one is given.  The
+    continuous-integration steps on det6 documents read them from here."""
+    genus = "" if u_hat_genus is None else f"u_hat_genus = {u_hat_genus}\n"
+    return (f"n = {n}\ngroup = U\nh1 = {u}\nh2 = 1\nu = {u}\ng1 = 1\n{genus}"
+            "k_map = g2^2 ; g1" + "".join(f" ; g{i}" for i in range(3, u + 1)) + "\n"
+            "l_map = g1^-1 ; g1^-3" + " ;" * (u - 2) + "\n")
+
+
+DET6_DOCUMENT = det6_document()
 
 # A U(1) document whose 9x9 acting matrix has |det| = 4 and row sums whose
 # product W = prod (row sum + 1) is about 5.8e9, far past the torus box.

@@ -21,6 +21,7 @@ from support import (
     DENSE9_DOCUMENT,
     DET6_DOCUMENT,
     TRIVIAL_DOCUMENT,
+    det6_document,
     det6_splitting,
 )
 
@@ -443,11 +444,7 @@ class TestStabilizeCommand:
         # which no command reads back, so nothing is written.
         p = tmp_path / "stable.split"
         for u, expected in ((999, 0), (1000, 1)):
-            p.write_text(
-                f"n = 2\ngroup = U\nh1 = {u}\nh2 = 1\nu = {u}\ng1 = 1\n"
-                f"u_hat_genus = {u}\n"
-                "k_map = g2^2 ; g1" + "".join(f" ; g{i}" for i in range(3, u + 1)) + "\n"
-                "l_map = g1^-1 ; g1^-3" + " ;" * (u - 2) + "\n")
+            p.write_text(det6_document(2, u, u))
             code, out, err = run(capsys, "stabilize", str(p))
             assert code == expected
             if expected:

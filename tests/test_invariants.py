@@ -17,6 +17,7 @@ from repcount import (
     PipelineValues,
     Word,
     WrongCodimensionError,
+    assembled_word_map,
     degree_of_word_map,
     det,
     free_reduce,
@@ -27,6 +28,7 @@ from repcount import (
     multiindex_degree,
     orientation_flip_sign,
     pair_cohomology,
+    parse_splitting_document,
     parse_word,
     smith_normal_form,
     special_unitary,
@@ -36,6 +38,7 @@ from repcount import (
 from support import (
     det6_splitting,
     mayer_vietoris_reference,
+    planted_document,
     random_free_hom,
     random_t0_splitting,
     trivial_splitting,
@@ -437,6 +440,39 @@ class TestEchelonRoute:
             assert report.order_H2_pair == (glue_det if glue_det else INFINITE)
             if report.order_H2_pair is not INFINITE:
                 assert report.order_H2_pair % report.order_H2_M == 0
+
+
+class TestPlantedDocuments:
+    """Documents whose answer is planted by construction
+    (``support.planted_document``): every pipeline gives the planted value,
+    with its sign, at sizes past both oracles, and P3 the planted report."""
+
+    KINDS = (unitary(1), unitary(2), special_unitary(3))
+
+    def check(self, variant, u):
+        document, planted_det, planted_pair, reason = planted_document(
+            random.Random(f"{variant}{u}"), u, variant)
+        s, _ = parse_splitting_document(document)
+        # h2 = 5 is odd, so a lost minus on the H2 rows flips P1's sign.
+        assert det(glue_matrix(s)) == planted_det
+        assert degree_of_word_map(assembled_word_map(s), unitary(1)) == planted_det
+        assert pair_cohomology(s) == planted_pair
+        if u == 8:
+            assert snf_reference(s) == planted_pair
+        for kind, report in zip(self.KINDS, lambda_invariants(s, self.KINDS)):
+            assert report.pipelines.agree
+            assert report.abs_value == abs(planted_det) ** kind.lie_rank
+            assert report.K == planted_pair.order_H2_pair
+            assert report.vanishing_reason == reason
+
+    @pytest.mark.parametrize("u", [8, 60, 200])
+    def test_nonsingular(self, u):
+        self.check("a", u)
+
+    @pytest.mark.parametrize("variant", ["b", "c"])
+    @pytest.mark.parametrize("u", [8, 60])
+    def test_vanishing(self, variant, u):
+        self.check(variant, u)
 
 
 class TestStabilizationBehavior:
