@@ -13,7 +13,6 @@ from .exterior import (
     ExtElement,
     ExteriorWorkLimitError,
     GeneratorRangeError,
-    GroupFamily,
     GroupKind,
     cylinder_monomial_value,
     degree_of_word_map,
@@ -59,7 +58,6 @@ from .splitting import (
     assembled_word_map,
     format_splitting_document,
     glue_matrix,
-    group_kind,
     pair_cohomology,
     parse_splitting_document,
     stabilize,

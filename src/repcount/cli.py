@@ -16,7 +16,7 @@ import functools
 import sys
 from fractions import Fraction
 
-from .exterior import ExteriorWorkLimitError, GroupKind, degree_of_word_map
+from .exterior import GROUPS, ExteriorWorkLimitError, GroupKind, degree_of_word_map
 from .intlinalg import format_int
 from .invariants import (
     MultiIndex,
@@ -40,7 +40,6 @@ from .splitting import (
     assembled_word_map,
     format_splitting_document,
     glue_matrix,
-    group_kind,
     pair_cohomology,
     parse_splitting_document,
     stabilize,
@@ -126,12 +125,12 @@ def cmd_homology(args: argparse.Namespace) -> int:
 def cmd_degree(args: argparse.Namespace) -> int:
     s, kind = _load(args)
     require_codimension_zero(s)
-    degree = degree_of_word_map(assembled_word_map(s), kind)
+    text = format_int(degree_of_word_map(assembled_word_map(s), kind))
     pairs = [
-        ("group", kind.family.value),
+        ("group", kind.family),
         ("n", str(kind.n)),
-        ("degree", format_int(degree)),
-        ("magnitude", format_int(abs(degree))),
+        ("degree", text),
+        ("magnitude", text.lstrip("-")),
     ]
     _emit(pairs, args, "exterior-algebra degree of the assembled word map")
     return EXIT_OK
@@ -155,7 +154,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     s, kind = _load(args)
     report = lambda_invariant(s, kind)
     pairs: list[tuple[str, str]] = [
-        ("group", kind.family.value),
+        ("group", kind.family),
         ("n", str(kind.n)),
         ("abs_value", format_int(report.abs_value)),
     ]
@@ -196,18 +195,19 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
-    kind = group_kind(args.group, args.n)
     try:
+        kind = GroupKind(args.group, args.n)
         value = lambda_polynomial_cylinder(args.g, args.h, kind)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
+    text = format_int(value)
     pairs = [
-        ("group", kind.family.value),
+        ("group", kind.family),
         ("n", str(kind.n)),
         ("g", str(args.g)),
         ("h", str(args.h)),
-        ("value", format_int(value)),
-        ("magnitude", format_int(abs(value))),
+        ("value", text),
+        ("magnitude", text.lstrip("-")),
         ("note", f"({args.g - args.h}!)^{kind.lie_rank}"),
     ]
     _emit(pairs, args, "product-cylinder polynomial value")
@@ -288,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
                     with_input=False)
     p.add_argument("--g", type=_flag_integer, required=True)
     p.add_argument("--h", type=_flag_integer, required=True)
-    p.add_argument("--group", choices=("U", "SU"), required=True)
+    p.add_argument("--group", choices=GROUPS, required=True)
     p.add_argument("--n", type=_flag_integer, required=True)
     p = add_command("multiindex", cmd_multiindex, "degree T of a multi-index (I, J)",
                     with_input=False)
     p.add_argument("--I", default="", help="comma list of index:multiplicity")
     p.add_argument("--J", default="", help="comma list of index:multiplicity")
-    p.add_argument("--group", choices=("U", "SU"))
+    p.add_argument("--group", choices=GROUPS)
     return parser
 
 

@@ -52,7 +52,6 @@ pairs; no claim is made about a preferred global orientation.
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
@@ -61,11 +60,6 @@ from typing import Iterable, Mapping
 
 from .intlinalg import ShapeError
 from .words import FreeHom
-
-
-class GroupFamily(enum.Enum):
-    UNITARY = "U"
-    SPECIAL_UNITARY = "SU"
 
 
 class GeneratorRangeError(ValueError):
@@ -84,21 +78,27 @@ class ExteriorWorkLimitError(ValueError):
 # took about 0.1-0.15 us under CPython 3.11 on an AMD EPYC vCPU, so the box
 # stops P2 within a second or two there (dense U(1) at N = 19: 1.5 s).  Both
 # expansions run on bitmask keys, so the rank^2 factor only caps the Lie
-# rank, which also bounds P1's |det|^rank.
+# rank.  It does not bound the answer |det|^rank, whose size has no box yet.
 MAX_EXTERIOR_WORK = 10_000_000
+
+# The group families, by their text in documents, flags and output.
+GROUPS = ("U", "SU")
 
 
 @dataclass(frozen=True, slots=True)
 class GroupKind:
-    """One of the groups U(n) or SU(n), n >= 1 (n >= 2 for SU)."""
+    """One of the groups U(n) or SU(n), n >= 1 (n >= 2 for SU); ``family``
+    is its text in ``GROUPS``."""
 
-    family: GroupFamily
+    family: str
     n: int
 
     def __post_init__(self):
+        if self.family not in GROUPS:
+            raise ValueError(f"group must be 'U' or 'SU', got {self.family!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.family is GroupFamily.SPECIAL_UNITARY and self.n < 2:
+        if self.family == "SU" and self.n < 2:
             raise ValueError("SU(n) requires n >= 2")
 
     @property
@@ -110,19 +110,19 @@ class GroupKind:
     def generator_range(self) -> range:
         """Indices j of the primitive generators x[j], of degree 2j+1, as a
         range: membership costs O(1) whatever n is."""
-        return range(0 if self.family is GroupFamily.UNITARY else 1, self.n)
+        return range(0 if self.family == "U" else 1, self.n)
 
     @property
     def label(self) -> str:
-        return f"{self.family.value}({self.n})"
+        return f"{self.family}({self.n})"
 
 
 def unitary(n: int) -> GroupKind:
-    return GroupKind(GroupFamily.UNITARY, n)
+    return GroupKind("U", n)
 
 
 def special_unitary(n: int) -> GroupKind:
-    return GroupKind(GroupFamily.SPECIAL_UNITARY, n)
+    return GroupKind("SU", n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,31 +238,30 @@ class ExtElement:
         return "ExtElement(" + " + ".join(parts) + ")"
 
 
-def _row_supports(f: FreeHom) -> list[list[tuple[int, int, int]]]:
+def _row_supports(f: FreeHom) -> tuple[list[list[tuple[int, int, int]]], list[int] | None]:
     """The rows of the pullback matrix, the transpose of the abelianization,
-    read off the words in one pass over the letters: row i holds a
-    (1 << k, k, exponent sum) triple, k 0-based, for each factor k with a
-    nonzero sum in the word giving target coordinate i, in the form
-    :func:`_wedge_row` takes.  No dense N x N matrix is built."""
+    and their closing masks, read off the words in one pass over the
+    letters.  Row i holds a (1 << k, k, exponent sum) triple, k 0-based,
+    for each factor k with a nonzero sum in the word giving target
+    coordinate i, in the form :func:`_wedge_row` takes.  Bit k of mask i
+    is set when row i is the last to touch factor k; the masks are None
+    when a factor is untouched, where the degree is 0.  No dense N x N
+    matrix is built."""
     rows = []
-    for w in f.images:
+    last_row: dict[int, int] = {}
+    for i, w in enumerate(f.images):
         sums: dict[int, int] = {}
         for g, e in w.letters:
             sums[g - 1] = sums.get(g - 1, 0) + e
-        rows.append([(1 << k, k, e) for k, e in sums.items() if e])
-    return rows
-
-
-def _closing_masks(rows: list, n_factors: int) -> list[int] | None:
-    """Bit k of mask i is set when row i is the last to touch factor k;
-    None when a factor is untouched, where the degree is 0."""
-    last_row = {k: i for i, row in enumerate(rows) for _, k, _ in row}
-    if len(last_row) < n_factors:
-        return None
-    closing = [0] * n_factors
+        rows.append(row := [(1 << k, k, e) for k, e in sums.items() if e])
+        for _, k, _ in row:
+            last_row[k] = i
+    if len(last_row) < f.target_rank:
+        return rows, None
+    closing = [0] * len(rows)
     for k, i in last_row.items():
         closing[i] |= 1 << k
-    return closing
+    return rows, closing
 
 
 def _frontier_work(rows: list, closing: list[int], limit: int) -> int:
@@ -354,8 +353,7 @@ def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
             f"word map must be endomorphism-shaped, got {f.source_rank} -> {f.target_rank}"
         )
     n_factors = f.source_rank
-    rows = _row_supports(f)
-    closing = _closing_masks(rows, n_factors)
+    rows, closing = _row_supports(f)
     if closing is None:
         return 0  # no pullback holds an untouched factor's generators
     limit = MAX_EXTERIOR_WORK // kind.lie_rank ** 2

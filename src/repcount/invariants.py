@@ -48,6 +48,7 @@ reason.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -119,16 +120,18 @@ class InvariantReport:
     def key_values(self) -> list[tuple[str, str]]:
         """Flat key=value serialization used by the CLI machine format."""
         sign_text = UNDETERMINED if self.sign is None else f"{self.sign:+d}"
+        # Each distinct value once: the pipeline values equal abs_value.
+        text = functools.cache(format_int)
         return [
-            ("group", self.kind.family.value),
+            ("group", self.kind.family),
             ("n", str(self.kind.n)),
             ("T", str(self.T)),
-            ("abs_value", format_int(self.abs_value)),
+            ("abs_value", text(self.abs_value)),
             ("sign", sign_text),
-            ("K", format_int(self.K)),
-            ("pipeline_det", format_int(self.pipelines.det_power)),
-            ("pipeline_ext", format_int(self.pipelines.ext_magnitude)),
-            ("pipeline_K", format_int(self.pipelines.k_power)),
+            ("K", text(self.K)),
+            ("pipeline_det", text(self.pipelines.det_power)),
+            ("pipeline_ext", text(self.pipelines.ext_magnitude)),
+            ("pipeline_K", text(self.pipelines.k_power)),
             ("agree", "true" if self.pipelines.agree else "false"),
             ("vanishing_reason", self.vanishing_reason or ""),
         ]

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from . import intlinalg
-from .exterior import GroupKind, special_unitary, unitary
+from .exterior import GROUPS, GroupKind
 from .intlinalg import INFINITE, IntMat
 from .words import (
     FreeHom,
@@ -300,14 +300,6 @@ def _check_rank(key: str, value: int) -> int:
     return value
 
 
-def group_kind(group: str, n: int) -> GroupKind:
-    """U(n) for group "U", else SU(n); a bad n raises :class:`DocumentError`."""
-    try:
-        return unitary(n) if group == "U" else special_unitary(n)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-
-
 def _parse_word_list(value: str, expected: int, target_rank: int, field: str) -> FreeHom:
     # An empty chunk is the identity word, so `k_map =  ; g1` is two words.
     chunks = [] if expected == 0 else value.split(";")
@@ -367,9 +359,13 @@ def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
             raise DocumentError(f"field {key!r}: {exc}") from None
 
     group_text = fields["group"]
-    if group_text not in ("U", "SU"):
+    if group_text not in GROUPS:  # before n, whose text may be bad too
         raise DocumentError(f"group must be 'U' or 'SU', got {group_text!r}")
-    kind = group_kind(group_text, int_field("n"))
+    n = int_field("n")
+    try:
+        kind = GroupKind(group_text, n)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
 
     def rank_field(key: str) -> int:
         return _check_rank(key, int_field(key))
@@ -403,7 +399,7 @@ def format_splitting_document(s: AdaptedSplitting, kind: GroupKind) -> str:
         _check_rank(key, getattr(s, key))
     lines = [
         f"n = {kind.n}",
-        f"group = {kind.family.value}",
+        f"group = {kind.family}",
         f"h1 = {s.h1}",
         f"h2 = {s.h2}",
         f"u = {s.u}",

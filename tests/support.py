@@ -301,6 +301,12 @@ def planted_document(rng: random.Random, u: int, variant: str):
       outside P's row space: |H^2(M)| = 42 |(E2^-1)_jj|, the cofactor of
       e_j among E2's other rows, is finite, but H^1(M) misses a direction
       of H^1(S1), so K is INFINITE.
+    - ``"d"``: D as in (a), and marked row r is row j_r of E2 (word i gets
+      E2[j_r][i] letters g_r), where D holds 2, 3 and 1 at j_1, j_2 and
+      j_3 = j.  Those rows join P's row lattice, so |H^2(M)| = 7.  A class
+      of H^1(M) restricts to a multiple of 2 and of 3 on g1 and g2, so the
+      restriction quotient is 6, K = 42, b1(M) = g1 and the restriction
+      is an isomorphism.
     """
     g1, h2 = 3, 5
     free1 = u - h2
@@ -321,10 +327,16 @@ def planted_document(rng: random.Random, u: int, variant: str):
             e2_inv[k] = [x - c * y for x, y in zip(e2_inv[k], e2_inv[i])]
     j = rng.choice([i for i in range(u) if e2_inv[i][i]])
     diagonal = [1] * u
-    for i, d in zip(rng.sample([i for i in range(u) if i != j], 3), (2, 3, -7)):
+    planted = rng.sample([i for i in range(u) if i != j], 3)
+    for i, d in zip(planted, (2, 3, -7)):
         diagonal[i] = d
-    if variant != "a":
+    if variant in ("b", "c"):
         diagonal[j] = 0
+    marked = []  # (r, row): word i gets row[i] letters g_(r + 1)
+    if variant == "c":
+        marked = [(0, [int(i == j) for i in range(u)])]
+    elif variant == "d":
+        marked = [(r, e2[i]) for r, i in enumerate((*planted[:2], j))]
     p = [[d * x for x in row] for d, row in zip(diagonal, e2)]
     for i, k, c in left:
         p[i] = [x + c * y for x, y in zip(p[i], p[k])]
@@ -336,7 +348,7 @@ def planted_document(rng: random.Random, u: int, variant: str):
 
     k_map = " ; ".join(
         word([(g1 + 1 + r, p[r][i]) for r in range(free1)]
-             + ([(1, 1)] if variant == "c" and i == j else []))
+             + [(r + 1, row[i]) for r, row in marked])
         for i in range(u))
     l_map = " ; ".join(word([(r + 1, -p[free1 + r][i]) for r in range(h2)]) for i in range(u))
     document = (f"n = 1\ngroup = U\nh1 = {free1 + g1}\nh2 = {h2}\nu = {u}\ng1 = {g1}\n"
@@ -345,8 +357,39 @@ def planted_document(rng: random.Random, u: int, variant: str):
         return document, -42, PairHomologyReport(g1, 42, 42, True), None
     if variant == "b":
         return document, 0, PairHomologyReport(g1 + 1, INFINITE, INFINITE, False), "H2_nonzero"
+    if variant == "d":
+        return document, -42, PairHomologyReport(g1, 7, 42, True), None
     return (document, 0, PairHomologyReport(g1, 42 * abs(e2_inv[j][j]), INFINITE, False),
             "restriction_not_iso")
+
+
+def with_cancelling_pairs(rng: random.Random, document: str) -> str:
+    """``document``, a planted one, with cancelling pairs inserted into its
+    words at random places: in each ``k_map`` word a chunk g_k g1 g_k^-1
+    g1^-1, g_k a free-H1 generator, which the parser keeps and
+    ``assembled_word_map`` cancels once it deletes the marked letter g1;
+    then in every word an adjacent pair g_k g_k^-1, which the parser
+    cancels.  Exponent sums, and so the planted answer, are unchanged."""
+    fields = dict(line.split(" = ", 1) for line in document.splitlines())
+    h1, h2, g1 = (int(fields[key]) for key in ("h1", "h2", "g1"))
+
+    def insert(tokens, chunk):
+        at = rng.randint(0, len(tokens))
+        return tokens[:at] + chunk + tokens[at:]
+
+    def words(key, rank):
+        out = []
+        for word in fields[key].split(" ; "):
+            tokens = word.split()
+            if key == "k_map":
+                k = rng.randint(g1 + 1, h1)
+                tokens = insert(tokens, [f"g{k}", "g1", f"g{k}^-1", "g1^-1"])
+            k = rng.randint(1, rank)
+            out.append(" ".join(insert(tokens, [f"g{k}", f"g{k}^-1"])))
+        return " ; ".join(out)
+
+    fields["k_map"], fields["l_map"] = words("k_map", h1), words("l_map", h2)
+    return "".join(f"{key} = {value}\n" for key, value in fields.items())
 
 
 def det6_document(n: int = 2, u: int = 2, u_hat_genus: int | None = None) -> str:

@@ -219,7 +219,7 @@ def test_criterion_09_orientation_flip():
         rep = lambda_invariant(mirrored, kind, use_sign_convention=True)
         assert rep.abs_value == plain.abs_value
         assert rep.sign == plain.sign * orientation_flip_sign(kind)
-        if kind.family.value == "U":
+        if kind.family == "U":
             assert orientation_flip_sign(kind) == (-1) ** kind.n
         else:
             assert orientation_flip_sign(kind) == (-1) ** (kind.n - 1)

@@ -256,6 +256,18 @@ class TestDegreeCommand:
         kv = machine_dict(out)
         assert kv["magnitude"] == "36"
 
+    def test_number_converted_once(self, capsys, monkeypatch):
+        # One stabilization makes the U(1) degree negative; the magnitude is
+        # the degree's text without its sign, not a second conversion.
+        calls = []
+        monkeypatch.setattr(cli, "format_int",
+                            lambda x: calls.append(x) or intlinalg.format_int(x))
+        monkeypatch.setattr("sys.stdin", io.StringIO(det6_document(1, 3)))
+        code, out, _ = run(capsys, "degree", "-", "--format", "machine")
+        assert code == 0 and calls == [-6]
+        kv = machine_dict(out)
+        assert (kv["degree"], kv["magnitude"]) == ("-6", "6")
+
 
 class TestSizeBoxes:
     def test_p2_work_box_exit_1(self, capsys, tmp_path):
@@ -564,6 +576,17 @@ class TestPolyCommand:
                            "--group", "SU", "--n", "2", "--format", "machine")
         assert code == 0
         assert machine_dict(out)["magnitude"] == "6"
+
+    def test_number_converted_once(self, capsys, monkeypatch):
+        # U(2) at g - h = 3 has value -(3!)^2.
+        calls = []
+        monkeypatch.setattr(cli, "format_int",
+                            lambda x: calls.append(x) or intlinalg.format_int(x))
+        code, out, _ = run(capsys, "poly", "--g", "5", "--h", "2",
+                           "--group", "U", "--n", "2", "--format", "machine")
+        assert code == 0 and calls == [-36]
+        kv = machine_dict(out)
+        assert (kv["value"], kv["magnitude"]) == ("-36", "36")
 
     def test_bad_genus_exit_1(self, capsys):
         code, _, _ = run(capsys, "poly", "--g", "2", "--h", "2",

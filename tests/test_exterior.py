@@ -13,6 +13,7 @@ from repcount import (
     ExtElement,
     FreeHom,
     GeneratorRangeError,
+    GroupKind,
     IntMat,
     ShapeError,
     Word,
@@ -63,6 +64,19 @@ class TestGroupKind:
 
     def test_labels(self):
         assert U2.label == "U(2)" and SU3.label == "SU(3)"
+
+    def test_family_is_its_text(self):
+        kind = GroupKind("U", 2)
+        assert kind == U2 and GroupKind("SU", 3) == SU3
+        assert kind.lie_rank == 2 and kind.label == "U(2)"
+        assert tuple(exterior.GROUPS) == ("U", "SU")
+
+    @pytest.mark.parametrize("n", [2, 0])
+    def test_unknown_family_refused_before_n(self, n):
+        # The parser's wording; the family is read before n.
+        with pytest.raises(ValueError) as err:
+            GroupKind("X", n)
+        assert str(err.value) == "group must be 'U' or 'SU', got 'X'"
 
 
 class TestWedge:
@@ -322,8 +336,7 @@ def frontier(f, limit):
     """F read off the support of ``f`` by the helpers degree_of_word_map
     calls, summed until it passes ``limit``; None when a factor is
     untouched, where the degree is 0 before any box is read."""
-    rows = exterior._row_supports(f)
-    closing = exterior._closing_masks(rows, f.source_rank)
+    rows, closing = exterior._row_supports(f)
     return None if closing is None else exterior._frontier_work(rows, closing, limit)
 
 

@@ -7,6 +7,7 @@ import pytest
 from repcount import (
     INFINITE,
     intlinalg,
+    invariants,
     AdaptedSplitting,
     FreeHom,
     IntMat,
@@ -42,6 +43,7 @@ from support import (
     random_free_hom,
     random_t0_splitting,
     trivial_splitting,
+    with_cancelling_pairs,
 )
 
 KINDS = [unitary(1), unitary(2), unitary(3), special_unitary(2), special_unitary(3)]
@@ -154,6 +156,20 @@ class TestLambdaInvariant:
         assert kv["abs_value"] == "36" and kv["K"] == "6"
         assert kv["sign"] == "UNDETERMINED"
         assert kv["agree"] == "true" and kv["vanishing_reason"] == ""
+
+    def test_key_values_convert_each_number_once(self, monkeypatch):
+        # format_int is quadratic in the digits.  The three pipeline values
+        # equal abs_value, so 36 and 6 are each converted once.
+        calls = []
+        monkeypatch.setattr(invariants, "format_int",
+                            lambda x: calls.append(x) or intlinalg.format_int(x))
+        rep = lambda_invariant(det6_splitting(), unitary(2))
+        kv = dict(rep.key_values())
+        assert sorted(calls) == [6, 36]
+        assert kv["pipeline_det"] == kv["pipeline_ext"] == kv["pipeline_K"] == "36"
+        # A report built by hand still prints each field's own value.
+        kv = dict(dataclasses.replace(rep, K=7).key_values())
+        assert (kv["K"], kv["abs_value"]) == ("7", "36")
 
 
 class TestVanishingCheck:
@@ -449,10 +465,21 @@ class TestPlantedDocuments:
 
     KINDS = (unitary(1), unitary(2), special_unitary(3))
 
-    def check(self, variant, u):
-        document, planted_det, planted_pair, reason = planted_document(
-            random.Random(f"{variant}{u}"), u, variant)
+    def check(self, variant, u, pairs=False):
+        rng = random.Random(f"{variant}{u}")
+        document, planted_det, planted_pair, reason = planted_document(rng, u, variant)
         s, _ = parse_splitting_document(document)
+        if pairs:
+            plain = s
+            s, _ = parse_splitting_document(with_cancelling_pairs(rng, document))
+            # The parser cancels the adjacent pairs and keeps each k_map
+            # word's commutator, which the assembly cancels.
+            assert s.l_map == plain.l_map
+            assert all(a != b for a, b in zip(s.k_map.images, plain.k_map.images))
+            assert assembled_word_map(s) == assembled_word_map(plain)
+        # The checking constructor accepts what the trusted paths built.
+        for f in (s.k_map, s.l_map, assembled_word_map(s)):
+            assert all(w == Word(w.letters) for w in f.images)
         # h2 = 5 is odd, so a lost minus on the H2 rows flips P1's sign.
         assert det(glue_matrix(s)) == planted_det
         assert degree_of_word_map(assembled_word_map(s), unitary(1)) == planted_det
@@ -473,6 +500,16 @@ class TestPlantedDocuments:
     @pytest.mark.parametrize("u", [8, 60])
     def test_vanishing(self, variant, u):
         self.check(variant, u)
+
+    @pytest.mark.parametrize("u", [8, 60, 200])
+    def test_restriction_quotient(self, u):
+        # Variant (d): a restriction quotient of 6 above |H^2(M)| = 7.
+        self.check("d", u)
+
+    @pytest.mark.parametrize("variant", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("u", [8, 60])
+    def test_cancelling_pairs(self, variant, u):
+        self.check(variant, u, pairs=True)
 
 
 class TestStabilizationBehavior:

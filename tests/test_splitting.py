@@ -8,6 +8,7 @@ from repcount import (
     AdaptedSplitting,
     DocumentError,
     FreeHom,
+    GroupKind,
     IntMat,
     InvalidSplittingError,
     Word,
@@ -404,11 +405,17 @@ class TestDocumentFormat:
             parse_splitting_document(text)
 
     def test_group_kind(self):
-        assert splitting.group_kind("U", 1) == unitary(1)
-        assert splitting.group_kind("SU", 3).label == "SU(3)"
+        # The parser builds the kind from the group text and n, and turns a
+        # bad n into a DocumentError.
+        def document(group, n):
+            return TRIVIAL_DOCUMENT.replace("group = U", f"group = {group}").replace(
+                "n = 2", f"n = {n}")
+
+        assert parse_splitting_document(document("U", 1))[1] == unitary(1) == GroupKind("U", 1)
+        assert parse_splitting_document(document("SU", 3))[1].label == "SU(3)"
         for group, n in (("U", 0), ("SU", 1), ("U", -4)):
             with pytest.raises(DocumentError):
-                splitting.group_kind(group, n)
+                parse_splitting_document(document(group, n))
 
     def test_optional_fields(self):
         text = TRIVIAL_DOCUMENT + "u_hat_genus = 5\norientation_reversed = true\n"
