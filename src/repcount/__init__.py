@@ -34,7 +34,6 @@ from .invariants import (
     InvariantReport,
     MultiIndex,
     PipelineDisagreementError,
-    PipelineValues,
     UNDETERMINED,
     WrongCodimensionError,
     lambda_invariant,

@@ -96,6 +96,8 @@ class GroupKind:
     def __post_init__(self):
         if self.family not in GROUPS:
             raise ValueError(f"group must be 'U' or 'SU', got {self.family!r}")
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise TypeError(f"n must be an int, got {type(self.n).__name__}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.family == "SU" and self.n < 2:
@@ -104,7 +106,7 @@ class GroupKind:
     @property
     def lie_rank(self) -> int:
         """Count of primitive generators: n for U(n), n-1 for SU(n)."""
-        return len(self.generator_range)
+        return self.n if self.family == "U" else self.n - 1
 
     @property
     def generator_range(self) -> range:

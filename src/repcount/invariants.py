@@ -48,7 +48,6 @@ reason.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -72,26 +71,16 @@ class WrongCodimensionError(ValueError):
     """The numerical invariant was requested at T != 0."""
 
 
-@dataclass(frozen=True, slots=True)
-class PipelineValues:
-    """The three independently computed magnitudes and their agreement,
-    which also compares P1's sign with P2's."""
-
-    det_power: int
-    ext_magnitude: int
-    k_power: int
-    agree: bool
-
-
 class PipelineDisagreementError(RuntimeError):
     """The independent pipelines disagreed; indicates a bug, never data.
 
-    Carries what a replay needs: the group ``kind``, the three ``values``,
+    Carries what a replay needs: the group ``kind``, the three ``values``
+    (P1's signed determinant power, P2's signed degree and P3's K power),
     the ``mv_rows`` of MV^T that P1 and P3 read (P1 is |det| of the last u
     of them, u being the row length) and the ``word_map`` P2 read.
     """
 
-    def __init__(self, message: str, kind: GroupKind, values: PipelineValues,
+    def __init__(self, message: str, kind: GroupKind, values: tuple[int, int, int],
                  mv_rows: tuple[tuple[int, ...], ...], word_map: FreeHom):
         super().__init__(message)
         self.kind = kind
@@ -104,35 +93,35 @@ class PipelineDisagreementError(RuntimeError):
 class InvariantReport:
     """Result of the invariant computation at T == 0.
 
-    ``sign`` is +1/-1 under the declared convention or None when left
-    UNDETERMINED.  ``K`` is the order of H^2 of the pair (or INFINITE);
-    when the invariant is nonzero, abs_value == K ** lie_rank.
+    A report exists only at T == 0, and only once P1, P2 and P3 all gave
+    ``abs_value``.  ``sign`` is +1/-1 under the declared convention or
+    None when left UNDETERMINED.  ``K`` is the order of H^2 of the pair
+    (or INFINITE); when the invariant is nonzero, abs_value == K ** lie_rank.
     """
 
     kind: GroupKind
-    T: int
     abs_value: int
     sign: Optional[int]
     K: object
     vanishing_reason: Optional[str]
-    pipelines: PipelineValues
 
     def key_values(self) -> list[tuple[str, str]]:
         """Flat key=value serialization used by the CLI machine format."""
+        # T is 0 and the pipelines agree on abs_value: no report exists otherwise.
         sign_text = UNDETERMINED if self.sign is None else f"{self.sign:+d}"
-        # Each distinct value once: the pipeline values equal abs_value.
-        text = functools.cache(format_int)
+        value = format_int(self.abs_value)
+        k_text = value if self.K == self.abs_value else format_int(self.K)
         return [
             ("group", self.kind.family),
             ("n", str(self.kind.n)),
-            ("T", str(self.T)),
-            ("abs_value", text(self.abs_value)),
+            ("T", "0"),
+            ("abs_value", value),
             ("sign", sign_text),
-            ("K", text(self.K)),
-            ("pipeline_det", text(self.pipelines.det_power)),
-            ("pipeline_ext", text(self.pipelines.ext_magnitude)),
-            ("pipeline_K", text(self.pipelines.k_power)),
-            ("agree", "true" if self.pipelines.agree else "false"),
+            ("K", k_text),
+            ("pipeline_det", value),
+            ("pipeline_ext", value),
+            ("pipeline_K", value),
+            ("agree", "true"),
             ("vanishing_reason", self.vanishing_reason or ""),
         ]
 
@@ -190,16 +179,15 @@ def lambda_invariants(
         p1 = abs(det_power)
         p2 = abs(degree)
         p3 = 0 if k_order is INFINITE else k_order**lie_rank
-        values = PipelineValues(p1, p2, p3, det_power == degree and p2 == p3)
-        if not values.agree:
+        if det_power != degree or p2 != p3:
             raise PipelineDisagreementError(
                 f"pipelines disagree: det-power={det_power} ext={degree} K-power={p3}",
-                kind, values, mv_rows, word_map,
+                kind, (det_power, degree, p3), mv_rows, word_map,
             )
         if p1 == 0 and reason is None:
             raise PipelineDisagreementError(
                 "vanishing invariant without a rational vanishing reason",
-                kind, values, mv_rows, word_map,
+                kind, (0, 0, 0), mv_rows, word_map,
             )
 
         sign: Optional[int] = None
@@ -214,9 +202,8 @@ def lambda_invariants(
             sign = -1 if (degree < 0) ^ (parity & 1) else 1
 
         reports.append(InvariantReport(
-            kind=kind, T=s.T, abs_value=p1, sign=sign, K=k_order,
+            kind=kind, abs_value=p1, sign=sign, K=k_order,
             vanishing_reason=reason if p1 == 0 else None,
-            pipelines=values,
         ))
     return tuple(reports)
 

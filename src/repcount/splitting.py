@@ -93,6 +93,10 @@ class AdaptedSplitting:
     def __post_init__(self):
         if self.u_hat_genus is None:
             object.__setattr__(self, "u_hat_genus", self.u)
+        for name in ("h1", "h2", "u", "g1", "u_hat_genus"):
+            rank = getattr(self, name)
+            if not isinstance(rank, int) or isinstance(rank, bool):
+                raise TypeError(f"{name} must be an int, got {type(rank).__name__}")
         violations = validate(self)
         if violations:
             raise InvalidSplittingError(violations, self.T, validation_warnings(self))

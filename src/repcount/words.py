@@ -153,6 +153,10 @@ class FreeHom:
     images: tuple[Word, ...]
 
     def __post_init__(self):
+        for name in ("source_rank", "target_rank"):
+            rank = getattr(self, name)
+            if not isinstance(rank, int) or isinstance(rank, bool):
+                raise TypeError(f"{name} must be an int, got {type(rank).__name__}")
         if self.source_rank < 0 or self.target_rank < 0:
             raise RankMismatchError("ranks must be nonnegative")
         images = tuple(self.images)

@@ -29,6 +29,7 @@ from repcount import (
     multiindex_degree,
     numeric_degree_u1,
     orientation_flip_sign,
+    pair_cohomology,
     smith_normal_form,
     special_unitary,
     stabilize,
@@ -76,11 +77,13 @@ def test_criterion_01_power_map_law():
 def test_criterion_02_three_pipeline_agreement():
     start = time.monotonic()
     checked = 0
-    for _, kind, rep in corpus_reports():
-        assert rep.pipelines.agree
-        assert rep.pipelines.det_power == rep.pipelines.ext_magnitude
-        assert rep.pipelines.det_power == rep.pipelines.k_power
-        assert rep.abs_value == rep.pipelines.det_power
+    for s, kind, rep in corpus_reports():
+        # Each pipeline recomputed from the splitting, not read off the report.
+        r = kind.lie_rank
+        k = pair_cohomology(s).order_H2_pair
+        assert abs(det(glue_matrix(s))) ** r == rep.abs_value
+        assert abs(degree_of_word_map(assembled_word_map(s), kind)) == rep.abs_value
+        assert (0 if k is INFINITE else k**r) == rep.abs_value
         checked += 1
     assert checked == 200 * len(KINDS)
     report(2, time.monotonic() - start, 60.0,

@@ -289,6 +289,18 @@ class TestSizeBoxes:
             assert code == 1 and out == ""
             assert err.startswith("error: degree expansion") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["invariant", "degree", "oracle", "poly"])
+    def test_group_rank_past_a_machine_word(self, capsys, tmp_path, command):
+        # U(2^63): the Lie rank is past sys.maxsize, and P2's box refuses it.
+        n = str(2**63)
+        p = tmp_path / "big.split"
+        p.write_text(det6_document(2**63))
+        argv = ([command, str(p)] if command != "poly" else
+                ["poly", "--g", "22", "--h", "2", "--group", "U", "--n", n])
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and f"U({n})" in err
+
     def test_p2_sparse_wide_document_computes(self, capsys, tmp_path):
         u = 30
         p = tmp_path / "wide.split"

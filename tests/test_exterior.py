@@ -78,6 +78,17 @@ class TestGroupKind:
             GroupKind("X", n)
         assert str(err.value) == "group must be 'U' or 'SU', got 'X'"
 
+    def test_lie_rank_past_a_machine_word(self):
+        # len() of a range longer than sys.maxsize raises OverflowError.
+        assert unitary(2**63).lie_rank == 2**63
+        assert special_unitary(2**63 + 1).lie_rank == 2**63
+
+    @pytest.mark.parametrize("n,name", [(2.0, "float"), (True, "bool")])
+    def test_non_int_n_refused(self, n, name):
+        with pytest.raises(TypeError) as err:
+            GroupKind("U", n)
+        assert str(err.value) == f"n must be an int, got {name}"
+
 
 class TestWedge:
     def test_exterior_square_vanishes(self):

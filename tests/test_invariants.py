@@ -15,7 +15,6 @@ from repcount import (
     MultiIndex,
     PairHomologyReport,
     PipelineDisagreementError,
-    PipelineValues,
     Word,
     WrongCodimensionError,
     assembled_word_map,
@@ -76,12 +75,13 @@ class TestLambdaInvariant:
             assert rep.vanishing_reason is None
 
     def test_det6_u2(self):
-        rep = lambda_invariant(det6_splitting(), unitary(2))
+        s = det6_splitting()
+        rep = lambda_invariant(s, unitary(2))
         assert rep.abs_value == 36
         assert rep.K == 6
-        assert rep.pipelines.det_power == rep.pipelines.ext_magnitude == 36
-        assert rep.pipelines.k_power == 36
-        assert rep.pipelines.agree
+        # P1's signed determinant power is P2's signed degree.
+        degree = degree_of_word_map(assembled_word_map(s), unitary(2))
+        assert det(glue_matrix(s)) ** 2 == degree == 36
 
     def test_det6_su3(self):
         rep = lambda_invariant(det6_splitting(), special_unitary(3))
@@ -124,9 +124,10 @@ class TestLambdaInvariant:
             s = random_t0_splitting(rng)
             kind = KINDS[idx % len(KINDS)]
             rep = lambda_invariant(s, kind)
-            assert rep.pipelines.agree
-            assert rep.pipelines.det_power == rep.pipelines.ext_magnitude
-            assert rep.pipelines.det_power == rep.pipelines.k_power
+            p1 = abs(det(glue_matrix(s))) ** kind.lie_rank
+            p2 = abs(degree_of_word_map(assembled_word_map(s), kind))
+            p3 = 0 if rep.K is INFINITE else rep.K ** kind.lie_rank
+            assert rep.abs_value == p1 == p2 == p3
 
     def test_k_power_law(self):
         rng = random.Random(14)
@@ -222,7 +223,7 @@ class TestDisagreementReplay:
             lambda_invariant(det6_splitting(), unitary(2))
         exc = info.value
         assert exc.kind == unitary(2)
-        assert exc.values == PipelineValues(49, 36, 36, False)
+        assert exc.values == (49, 36, 36)
         assert self.replay(exc) == (36, 36)
         assert "det-power=49" in str(exc)
 
@@ -230,11 +231,11 @@ class TestDisagreementReplay:
         # The magnitudes agree, so only the signed check between P1 and P2
         # sees the error, and only at odd Lie rank.
         monkeypatch.setattr("repcount.invariants.det", lambda a: -det(a))
-        assert lambda_invariant(det6_splitting(), unitary(2)).pipelines.agree
+        assert lambda_invariant(det6_splitting(), unitary(2)).abs_value == 36
         with pytest.raises(PipelineDisagreementError) as info:
             lambda_invariant(det6_splitting(), unitary(3))
         exc = info.value
-        assert exc.values == PipelineValues(216, 216, 216, False)
+        assert exc.values == (-216, 216, 216)
         assert self.replay(exc) == (216, 216)
 
     def test_vanishing_without_reason(self, monkeypatch):
@@ -246,7 +247,7 @@ class TestDisagreementReplay:
         with pytest.raises(PipelineDisagreementError) as info:
             lambda_invariant(restriction_degenerate_splitting(), special_unitary(3))
         exc = info.value
-        assert exc.values == PipelineValues(0, 0, 0, True)
+        assert exc.values == (0, 0, 0)
         assert self.replay(exc) == (0, 0)
 
 
@@ -487,7 +488,6 @@ class TestPlantedDocuments:
         if u == 8:
             assert snf_reference(s) == planted_pair
         for kind, report in zip(self.KINDS, lambda_invariants(s, self.KINDS)):
-            assert report.pipelines.agree
             assert report.abs_value == abs(planted_det) ** kind.lie_rank
             assert report.K == planted_pair.order_H2_pair
             assert report.vanishing_reason == reason

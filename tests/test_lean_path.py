@@ -151,7 +151,7 @@ class TestOneAssembly:
         # P1 reads the transpose of the glue matrix; the sign must survive.
         for s in seeded_splittings(13):
             report = lambda_invariant(s, unitary(1))
-            assert report.pipelines.det_power == abs(det(glue_matrix(s)))
+            assert report.abs_value == abs(det(glue_matrix(s)))
 
 
 class TestTrustedMatrices:
@@ -302,13 +302,13 @@ class TestSlottedValues:
         s = det6_splitting()
         report = lambda_invariant(s, unitary(2))
         return [s.k_map.images[0], s.k_map, report.kind, s, pair_cohomology(s),
-                report.pipelines, report, MultiIndex(I=((1, 2),), J=((2, 1),)),
+                report, MultiIndex(I=((1, 2),), J=((2, 1),)),
                 smith_normal_form(IntMat([[2, 4], [6, 8]]))]
 
     def test_the_value_classes(self):
         assert [type(v).__name__ for v in self.values()] == [
             "Word", "FreeHom", "GroupKind", "AdaptedSplitting", "PairHomologyReport",
-            "PipelineValues", "InvariantReport", "MultiIndex", "SnfResult"]
+            "InvariantReport", "MultiIndex", "SnfResult"]
 
     def test_no_instance_dict(self):
         for value in self.values():

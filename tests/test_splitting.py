@@ -54,6 +54,17 @@ class TestValidate:
                 l_map=FreeHom(1, 1, (Word(((1, 1),)),)),
             )
 
+    @pytest.mark.parametrize("field", ["h1", "h2", "u", "g1", "u_hat_genus"])
+    def test_non_int_rank_refused(self, field):
+        s = det6_splitting()
+        value = getattr(s, field)
+        with pytest.raises(TypeError) as err:
+            dataclasses.replace(s, **{field: float(value)})
+        assert str(err.value) == f"{field} must be an int, got float"
+        if value == 1:
+            with pytest.raises(TypeError, match=f"^{field} must be an int, got bool$"):
+                dataclasses.replace(s, **{field: True})
+
     def test_spec_arithmetic_instance(self):
         # (2 + 2 - 3) - 1 == 0
         s = AdaptedSplitting(

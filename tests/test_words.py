@@ -178,6 +178,15 @@ class TestWordOps:
         with pytest.raises(RankMismatchError):
             FreeHom(-1, 1, ())
 
+    @pytest.mark.parametrize("ranks,message", [
+        ((2.0, 2), "source_rank must be an int, got float"),
+        ((0, True), "target_rank must be an int, got bool"),
+    ], ids=["float", "bool"])
+    def test_hom_refuses_a_non_int_rank(self, ranks, message):
+        with pytest.raises(TypeError) as err:
+            FreeHom(*ranks, ())
+        assert str(err.value) == message
+
 
 class TestTextSyntax:
     @pytest.mark.parametrize("text,letters", [
