@@ -6,7 +6,9 @@ subcommand), a parse/validation error or an input past a declared size
 box, 2 wrong mode (T != 0 for a codimension-zero command),
 3 internal cross-check disagreement.  Machine output is line-oriented
 ``key=value`` and deterministic for a given input and seed.  Documents
-are strict UTF-8, on stdin too.  One parser serves every ``main`` call.
+are strict UTF-8, on stdin too.  The parsers are built once, and each
+call is parsed once, by its command's parser; the full parser reads it
+again only to report a missing or unknown command or a left-over argument.
 """
 
 from __future__ import annotations
@@ -54,13 +56,14 @@ EXIT_DISAGREEMENT = 3
 
 
 def _read_input(path: str) -> str:
+    # Files and stdin share one decode of their bytes (stdin's own decoder
+    # may use surrogateescape); the parser's splitlines() reads CRLF and CR.
     try:
-        if path == "-":
-            # Decode the bytes here: stdin's own decoder may use surrogateescape.
-            buffer = getattr(sys.stdin, "buffer", None)
-            return buffer.read().decode("utf-8") if buffer else sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        if path != "-":
+            with open(path, "rb") as fh:
+                return fh.read().decode("utf-8")
+        buffer = getattr(sys.stdin, "buffer", None)
+        return buffer.read().decode("utf-8") if buffer else sys.stdin.read()
     except UnicodeDecodeError as exc:
         where = "standard input" if path == "-" else path
         raise DocumentError(f"{where}: {exc}") from exc
@@ -68,12 +71,10 @@ def _read_input(path: str) -> str:
 
 def _emit(pairs: list[tuple[str, str]], args: argparse.Namespace, title: str) -> None:
     if args.output_format == "machine":
-        for key, value in pairs:
-            print(f"{key}={value}")
+        lines = [f"{key}={value}" for key, value in pairs]
     else:
-        print(title)
-        for key, value in pairs:
-            print(f"  {key}: {value if value != '' else '-'}")
+        lines = [title, *(f"  {key}: {value if value != '' else '-'}" for key, value in pairs)]
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 def _load(args: argparse.Namespace) -> tuple[AdaptedSplitting, GroupKind]:
@@ -257,7 +258,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache  # built on first use; parsing leaves it unchanged
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser by its name."""
     parser = _Parser(
         prog="repcount",
         description="Exact counting invariants of unitary representation "
@@ -295,12 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--I", default="", help="comma list of index:multiplicity")
     p.add_argument("--J", default="", help="comma list of index:multiplicity")
     p.add_argument("--group", choices=GROUPS)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        parser, commands = build_parser()
+        # The command's parser reads the rest; the full parser reads the line
+        # only for its own errors: no command, an unknown one, or extras.
+        command = commands.get(argv[0]) if argv else None
+        if command is not None:
+            args, extra = command.parse_known_args(argv[1:])
+        if command is None or extra:
+            args = parser.parse_args(argv)
         return args.func(args)
     except (DocumentError, InvalidSplittingError, OSError, SingularMatrixError,
             DomainLimitError, ExteriorWorkLimitError) as exc:

@@ -227,7 +227,8 @@ class MultiIndex:
     multiplicities r_p; likewise J.  The x-generators sit in degree 2i and
     the y-generators in degree 4j-2, so indices start at 1 (degree 0 or
     negative generators are meaningless).  For special-unitary use the
-    leading indices must additionally exceed 1.
+    leading indices must additionally exceed 1.  Indices and multiplicities
+    are ints; any other type, bool included, raises ``TypeError``.
     """
 
     I: tuple[tuple[int, int], ...] = ()
@@ -239,6 +240,10 @@ class MultiIndex:
         for name, pairs in (("I", self.I), ("J", self.J)):
             prev = 0
             for idx, mult in pairs:
+                for what, value in (("index", idx), ("multiplicity", mult)):
+                    if not isinstance(value, int) or isinstance(value, bool):
+                        raise TypeError(f"{name}: {what} must be an int, "
+                                        f"got {type(value).__name__}")
                 if idx < 1:
                     raise ValueError(f"{name}: index {idx} must be >= 1")
                 if idx <= prev:

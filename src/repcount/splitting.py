@@ -97,6 +97,9 @@ class AdaptedSplitting:
             rank = getattr(self, name)
             if not isinstance(rank, int) or isinstance(rank, bool):
                 raise TypeError(f"{name} must be an int, got {type(rank).__name__}")
+        if not isinstance(self.orientation_reversed, bool):
+            raise TypeError("orientation_reversed must be a bool, got "
+                            f"{type(self.orientation_reversed).__name__}")
         violations = validate(self)
         if violations:
             raise InvalidSplittingError(violations, self.T, validation_warnings(self))

@@ -774,3 +774,85 @@ class TestSharedParser:
                 main(["--help"])
             assert exc.value.code == 0
             assert "usage: repcount" in capsys.readouterr().out
+
+
+class TestParseOnce:
+    """A command line is parsed once, by its command's parser; the full
+    parser still reports what only it can, with its own usage line."""
+
+    USAGE = ("usage: repcount [-h]\n"
+             "                {validate,invariant,homology,degree,stabilize,oracle,poly,multiindex}\n"
+             "                ...\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("invariant", "{det6}", "--format", "machine", "--sign-convention"),
+        ("oracle", "{det6}", "--seed", "3"),
+        ("poly", "--g", "4", "--h", "2", "--group", "SU", "--n", "3"),
+        ("multiindex", "--I", "1:2"),
+    ])
+    def test_one_parse_per_call(self, capsys, det6_path, monkeypatch, argv):
+        calls = []
+        parse = cli._Parser.parse_known_args
+        monkeypatch.setattr(cli._Parser, "parse_known_args",
+                            lambda self, *a, **k: calls.append(self.prog) or parse(self, *a, **k))
+        code, _, err = run(capsys, *(a.format(det6=det6_path) for a in argv))
+        assert (code, err) == (0, "")
+        assert calls == [f"repcount {argv[0]}"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("invariant", "{det6}", "--frobnicate"), "unrecognized arguments: --frobnicate"),
+        (("bogus",), "argument command: invalid choice: 'bogus' (choose from 'validate', "
+                     "'invariant', 'homology', 'degree', 'stabilize', 'oracle', 'poly', "
+                     "'multiindex')"),
+        ((), "the following arguments are required: command"),
+    ])
+    def test_full_parser_errors_keep_their_text(self, capsys, det6_path, monkeypatch,
+                                                argv, message):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        code, out, err = run(capsys, *(a.format(det6=det6_path) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n{self.USAGE}"
+
+    def test_argv_none_reads_sys_argv(self, capsys, det6_path, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["repcount", "degree", det6_path, "--format", "machine"])
+        assert main() == 0
+        assert machine_dict(capsys.readouterr().out)["magnitude"] == "36"
+
+
+class TestReadOnce:
+    """A file and stdin share one decode, so a document reads the same from
+    either; line ends of every style split as text mode split them."""
+
+    LATE_BAD = DET6_DOCUMENT.encode() + b"# " + b"x" * 9000 + b"\n\xfe\n"
+
+    @pytest.mark.parametrize("data", [
+        DET6_DOCUMENT.encode().replace(b"\n", b"\r\n"),
+        DET6_DOCUMENT.encode().replace(b"\n", b"\r"),
+        b"\xef\xbb\xbf" + DET6_DOCUMENT.encode(),
+        LATE_BAD,
+    ], ids=["crlf", "lone-cr", "bom", "late-non-utf8"])
+    @pytest.mark.parametrize("command", ["invariant", "stabilize"])
+    def test_file_reads_as_stdin(self, capsys, tmp_path, monkeypatch, data, command):
+        p = tmp_path / "doc.split"
+        p.write_bytes(data)
+        from_file = run(capsys, command, str(p), "--format", "machine")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = run(capsys, command, "-", "--format", "machine")
+        assert from_file == (code, out, err.replace("standard input", str(p)))
+
+    def test_line_ends_parse_as_newlines(self, capsys, tmp_path):
+        outs = set()
+        for end in (b"\n", b"\r\n", b"\r"):
+            p = tmp_path / "doc.split"
+            p.write_bytes(DET6_DOCUMENT.encode().replace(b"\n", end))
+            outs.add(run(capsys, "invariant", str(p), "--format", "machine"))
+        assert len(outs) == 1 and outs.pop()[0] == 0
+
+    def test_late_non_utf8_byte_position(self, capsys, tmp_path):
+        p = tmp_path / "bad.split"
+        p.write_bytes(self.LATE_BAD)
+        code, out, err = run(capsys, "validate", str(p))
+        assert (code, out) == (1, "")
+        position = len(self.LATE_BAD) - 2
+        assert err == (f"error: {p}: 'utf-8' codec can't decode byte 0xfe in position "
+                       f"{position}: invalid start byte\n")

@@ -584,6 +584,18 @@ class TestMultiIndex:
         with pytest.raises(ValueError):
             MultiIndex(**bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"I": ((1.5, 1),)}, "I: index must be an int, got float"),
+        ({"I": ((1, 2.0),)}, "I: multiplicity must be an int, got float"),
+        ({"I": ((1, True),)}, "I: multiplicity must be an int, got bool"),
+        ({"J": ((True, 1),)}, "J: index must be an int, got bool"),
+        ({"J": (("2", 1),)}, "J: index must be an int, got str"),
+    ])
+    def test_non_int_entries_refused(self, bad, message):
+        with pytest.raises(TypeError) as err:
+            MultiIndex(**bad)
+        assert str(err.value) == message
+
     def test_special_unitary_admissibility(self):
         assert MultiIndex(I=((2, 1),), J=((3, 1),)).is_special_unitary_admissible()
         assert not MultiIndex(I=((1, 1),)).is_special_unitary_admissible()

@@ -65,6 +65,13 @@ class TestValidate:
             with pytest.raises(TypeError, match=f"^{field} must be an int, got bool$"):
                 dataclasses.replace(s, **{field: True})
 
+    @pytest.mark.parametrize("value", [2, 1, 0, "no", None])
+    def test_non_bool_orientation_refused(self, value):
+        # Its parity enters the sign, so 2 would read as False and "no" fail late.
+        with pytest.raises(TypeError) as err:
+            dataclasses.replace(det6_splitting(), orientation_reversed=value)
+        assert str(err.value) == f"orientation_reversed must be a bool, got {type(value).__name__}"
+
     def test_spec_arithmetic_instance(self):
         # (2 + 2 - 3) - 1 == 0
         s = AdaptedSplitting(
