@@ -238,8 +238,8 @@ def echelon(a: IntMat) -> tuple[int, ...]:
     (2, 2, 0)
 
     Two loops take these steps and return equal pivots, not merely the
-    same products.  When ``a.cols`` is below ``_PACKED_MIN_COLS`` = 10 the
-    rows are lists of ints.  From 10 on, each active row is one
+    same products.  When ``a.cols`` is below ``_PACKED_MIN_COLS`` = 11 the
+    rows are lists of ints.  From 11 on, each active row is one
     nonnegative int, v = sum_j (x_j + 2^(w-1)) 2^(j w): entry j in field
     j of w bits, offset to be nonnegative.  A row step is one big-int
     expression, v_r - q (v_p - C) with C the packed offsets; the leading
@@ -253,11 +253,14 @@ def echelon(a: IntMat) -> tuple[int, ...]:
     it needs, a quarter more and ``_PACKED_HEADROOM`` = 64, rounded up to
     whole bytes, so a field is read, compared and resized as a byte
     string.  When the exact bounds fit the fields as they are, no row is
-    re-encoded.  Under CPython 3.11.7 on a 2-vCPU Intel Xeon VM, on the
-    matrices of one pass of the homology benchmark, the packed loop took
-    3x the list loop's time over 1 column (9.9 against 3.3 us per call),
-    the same over 7-9 columns, and 1.1x less over 10-12, 1.5x less over
-    13-16 and 1.8x less over 17-24.
+    re-encoded.  Under CPython 3.11.7 on a 2-vCPU Intel Xeon VM, per
+    echelon on each benchmark workload's own matrices (seed 1, best of
+    5): the 95 ten-column echelons of one ``corpus`` pass took 38.5 us on
+    lists against 65.9 us packed; on ``exterior_ladder`` the lists led at
+    10 columns (114 against 121 us), the two were level at 11 (145
+    against 143 us), and packed rows led from 12 (173 against 157 us);
+    ``homology_ladder``'s echelons start at 14 columns, where packed rows
+    lead.
     """
     if a.cols >= _PACKED_MIN_COLS:
         return _echelon_packed(a)
@@ -292,7 +295,7 @@ def echelon(a: IntMat) -> tuple[int, ...]:
 
 
 # Echelons over at least this many columns run on packed rows.
-_PACKED_MIN_COLS = 10
+_PACKED_MIN_COLS = 11
 # Spare bits a field gets past the bits its widest entry needs and a quarter more.
 _PACKED_HEADROOM = 64
 

@@ -10,7 +10,13 @@ pivot is a free direction of the cokernel.  The basis is lower
 triangular, so the enumeration reduces the box's prefixes level by
 level, expands each distinct prefix state once, and counts the last
 coordinate under each prefix as cyclic windows of residues, without
-visiting its points.
+visiting its points.  When the last pivot is at most the box's side,
+every window holds every residue, so the last prefix level only collects
+labels.  Otherwise the box values of one residue class of the
+next-to-last coordinate have consecutive quotients, so their window
+starts are one arithmetic progression mod the last pivot: a state costs
+one progression per class, at most min(pivot, side) of them, not one
+division per box value.
 
 The torus oracle realizes the n = 1 case of the degree law.  A word map
 induces the self-map x -> A x of the torus R^N / Z^N, with A its
@@ -27,10 +33,13 @@ its sum of |entries|, open at each nonzero end, so offset d ranges over
 at most r_d integers; the narrower offsets are walked and the widest is
 counted as one interval, so the walk reaches at most
 prod_d r_d / max_d r_d intervals, fewer than W^((N-1)/N) for the box's
-W = prod_d (r_d + 1).  The rows whose last weight is negative are
-reflected once per target, so an interval costs two floor quotients and
-two compares per row.  Neither ``Fraction`` arithmetic nor floating point
-appears in a count.
+W = prod_d (r_d + 1).  The walk recurses over the offsets before the
+last two; the next-to-last runs as one flat loop that computes each
+last-offset interval inline, and N = 1 is one direct interval.  The rows
+whose last weight is negative are reflected once per target, so an
+interval costs a multiply-add, two floor quotients and two compares per
+row.  Neither ``Fraction`` arithmetic nor floating point appears in a
+count.
 """
 
 from __future__ import annotations
@@ -55,11 +64,11 @@ class DomainLimitError(ValueError):
 # W = prod_i (sum_j |a_ij| + 1): W bounds the intervals the count walks
 # (fewer than W^((N-1)/N)), |det| (below W, by Hadamard's inequality) and
 # N (at most log2 W).  The slowest three-target counts measured took
-# 0.15-0.3 s: dense 6x6 matrices with row sums 7, 8, 8, 8, 8, 8
-# (W = 472,392) and fractional targets, under CPython 3.11.7 on a 2-vCPU
-# Intel Xeon VM shared with other work.  The cokernel enumeration visits
-# (2 * (entry * cols + 1) + 1)^(rows - 1) prefixes, at most 27^2 = 729,
-# and expands each distinct prefix state once.
+# 80-110 ms (best of 3, at the targets of seeds 0, 1, 2 and 7): dense 6x6
+# matrices with row sums 7, 8, 8, 8, 8, 8 (W = 472,392), under CPython
+# 3.11.7 on a 2-vCPU Intel Xeon VM shared with other work.  The cokernel
+# enumeration visits (2 * (entry * cols + 1) + 1)^(rows - 1) prefixes, at
+# most 27^2 = 729, and expands each distinct prefix state once.
 TORUS_MAX_WORK = 500_000
 COKER_MAX_DIM = 3
 COKER_MAX_ENTRY = 4
@@ -191,28 +200,39 @@ def _count_offsets(det_a: int, adj: list[list[int]], low: list[int],
     up = [w for w in columns[last] if w]
     n_up = len(up)
     last_lo, last_hi = ranges[last]
+    if not last:  # one direct interval: 0 <= p + w k <= top with w > 0
+        (p,), (w,) = base, up
+        return max(0, min(last_hi, (top - p) // w) - max(last_lo, -(p // w)) + 1)
+    up_column = columns[last - 1][:n_up]
+    zero_column = columns[last - 1][n_up:]
 
     def walk(depth: int, partial: list[int]) -> int:
-        # The recursion is n <= log2(TORUS_MAX_WORK) deep.
-        if depth == last:
-            # Row i needs 0 <= p + w k <= top: for w > 0 an integer
-            # interval in k; a row with w = 0 holds for every k or none.
+        # The recursion is n - 1 <= log2(TORUS_MAX_WORK) deep.
+        if depth < last - 1:
+            lo_k, hi_k = ranges[depth]
+            column = columns[depth]
+            return sum(walk(depth + 1, [p + w * k for p, w in zip(partial, column)])
+                       for k in range(lo_k, hi_k + 1))
+        # The depth before the last, as one flat loop over its offset j.
+        # Row i needs 0 <= p + c j + w k <= top: for w > 0 an integer
+        # interval in k; a row with w = 0 holds for every k or none.
+        up_rows = list(zip(partial, up_column, up))
+        zeros = list(zip(partial[n_up:], zero_column))
+        count = 0
+        lo_j, hi_j = ranges[depth]
+        for j in range(lo_j, hi_j + 1):
             lo_k, hi_k = last_lo, last_hi
-            for p, w in zip(partial, up):
+            for p, c, w in up_rows:
+                p += c * j
                 k = -(p // w)
                 if k > lo_k:
                     lo_k = k
                 k = (top - p) // w
                 if k < hi_k:
                     hi_k = k
-            for p in partial[n_up:]:
-                if not 0 <= p <= top:
-                    return 0
-            return hi_k - lo_k + 1 if hi_k >= lo_k else 0
-        lo_k, hi_k = ranges[depth]
-        column = columns[depth]
-        return sum(walk(depth + 1, [p + w * k for p, w in zip(partial, column)])
-                   for k in range(lo_k, hi_k + 1))
+            if hi_k >= lo_k and all(0 <= p + c * j <= top for p, c in zeros):
+                count += hi_k - lo_k + 1
+        return count
 
     return walk(0, base)
 
@@ -277,9 +297,10 @@ def cokernel_enumeration(a: IntMat):
     added to the later coordinates) fixes everything under it, so each
     distinct state is expanded once.  Under each prefix the last
     coordinate's side = 2 * bound + 1 consecutive values leave residues
-    mod its pivot p that fill one cyclic window; a prefix label counts the union of its
-    windows, each cyclic gap between sorted window starts counted up to
-    side.  Here p = 20 exceeds the side, 19:
+    mod its pivot p that fill one cyclic window; a prefix label counts the
+    union of its windows, each cyclic gap between sorted window starts
+    counted up to side, so p when p <= side.  Here p = 20 exceeds the
+    side, 19:
 
     >>> cokernel_enumeration(IntMat([[-4, -3], [-4, 2]]))
     20
@@ -308,18 +329,32 @@ def cokernel_enumeration(a: IntMat):
                    tuple(o - q * b[i] for i, o in enumerate(offsets[1:], r + 1)))
                   for label, offsets in states
                   for x in box for q, residue in [divmod(x + offsets[0], b[r])]}
-    # Under a prefix the last coordinate's len(box) values leave residues
-    # mod p in one cyclic window; a label counts the union of its windows.
+    # Under a prefix the last coordinate's side values leave residues mod
+    # p in one cyclic window; a label counts the union of its windows.
     # The last prefix level puts each window start under its label.
+    side = len(box)
     p = basis[last][last]
     if not last:
-        return min(p, len(box))  # one window, under the empty prefix
+        return min(p, side)  # one window, under the empty prefix
     b = basis[last - 1]
+    pivot = b[last - 1]
+    classes = min(pivot, side)
+    if p <= side:  # every window holds all p residues
+        return p * len({label + (y % pivot,) for label, (first, _) in states
+                        for y in range(first - bound, first - bound + classes)})
+    step = b[last] % p
     starts: dict[tuple[int, ...], set[int]] = {}
     for label, (first, last_offset) in states:
-        for x in box:
-            q, residue = divmod(x + first, b[last - 1])
-            start = (last_offset - q * b[last] - bound) % p
-            starts.setdefault(label + (residue,), set()).add(start)
-    return sum(min(hi - lo, len(box)) for s in map(sorted, starts.values())
+        # x + first runs over first - bound .. first + bound.  The values of
+        # one residue mod pivot have consecutive quotients q, so their
+        # window starts (last_offset - bound - q b[last]) mod p are one
+        # progression, here each reduced mod p by p.__rmod__.
+        low, high = first - bound, first + bound
+        for y in range(low, low + classes):
+            q, residue = divmod(y, pivot)
+            start = last_offset - bound - q * step
+            count = (high - y) // pivot + 1
+            progression = range(start, start - count * step, -step) if step else (start,)
+            starts.setdefault(label + (residue,), set()).update(map(p.__rmod__, progression))
+    return sum(min(hi - lo, side) for s in map(sorted, starts.values())
                for lo, hi in zip(s, s[1:] + [s[0] + p]))

@@ -113,8 +113,11 @@ def validate(s: AdaptedSplitting) -> list[str]:
     """Return the list of violations; an empty list means valid.
 
     Construction runs this check and raises on a violation, so it returns
-    an empty list for every :class:`AdaptedSplitting` that exists.
-    Generators past a map's target rank are refused earlier still, by
+    an empty list for every :class:`AdaptedSplitting` that exists.  It is
+    public for a caller that runs the check as a stage of its own: the
+    benchmark's ``homology_ladder`` workload times it that way, and
+    nothing in the package calls it outside construction.  Generators
+    past a map's target rank are refused earlier still, by
     :class:`FreeHom`.
     """
     v: list[str] = []
@@ -339,10 +342,11 @@ def parse_splitting_document(text: str) -> tuple[AdaptedSplitting, GroupKind]:
     """Parse a splitting document; returns the splitting and the group kind.
 
     Data that parses but fails :func:`validate` raises
-    :class:`InvalidSplittingError` with its ``kind`` set.
+    :class:`InvalidSplittingError` with its ``kind`` set.  One leading
+    byte-order mark (U+FEFF), as some editors save UTF-8, is dropped.
     """
     fields: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -848,6 +848,20 @@ class TestReadOnce:
             outs.add(run(capsys, "invariant", str(p), "--format", "machine"))
         assert len(outs) == 1 and outs.pop()[0] == 0
 
+    @pytest.mark.parametrize("argv", [("validate",), ("invariant", "--format", "machine")])
+    def test_byte_order_mark_reads_as_plain(self, capsys, tmp_path, monkeypatch, argv):
+        # One leading U+FEFF, as some editors save UTF-8, is dropped, from a
+        # file and from stdin alike.
+        plain, marked = tmp_path / "plain.split", tmp_path / "marked.split"
+        plain.write_bytes(DET6_DOCUMENT.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + DET6_DOCUMENT.encode())
+        expected = run(capsys, argv[0], str(plain), *argv[1:])
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, argv[0], str(marked), *argv[1:]) == expected
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(marked.read_bytes()),
+                                                          encoding="utf-8"))
+        assert run(capsys, argv[0], "-", *argv[1:]) == expected
+
     def test_late_non_utf8_byte_position(self, capsys, tmp_path):
         p = tmp_path / "bad.split"
         p.write_bytes(self.LATE_BAD)

@@ -212,7 +212,7 @@ class TestEchelonEquivalence:
         assert echelon(a) == echelon_reference(a)
 
     def test_seeded_matrices(self):
-        # Up to 24 columns, so echelons of 10 or more run on packed rows.
+        # Up to 24 columns, so echelons of 11 or more run on packed rows.
         rng = random.Random(14)
         for _ in range(400):
             rows, cols = rng.randint(0, 12), rng.randint(0, 24)
@@ -331,7 +331,7 @@ class TestPackedEchelon:
         for a in self.wide_matrices():
             self.assert_paths_equal(a)
 
-    @pytest.mark.parametrize("cols, packed", [(9, False), (10, True), (13, True)])
+    @pytest.mark.parametrize("cols, packed", [(9, False), (10, False), (11, True), (13, True)])
     def test_loop_chosen_by_width(self, monkeypatch, cols, packed):
         calls = []
         packed_loop = intlinalg._echelon_packed

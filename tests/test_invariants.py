@@ -423,7 +423,7 @@ class TestEchelonRoute:
             self.assert_matches(s)
 
     def test_packed_rows_with_h2_infinite(self):
-        # u + g1 >= 10, so the echelon runs on packed rows, and one U
+        # u + g1 >= 11, so the echelon runs on packed rows, and one U
         # generator maps to the identity in both handlebodies: its MV
         # column is zero and has no pivot, so |H^2(M)| is INFINITE, and
         # the rows left zero carry an extra kernel vector into the
@@ -432,7 +432,7 @@ class TestEchelonRoute:
         checked = 0
         while checked < 40:
             s = random_splitting(rng, 12, 10, g1=rng.randint(0, 6))
-            if s.u + s.g1 < 10:
+            if s.u + s.g1 < 11:
                 continue
             checked += 1
             k, l = list(s.k_map.images), list(s.l_map.images)

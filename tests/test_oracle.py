@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -289,22 +290,34 @@ class TestWidestLastWalk:
 
 
 def intervals_walked(a, target):
-    """The count of ``a`` at ``target`` and the intervals its walk reaches:
-    one call of the walk at its last depth counts one interval."""
-    last_calls = []
+    """The count of ``a`` at ``target`` and the intervals its walk reaches.
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "walk" \
-                and frame.f_globals is vars(oracle) and frame.f_locals["depth"] == a.rows - 1:
-            last_calls.append(1)
+    The walk's depth before the last is one flat loop, and each of its
+    passes computes one interval of the last offset, starting at the line
+    ``lo_k, hi_k = last_lo, last_hi``; those lines are counted by tracing.
+    N = 1 is one direct interval, outside the walk."""
+    lines, first = inspect.getsourcelines(oracle._count_offsets)
+    (interval_line,) = [first + i for i, line in enumerate(lines)
+                        if line.strip() == "lo_k, hi_k = last_lo, last_hi"]
+    passes = []
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
+    def local_trace(frame, event, arg):
+        if event == "line" and frame.f_lineno == interval_line:
+            passes.append(1)
+        return local_trace
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_name == "walk" and frame.f_globals is vars(oracle):
+            return local_trace
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
     try:
         (count,) = torus_preimage_count(a, [target])
     finally:
-        sys.setprofile(previous)
-    return count, len(last_calls)
+        sys.settrace(previous)
+    return count, 1 if a.rows == 1 else len(passes)
 
 
 class TestOpenRangeEnds:
