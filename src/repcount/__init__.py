@@ -21,8 +21,10 @@ from .exterior import (
 )
 from .intlinalg import (
     INFINITE,
+    DomainLimitError,
     IntMat,
     ShapeError,
+    SingularMatrixError,
     SnfResult,
     cokernel_order,
     det,
@@ -41,13 +43,6 @@ from .invariants import (
     lambda_polynomial_cylinder,
     multiindex_degree,
     orientation_flip_sign,
-)
-from .oracle import (
-    DomainLimitError,
-    SingularMatrixError,
-    cokernel_enumeration,
-    numeric_degree_u1,
-    torus_preimage_count,
 )
 from .splitting import (
     AdaptedSplitting,
@@ -75,3 +70,23 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# The oracles, and fractions with them, load on first use: only the oracle
+# command calls them.  dir() lists them, and the oracle module, as before.
+_ORACLE_NAMES = ("cokernel_enumeration", "numeric_degree_u1", "torus_preimage_count")
+
+
+def __getattr__(name: str):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import binds the oracle module here; its functions are bound beside it.
+    from .oracle import cokernel_enumeration, numeric_degree_u1, torus_preimage_count
+    globals().update(cokernel_enumeration=cokernel_enumeration,
+                     numeric_degree_u1=numeric_degree_u1,
+                     torus_preimage_count=torus_preimage_count)
+    return globals()[name]
+
+
+def __dir__():
+    hidden = {"__getattr__", "__dir__", "_ORACLE_NAMES"}
+    return sorted({*globals(), *_ORACLE_NAMES, "oracle"} - hidden)

@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 from .exterior import GROUPS, ExteriorWorkLimitError, GroupKind, degree_of_word_map
-from .intlinalg import format_int
+from .intlinalg import DomainLimitError, SingularMatrixError, format_int
 from .invariants import (
     MultiIndex,
     PipelineDisagreementError,
@@ -28,12 +27,6 @@ from .invariants import (
     lambda_polynomial_cylinder,
     multiindex_degree,
     require_codimension_zero,
-)
-from .oracle import (
-    DomainLimitError,
-    SingularMatrixError,
-    cokernel_enumeration,
-    numeric_degree_u1,
 )
 from .splitting import (
     AdaptedSplitting,
@@ -143,10 +136,26 @@ def cmd_stabilize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The oracle module, and fractions with it, load on the first oracle call:
+# no other command uses them.  The oracles are called through these names,
+# so that a wrapper installed on this module sees each call.
+def numeric_degree_u1(f, targets):
+    """:func:`repcount.oracle.numeric_degree_u1`."""
+    from .oracle import numeric_degree_u1
+    return numeric_degree_u1(f, targets)
+
+
+def cokernel_enumeration(a):
+    """:func:`repcount.oracle.cokernel_enumeration`."""
+    from .oracle import cokernel_enumeration
+    return cokernel_enumeration(a)
+
+
 def oracle_targets(seed: int, rank: int) -> list[tuple[Fraction, ...]]:
     """The three torus targets of ``oracle --seed``: component j of target
     i is ((seed + 101 i)(j + 1) mod 1009) / 1009.  Any target will do, the
     zero target included; the seed only varies them."""
+    from fractions import Fraction
     return [tuple(Fraction((seed + 101 * i) * (j + 1) % 1009, 1009) for j in range(rank))
             for i in range(3)]
 

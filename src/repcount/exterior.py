@@ -53,12 +53,11 @@ pairs; no claim is made about a preferred global orientation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
-from .intlinalg import ShapeError
+from .intlinalg import ShapeError, _Frozen, _not_int, _slot_setters
 from .words import FreeHom
 
 
@@ -85,23 +84,23 @@ MAX_EXTERIOR_WORK = 10_000_000
 GROUPS = ("U", "SU")
 
 
-@dataclass(frozen=True, slots=True)
-class GroupKind:
+class GroupKind(_Frozen):
     """One of the groups U(n) or SU(n), n >= 1 (n >= 2 for SU); ``family``
     is its text in ``GROUPS``."""
 
-    family: str
-    n: int
+    __slots__ = ("family", "n")
 
-    def __post_init__(self):
-        if self.family not in GROUPS:
-            raise ValueError(f"group must be 'U' or 'SU', got {self.family!r}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError(f"n must be an int, got {type(self.n).__name__}")
-        if self.n < 1:
+    def __init__(self, family: str, n: int):
+        if family not in GROUPS:
+            raise ValueError(f"group must be 'U' or 'SU', got {family!r}")
+        if type(n) is not int and _not_int(n):
+            raise TypeError(f"n must be an int, got {type(n).__name__}")
+        if n < 1:
             raise ValueError("n must be at least 1")
-        if self.family == "SU" and self.n < 2:
+        if family == "SU" and n < 2:
             raise ValueError("SU(n) requires n >= 2")
+        _set_family(self, family)
+        _set_n(self, n)
 
     @property
     def lie_rank(self) -> int:
@@ -119,6 +118,9 @@ class GroupKind:
         return f"{self.family}({self.n})"
 
 
+_set_family, _set_n = _slot_setters(GroupKind)
+
+
 def unitary(n: int) -> GroupKind:
     return GroupKind("U", n)
 
@@ -127,8 +129,7 @@ def special_unitary(n: int) -> GroupKind:
     return GroupKind("SU", n)
 
 
-@dataclass(frozen=True, slots=True)
-class ExtElement:
+class ExtElement(_Frozen):
     """Element of the exterior algebra of H*(G^N, Z).
 
     ``terms`` maps a sorted tuple of (factor k, generator j) pairs, each
@@ -136,17 +137,21 @@ class ExtElement:
     view, so no holder of an element can change it.  Arithmetic
     returns new elements.  No expansion here calls it: it is kept apart
     from the bitmask kernel as an independent reference for the tests, and
-    the benchmark's tracer counts its wedges.
+    the benchmark's tracer counts its wedges.  An element is not hashable,
+    as its ``terms`` view is not.
     """
 
-    kind: GroupKind
-    n_factors: int
-    terms: Mapping[tuple, int] | None = None
+    __slots__ = ("kind", "n_factors", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_factors", int(self.n_factors))
-        clean = {key: coeff for key, coeff in (self.terms or {}).items() if coeff != 0}
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+    def __init__(self, kind: GroupKind, n_factors: int, terms: Mapping[tuple, int] | None = None):
+        _set_kind(self, kind)
+        _set_n_factors(self, int(n_factors))
+        _set_terms(self, MappingProxyType(
+            {key: coeff for key, coeff in (terms or {}).items() if coeff != 0}))
+
+    def __reduce__(self):
+        # The read-only view does not pickle; the constructor takes a dict.
+        return ExtElement, (self.kind, self.n_factors, dict(self.terms))
 
     @classmethod
     def zero(cls, kind: GroupKind, n_factors: int) -> "ExtElement":
@@ -238,6 +243,9 @@ class ExtElement:
             factors = "^".join(f"x{j}[{k}]" for k, j in key) or "1"
             parts.append(f"{self.terms[key]}*{factors}")
         return "ExtElement(" + " + ".join(parts) + ")"
+
+
+_set_kind, _set_n_factors, _set_terms = _slot_setters(ExtElement)
 
 
 def _row_supports(f: FreeHom) -> tuple[list[list[tuple[int, int, int]]], list[int] | None]:

@@ -56,13 +56,74 @@ trusted matrix equals and hashes like the validated one of the same rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from decimal import Decimal
-from typing import Sequence
 
 
 class ShapeError(ValueError):
     """Matrix shape incompatible with the requested operation."""
+
+
+class SingularMatrixError(ValueError):
+    """The torus oracle needs a nonsingular acting matrix."""
+
+
+class DomainLimitError(ValueError):
+    """Input outside an oracle's admissible size box."""
+
+
+class _Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in constructor order,
+    and its ``__init__`` checks them and stores each through the slot's
+    setter (see :func:`_slot_setters`), since assignment and deletion are
+    refused.  Two values are equal when they are of one class with equal
+    fields, and a value hashes as the tuple of its fields; ``repr`` names
+    the fields.  Pickling and copying call the constructor again, so its
+    checks run on the copy too.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _not_int(x) -> bool:
+    """Whether ``x`` is no int or is a bool; the caller has seen that
+    ``type(x) is not int``, the one test an exact int takes."""
+    return not isinstance(x, int) or isinstance(x, bool)
+
+
+def _slot_setters(cls) -> tuple:
+    """The setters of ``cls``'s slots, in order: the fastest store of a
+    field that plain assignment refuses."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 class _Infinite:
@@ -115,7 +176,7 @@ class IntMat:
         for row in data:
             entries = tuple(row)
             for x in entries:
-                if not isinstance(x, int):
+                if type(x) is not int and _not_int(x):
                     raise TypeError(f"matrix entries must be ints, got {type(x).__name__}")
             rows.append(entries)
         if rows:
@@ -398,8 +459,7 @@ def _echelon_packed(a: IntMat) -> tuple[int, ...]:
     return tuple(pivots)
 
 
-@dataclass(frozen=True, slots=True)
-class SnfResult:
+class SnfResult(_Frozen):
     """Smith normal form U @ A @ V == D with unimodular U, V.
 
     ``diag`` lists the diagonal of D (length min(rows, cols)); nonzero
@@ -408,10 +468,13 @@ class SnfResult:
     factoring again.
     """
 
-    U: IntMat
-    D: IntMat
-    V: IntMat
-    diag: tuple[int, ...]
+    __slots__ = ("U", "D", "V", "diag")
+
+    def __init__(self, U: IntMat, D: IntMat, V: IntMat, diag: tuple[int, ...]):
+        _set_U(self, U)
+        _set_D(self, D)
+        _set_V(self, V)
+        _set_diag(self, diag)
 
     @property
     def rank(self) -> int:
@@ -429,6 +492,9 @@ class SnfResult:
         """The last ``cols - rank`` columns of V: a Z-basis of ker A."""
         r = self.rank
         return IntMat([row[r:] for row in self.V.data], cols=self.V.cols - r)
+
+
+_set_U, _set_D, _set_V, _set_diag = _slot_setters(SnfResult)
 
 
 def smith_normal_form(a: IntMat) -> SnfResult:

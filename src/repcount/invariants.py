@@ -48,11 +48,11 @@ reason.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .exterior import GroupKind, cylinder_monomial_value, degree_of_word_map
-from .intlinalg import INFINITE, IntMat, det, format_int
+from .intlinalg import INFINITE, IntMat, _Frozen, _not_int, _slot_setters, det, format_int
 from .splitting import (
     AdaptedSplitting,
     _mayer_vietoris_rows,
@@ -101,9 +101,9 @@ class InvariantReport:
 
     kind: GroupKind
     abs_value: int
-    sign: Optional[int]
+    sign: int | None
     K: object
-    vanishing_reason: Optional[str]
+    vanishing_reason: str | None
 
     def key_values(self) -> list[tuple[str, str]]:
         """Flat key=value serialization used by the CLI machine format."""
@@ -190,7 +190,7 @@ def lambda_invariants(
                 kind, (0, 0, 0), mv_rows, word_map,
             )
 
-        sign: Optional[int] = None
+        sign: int | None = None
         if use_sign_convention and p1 > 0:
             # The declared convention; see the module docstring.  Its
             # (h1 - g1)(h2 + 1) term makes one stabilization (h1 -> h1+1,
@@ -219,8 +219,7 @@ def orientation_flip_sign(kind: GroupKind) -> int:
     return -1 if kind.lie_rank % 2 else 1
 
 
-@dataclass(frozen=True, slots=True)
-class MultiIndex:
+class MultiIndex(_Frozen):
     """Multi-index (I, J) labeling a monomial in the polynomial invariants.
 
     I pairs (i_p, r_p) with strictly increasing i_p >= 1 and positive
@@ -231,17 +230,16 @@ class MultiIndex:
     are ints; any other type, bool included, raises ``TypeError``.
     """
 
-    I: tuple[tuple[int, int], ...] = ()
-    J: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("I", "J")
 
-    def __post_init__(self):
-        object.__setattr__(self, "I", tuple((i, r) for i, r in self.I))
-        object.__setattr__(self, "J", tuple((j, s) for j, s in self.J))
-        for name, pairs in (("I", self.I), ("J", self.J)):
+    def __init__(self, I: tuple[tuple[int, int], ...] = (), J: tuple[tuple[int, int], ...] = ()):
+        I = tuple((i, r) for i, r in I)
+        J = tuple((j, s) for j, s in J)
+        for name, pairs in (("I", I), ("J", J)):
             prev = 0
             for idx, mult in pairs:
                 for what, value in (("index", idx), ("multiplicity", mult)):
-                    if not isinstance(value, int) or isinstance(value, bool):
+                    if type(value) is not int and _not_int(value):
                         raise TypeError(f"{name}: {what} must be an int, "
                                         f"got {type(value).__name__}")
                 if idx < 1:
@@ -251,6 +249,8 @@ class MultiIndex:
                 if mult < 1:
                     raise ValueError(f"{name}: multiplicity {mult} must be positive")
                 prev = idx
+        _set_I(self, I)
+        _set_J(self, J)
 
     def is_special_unitary_admissible(self) -> bool:
         """Leading index above 1 in each present block."""
@@ -259,6 +259,9 @@ class MultiIndex:
         if self.J and self.J[0][0] <= 1:
             return False
         return True
+
+
+_set_I, _set_J = _slot_setters(MultiIndex)
 
 
 def multiindex_degree(m: MultiIndex) -> int:

@@ -45,19 +45,11 @@ count.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
-from .intlinalg import INFINITE, IntMat
+from .intlinalg import INFINITE, DomainLimitError, IntMat, SingularMatrixError
 from .words import FreeHom, abelianize
-
-
-class SingularMatrixError(ValueError):
-    """The torus oracle needs a nonsingular acting matrix."""
-
-
-class DomainLimitError(ValueError):
-    """Input outside an oracle's admissible size box."""
 
 
 # The oracles' size boxes.  The torus count's box is on
@@ -152,7 +144,8 @@ def torus_preimage_count(a: IntMat,
                 f"product of (row's sum of |entries| + 1) exceeds the torus limit "
                 f"{TORUS_MAX_WORK}")
     n = a.rows
-    targets = [tuple(Fraction(x) for x in t) for t in targets]
+    targets = [tuple(x if isinstance(x, Fraction) else Fraction(x) for x in t)
+               for t in targets]
     for t in targets:
         if len(t) != n:
             raise ValueError(f"target length {len(t)} != {n}")

@@ -29,11 +29,10 @@ lives at T = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import intlinalg
 from .exterior import GROUPS, GroupKind
-from .intlinalg import INFINITE, IntMat
+from .intlinalg import INFINITE, IntMat, _Frozen, _not_int, _slot_setters
 from .words import (
     FreeHom,
     MalformedWordError,
@@ -41,7 +40,6 @@ from .words import (
     Word,
     _parse_word,
     _read_integer,
-    _trusted,
     format_word,
 )
 
@@ -66,8 +64,7 @@ class DocumentError(ValueError):
     """Malformed splitting document."""
 
 
-@dataclass(frozen=True, slots=True)
-class AdaptedSplitting:
+class AdaptedSplitting(_Frozen):
     """Combinatorial encoding of an adapted handlebody decomposition.
 
     ``u_hat_genus`` is the genus of the capped-off separating surface; it
@@ -77,29 +74,32 @@ class AdaptedSplitting:
 
     Construction runs :func:`validate` and raises
     :class:`InvalidSplittingError` on any violation, so every splitting,
-    including those from ``dataclasses.replace`` and :func:`stabilize`, is
-    valid and nothing downstream checks again.
+    including those a copy or :func:`stabilize` builds, is valid and
+    nothing downstream checks again.
     """
 
-    h1: int
-    h2: int
-    u: int
-    g1: int
-    k_map: FreeHom
-    l_map: FreeHom
-    u_hat_genus: int | None = None
-    orientation_reversed: bool = False
+    __slots__ = ("h1", "h2", "u", "g1", "k_map", "l_map", "u_hat_genus",
+                 "orientation_reversed")
 
-    def __post_init__(self):
-        if self.u_hat_genus is None:
-            object.__setattr__(self, "u_hat_genus", self.u)
-        for name in ("h1", "h2", "u", "g1", "u_hat_genus"):
-            rank = getattr(self, name)
-            if not isinstance(rank, int) or isinstance(rank, bool):
+    def __init__(self, h1: int, h2: int, u: int, g1: int, k_map: FreeHom, l_map: FreeHom,
+                 u_hat_genus: int | None = None, orientation_reversed: bool = False):
+        if u_hat_genus is None:
+            u_hat_genus = u
+        for name, rank in (("h1", h1), ("h2", h2), ("u", u), ("g1", g1),
+                           ("u_hat_genus", u_hat_genus)):
+            if type(rank) is not int and _not_int(rank):
                 raise TypeError(f"{name} must be an int, got {type(rank).__name__}")
-        if not isinstance(self.orientation_reversed, bool):
+        if not isinstance(orientation_reversed, bool):
             raise TypeError("orientation_reversed must be a bool, got "
-                            f"{type(self.orientation_reversed).__name__}")
+                            f"{type(orientation_reversed).__name__}")
+        _set_h1(self, h1)
+        _set_h2(self, h2)
+        _set_u(self, u)
+        _set_g1(self, g1)
+        _set_k_map(self, k_map)
+        _set_l_map(self, l_map)
+        _set_u_hat_genus(self, u_hat_genus)
+        _set_orientation_reversed(self, orientation_reversed)
         violations = validate(self)
         if violations:
             raise InvalidSplittingError(violations, self.T, validation_warnings(self))
@@ -107,6 +107,10 @@ class AdaptedSplitting:
     @property
     def T(self) -> int:
         return (self.h1 + self.h2 - self.u) - self.g1
+
+
+(_set_h1, _set_h2, _set_u, _set_g1, _set_k_map, _set_l_map, _set_u_hat_genus,
+ _set_orientation_reversed) = _slot_setters(AdaptedSplitting)
 
 
 def validate(s: AdaptedSplitting) -> list[str]:
@@ -183,14 +187,21 @@ def glue_matrix(s: AdaptedSplitting) -> IntMat:
     return IntMat._trusted(_mayer_vietoris_rows(s)[s.g1:], s.u).transpose()
 
 
-@dataclass(frozen=True, slots=True)
-class PairHomologyReport:
-    """Homological summary of the pair (M, marked surface)."""
+class PairHomologyReport(_Frozen):
+    """Homological summary of the pair (M, marked surface); each order is
+    a positive int or INFINITE."""
 
-    betti1_M: int
-    order_H2_M: object  # positive int or INFINITE
-    order_H2_pair: object  # positive int or INFINITE
-    restriction_iso: bool
+    __slots__ = ("betti1_M", "order_H2_M", "order_H2_pair", "restriction_iso")
+
+    def __init__(self, betti1_M: int, order_H2_M, order_H2_pair, restriction_iso: bool):
+        _set_betti1_M(self, betti1_M)
+        _set_order_H2_M(self, order_H2_M)
+        _set_order_H2_pair(self, order_H2_pair)
+        _set_restriction_iso(self, restriction_iso)
+
+
+_set_betti1_M, _set_order_H2_M, _set_order_H2_pair, _set_restriction_iso = (
+    _slot_setters(PairHomologyReport))
 
 
 def pair_cohomology(s: AdaptedSplitting) -> PairHomologyReport:
@@ -283,9 +294,8 @@ def assembled_word_map(s: AdaptedSplitting) -> FreeHom:
             else:
                 stack.append((g, e))
         stack.extend((g + free1, -e) for g, e in reversed(l_word.letters))
-        images.append(_trusted(Word, letters=tuple(stack)))
-    return _trusted(FreeHom, source_rank=s.u, target_rank=free1 + s.h2,
-                    images=tuple(images))
+        images.append(Word._trusted(tuple(stack)))
+    return FreeHom._trusted(s.u, free1 + s.h2, tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +340,7 @@ def _parse_word_list(value: str, expected: int, target_rank: int, field: str) ->
     # rank it clears them all; otherwise FreeHom checks the reduced words
     # and names the first at fault, or refuses a negative rank.
     if max([g for g, _ in table.values()], default=0) <= target_rank:
-        return _trusted(FreeHom, source_rank=expected, target_rank=target_rank,
-                        images=tuple(words))
+        return FreeHom._trusted(expected, target_rank, tuple(words))
     try:
         return FreeHom(expected, target_rank, tuple(words))
     except (MalformedWordError, RankMismatchError) as exc:

@@ -13,9 +13,10 @@ freely reduced.  The empty word is the identity.
 
 All values are immutable and every operation is a pure function, so
 everything in this module is safe for concurrent use.  ``Word`` and
-``FreeHom`` are slotted frozen dataclasses, as are the package's other
-value classes but ``IntMat``, which is slotted and not frozen: an
-instance holds its fields and no ``__dict__``.
+``FreeHom`` are plain slotted classes that refuse assignment, as are the
+package's other value classes but ``InvariantReport``, a frozen slotted
+dataclass, and ``IntMat``, which is slotted and not frozen: an instance
+holds its fields and no ``__dict__``.
 
 Letters are kept, not copied.  ``Word(...)`` and :func:`free_reduce` keep
 each letter given as an exact ``tuple`` and build a new ``(index,
@@ -25,8 +26,8 @@ letter per distinct token among the words of a map.
 
 Two ways to build each value.  ``Word(...)`` and ``FreeHom(...)`` are the
 public constructors and check their data: letters that are reduced pairs
-of ints, images within the target rank.  ``_trusted(Word, letters=...)``
-and ``_trusted(FreeHom, ...)`` check nothing.  The package uses them only
+of ints, images within the target rank.  ``Word._trusted`` and
+``FreeHom._trusted`` check nothing.  The package uses them only
 where the checks are already done:
 :func:`free_reduce` has checked every letter and merged every run as it
 builds its word; ``_parse_word``, behind :func:`parse_word` and the
@@ -46,10 +47,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .intlinalg import IntMat
+from .intlinalg import IntMat, _Frozen, _not_int, _slot_setters
 
 
 class MalformedWordError(ValueError):
@@ -60,8 +60,7 @@ class RankMismatchError(ValueError):
     """A negative rank, or an image count other than the source rank."""
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(_Frozen):
     """A freely reduced word, as a tuple of ``(index, exponent)`` runs.
 
     Construct words through :func:`free_reduce` (or :func:`parse_word`);
@@ -71,18 +70,19 @@ class Word:
     Word('g1^3')
     """
 
-    letters: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[tuple[int, int], ...] = ()):
         # Unpacking refuses a letter that is not a pair; an exact tuple is
         # kept, anything else is rebuilt as one.
-        object.__setattr__(self, "letters", tuple([
+        letters = tuple([
             letter if type(letter) is tuple else (g, e)
-            for letter in self.letters for g, e in (letter,)
-        ]))
+            for letter in letters for g, e in (letter,)
+        ])
         prev = None
-        for index, exponent in self.letters:
-            if not isinstance(index, int) or not isinstance(exponent, int):
+        for index, exponent in letters:
+            if ((type(index) is not int and _not_int(index))
+                    or (type(exponent) is not int and _not_int(exponent))):
                 raise MalformedWordError("letters must be pairs of ints")
             if index < 1:
                 raise MalformedWordError(f"generator index {index} is not positive")
@@ -91,6 +91,14 @@ class Word:
             if prev == index:
                 raise MalformedWordError("adjacent letters share a generator; not reduced")
             prev = index
+        _set_letters(self, letters)
+
+    @classmethod
+    def _trusted(cls, letters: tuple[tuple[int, int], ...]) -> Word:
+        """A word of ``letters``, reduced pairs of ints, unchecked."""
+        w = object.__new__(cls)
+        _set_letters(w, letters)
+        return w
 
     def max_index(self) -> int:
         """Largest generator index used, 0 for the identity word."""
@@ -103,12 +111,7 @@ class Word:
         return format_word(self)
 
 
-def _trusted(cls, **fields):
-    """A frozen ``cls`` holding ``fields`` as given, unchecked."""
-    value = object.__new__(cls)
-    for name, field in fields.items():
-        object.__setattr__(value, name, field)
-    return value
+(_set_letters,) = _slot_setters(Word)
 
 
 def free_reduce(letters: Iterable[tuple[int, int]]) -> Word:
@@ -123,7 +126,8 @@ def free_reduce(letters: Iterable[tuple[int, int]]) -> Word:
     stack: list[tuple[int, int]] = []
     for letter in letters:
         index, exponent = letter
-        if not isinstance(index, int) or not isinstance(exponent, int):
+        if ((type(index) is not int and _not_int(index))
+                or (type(exponent) is not int and _not_int(exponent))):
             raise MalformedWordError("letters must be pairs of ints")
         if index < 1:
             raise MalformedWordError(f"generator index {index} is not positive")
@@ -137,39 +141,48 @@ def free_reduce(letters: Iterable[tuple[int, int]]) -> Word:
                 stack.pop()
         else:
             stack.append(letter if type(letter) is tuple else (index, exponent))
-    return _trusted(Word, letters=tuple(stack))
+    return Word._trusted(tuple(stack))
 
 
-@dataclass(frozen=True, slots=True)
-class FreeHom:
+class FreeHom(_Frozen):
     """Homomorphism of free groups, recorded by generator images.
 
     ``images[i]`` is the image of the (i+1)-st source generator, a word
     over the target generators.
     """
 
-    source_rank: int
-    target_rank: int
-    images: tuple[Word, ...]
+    __slots__ = ("source_rank", "target_rank", "images")
 
-    def __post_init__(self):
-        for name in ("source_rank", "target_rank"):
-            rank = getattr(self, name)
-            if not isinstance(rank, int) or isinstance(rank, bool):
+    def __init__(self, source_rank: int, target_rank: int, images: tuple[Word, ...]):
+        for name, rank in (("source_rank", source_rank), ("target_rank", target_rank)):
+            if type(rank) is not int and _not_int(rank):
                 raise TypeError(f"{name} must be an int, got {type(rank).__name__}")
-        if self.source_rank < 0 or self.target_rank < 0:
+        if source_rank < 0 or target_rank < 0:
             raise RankMismatchError("ranks must be nonnegative")
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
-        if len(images) != self.source_rank:
-            raise RankMismatchError(
-                f"{len(images)} images for source rank {self.source_rank}"
+        images = tuple(images)
+        if len(images) != source_rank:
+            raise RankMismatchError(f"{len(images)} images for source rank {source_rank}")
+        # One pass over every letter; the word at fault is sought only on failure.
+        if max([g for w in images for g, _ in w.letters], default=0) > target_rank:
+            w = next(w for w in images if w.max_index() > target_rank)
+            raise MalformedWordError(
+                f"image {w} uses generator beyond target rank {target_rank}"
             )
-        for w in images:
-            if w.max_index() > self.target_rank:
-                raise MalformedWordError(
-                    f"image {w} uses generator beyond target rank {self.target_rank}"
-                )
+        _set_source_rank(self, source_rank)
+        _set_target_rank(self, target_rank)
+        _set_images(self, images)
+
+    @classmethod
+    def _trusted(cls, source_rank: int, target_rank: int, images: tuple[Word, ...]) -> FreeHom:
+        """A map of ``images``, words within ``target_rank``, unchecked."""
+        f = object.__new__(cls)
+        _set_source_rank(f, source_rank)
+        _set_target_rank(f, target_rank)
+        _set_images(f, images)
+        return f
+
+
+_set_source_rank, _set_target_rank, _set_images = _slot_setters(FreeHom)
 
 
 def abelianize(f: FreeHom) -> IntMat:
@@ -254,7 +267,7 @@ def _parse_word(text: str, table: dict[str, tuple[int, int]]) -> Word:
                 stack.pop()
         else:
             stack.append(letter)
-    return _trusted(Word, letters=tuple(stack))
+    return Word._trusted(tuple(stack))
 
 
 def format_word(w: Word) -> str:

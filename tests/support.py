@@ -21,6 +21,14 @@ from repcount import (
 )
 
 
+def rebuilt(value, **changes):
+    """``value`` built again by its class's constructor, with ``changes``
+    to its fields, so the constructor's checks run on the result."""
+    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    fields.update(changes)
+    return type(value)(**fields)
+
+
 def identity_hom(n: int) -> FreeHom:
     """The identity map of the free group of rank n."""
     return FreeHom(n, n, tuple(Word(((i, 1),)) for i in range(1, n + 1)))

@@ -7,7 +7,8 @@ tests read ``src/repcount/*.py`` with ``ast`` and follow the call graph
 without running it.  The graph over-approximates: a name or attribute
 links a function to every function of the package it may denote (an
 attribute ``x.m`` to every method named ``m``, a class to all of its
-methods), so a path that exists at run time is never missed.
+methods), so a path that exists at run time is never missed.  A relative
+import inside a function binds its names for that function's body.
 """
 
 import ast
@@ -24,6 +25,18 @@ ECHELON = {"intlinalg.echelon", "intlinalg._echelon_packed"}
 SNF = {"intlinalg.smith_normal_form", "intlinalg.cokernel_order"}
 
 
+def relative_imports(nodes) -> dict[str, str]:
+    """The names that the ``from .module import name`` statements among
+    ``nodes`` bind, each to the package name it denotes."""
+    scope = {}
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                name = alias.asname or alias.name
+                scope[name] = f"{node.module}.{alias.name}" if node.module else alias.name
+    return scope
+
+
 class CallGraph:
     """Functions of the package as ``module.name`` or ``module.Class.name``,
     each with the package names its body refers to."""
@@ -36,13 +49,9 @@ class CallGraph:
         by_method: dict[str, set[str]] = {}
         classes: dict[str, list[str]] = {}
         for module, tree in trees.items():
-            scope = self.scopes[module] = {}
+            scope = self.scopes[module] = relative_imports(tree.body)
             for node in tree.body:
-                if isinstance(node, ast.ImportFrom) and node.level == 1:
-                    for alias in node.names:
-                        name = alias.asname or alias.name
-                        scope[name] = f"{node.module}.{alias.name}" if node.module else alias.name
-                elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     scope[node.name] = qualified = f"{module}.{node.name}"
                     self.functions[qualified] = node
                     if isinstance(node, ast.ClassDef):
@@ -57,7 +66,7 @@ class CallGraph:
         for name, node in self.functions.items():
             if name in classes:
                 continue
-            scope = self.scopes[name.split(".", 1)[0]]
+            scope = {**self.scopes[name.split(".", 1)[0]], **relative_imports(ast.walk(node))}
             out = self.edges.setdefault(name, set())
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and sub.id in scope:

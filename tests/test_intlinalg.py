@@ -88,6 +88,17 @@ class TestIntMat:
         with pytest.raises(TypeError):
             IntMat([[1.5]])
 
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_bool_rejected(self, entry):
+        with pytest.raises(TypeError) as err:
+            IntMat([[1, entry]])
+        assert str(err.value) == "matrix entries must be ints, got bool"
+
+    def test_int_subclass_accepted(self):
+        class Entry(int):
+            pass
+        assert IntMat([[Entry(3)]]) == IntMat([[3]])
+
     def test_matmul_and_transpose(self):
         a = IntMat([[1, 2], [3, 4]])
         b = IntMat([[0, 1], [1, 0]])

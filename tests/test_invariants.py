@@ -41,6 +41,7 @@ from support import (
     planted_document,
     random_free_hom,
     random_t0_splitting,
+    rebuilt,
     trivial_splitting,
     with_cancelling_pairs,
 )
@@ -438,8 +439,8 @@ class TestEchelonRoute:
             k, l = list(s.k_map.images), list(s.l_map.images)
             blank = rng.randrange(s.u)
             k[blank] = l[blank] = Word()
-            s = dataclasses.replace(s, k_map=FreeHom(s.u, s.h1, tuple(k)),
-                                    l_map=FreeHom(s.u, s.h2, tuple(l)))
+            s = rebuilt(s, k_map=FreeHom(s.u, s.h1, tuple(k)),
+                        l_map=FreeHom(s.u, s.h2, tuple(l)))
             report = pair_cohomology(s)
             assert report.order_H2_M is INFINITE
             assert report == snf_reference(s)
@@ -550,7 +551,7 @@ class TestOrientation:
         for kind in KINDS:
             plain = lambda_invariant(s, kind, use_sign_convention=True)
             flipped = lambda_invariant(
-                dataclasses.replace(s, orientation_reversed=True),
+                rebuilt(s, orientation_reversed=True),
                 kind, use_sign_convention=True,
             )
             assert flipped.abs_value == plain.abs_value

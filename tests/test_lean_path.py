@@ -7,7 +7,6 @@ ones the checking constructors would build, and that the checking
 constructors still refuse bad data.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -46,6 +45,7 @@ from support import (
     mayer_vietoris_reference,
     random_free_hom,
     random_t0_splitting,
+    rebuilt,
 )
 
 
@@ -293,9 +293,20 @@ class TestAssembledWordMap:
 
 
 class TestSlottedValues:
-    """Value classes are slotted frozen dataclasses: no instance
-    ``__dict__``, no assignment, and a checked copy equals and hashes
-    like the value."""
+    """Value classes are slotted and frozen: no instance ``__dict__``, no
+    assignment, and a checked copy equals and hashes like the value."""
+
+    FIELDS = {
+        "Word": ("letters",),
+        "FreeHom": ("source_rank", "target_rank", "images"),
+        "GroupKind": ("family", "n"),
+        "AdaptedSplitting": ("h1", "h2", "u", "g1", "k_map", "l_map", "u_hat_genus",
+                             "orientation_reversed"),
+        "PairHomologyReport": ("betti1_M", "order_H2_M", "order_H2_pair", "restriction_iso"),
+        "InvariantReport": ("kind", "abs_value", "sign", "K", "vanishing_reason"),
+        "MultiIndex": ("I", "J"),
+        "SnfResult": ("U", "D", "V", "diag"),
+    }
 
     @staticmethod
     def values():
@@ -312,24 +323,25 @@ class TestSlottedValues:
 
     def test_no_instance_dict(self):
         for value in self.values():
-            names = tuple(field.name for field in dataclasses.fields(value))
             assert not hasattr(value, "__dict__")
-            assert type(value).__slots__ == names
+            assert type(value).__slots__ == self.FIELDS[type(value).__name__]
 
     def test_fields_cannot_be_assigned(self):
         for value in self.values():
-            for field in dataclasses.fields(value):
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(value, field.name, getattr(value, field.name))
+            for name in type(value).__slots__:
+                # dataclasses.FrozenInstanceError, InvariantReport's, is an
+                # AttributeError too.
+                with pytest.raises(AttributeError):
+                    setattr(value, name, getattr(value, name))
             # A name that is not a field is refused too; some CPython
             # versions raise TypeError from a slotted frozen __setattr__.
-            with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            with pytest.raises((AttributeError, TypeError)):
                 value.extra = 1
             assert not hasattr(value, "extra")
 
     def test_checked_copy_equal_and_hash(self):
         for value in self.values():
-            copy = dataclasses.replace(value)
+            copy = rebuilt(value)
             assert copy == value and hash(copy) == hash(value)
 
     def test_trusted_values_equal_checked_ones(self):
@@ -344,9 +356,9 @@ class TestSlottedValues:
     def test_replace_still_validates(self):
         s = det6_splitting()
         with pytest.raises(InvalidSplittingError, match="negative codimension"):
-            dataclasses.replace(s, h1=1, g1=1, k_map=FreeHom(2, 1, (Word(), Word())))
+            rebuilt(s, h1=1, g1=1, k_map=FreeHom(2, 1, (Word(), Word())))
         with pytest.raises(MalformedWordError):
-            dataclasses.replace(s.k_map.images[0], letters=((1, 1), (1, 1)))
+            rebuilt(s.k_map.images[0], letters=((1, 1), (1, 1)))
 
 
 class TestPublicConstructorsStillCheck:

@@ -133,6 +133,24 @@ class TestTorusPreimageCount:
             torus_preimage_count(IntMat([[TORUS_MAX_WORK]]), [])
         assert numeric_degree_u1(identity_hom(2), ()) == ()
 
+    def test_fraction_targets_kept(self, monkeypatch):
+        # A Fraction coordinate is used as given; any other is converted.
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        a = IntMat([[2, 1], [0, 3]])
+        targets = oracle_targets(5, 2)
+        mixed = [(0, Fraction(1, 2)), (-1, "1/3")]
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        assert torus_preimage_count(a, targets) == (6, 6, 6)
+        assert made == []
+        assert torus_preimage_count(a, mixed) == (6, 6)
+        assert made == [(0,), (-1,), ("1/3",)]
+
     def test_target_independence(self):
         a = IntMat([[3, 1], [1, 2]])
         targets = [(0, 0), (Fraction(1, 2), 0), (Fraction(1, 5), Fraction(3, 5)),

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -36,6 +35,7 @@ from support import (
     mayer_vietoris_reference,
     p3_scale_document,
     random_t0_splitting,
+    rebuilt,
     trivial_splitting,
 )
 
@@ -59,17 +59,17 @@ class TestValidate:
         s = det6_splitting()
         value = getattr(s, field)
         with pytest.raises(TypeError) as err:
-            dataclasses.replace(s, **{field: float(value)})
+            rebuilt(s, **{field: float(value)})
         assert str(err.value) == f"{field} must be an int, got float"
         if value == 1:
             with pytest.raises(TypeError, match=f"^{field} must be an int, got bool$"):
-                dataclasses.replace(s, **{field: True})
+                rebuilt(s, **{field: True})
 
     @pytest.mark.parametrize("value", [2, 1, 0, "no", None])
     def test_non_bool_orientation_refused(self, value):
         # Its parity enters the sign, so 2 would read as False and "no" fail late.
         with pytest.raises(TypeError) as err:
-            dataclasses.replace(det6_splitting(), orientation_reversed=value)
+            rebuilt(det6_splitting(), orientation_reversed=value)
         assert str(err.value) == f"orientation_reversed must be a bool, got {type(value).__name__}"
 
     def test_spec_arithmetic_instance(self):
@@ -102,7 +102,7 @@ class TestValidate:
     def test_replace_is_validated(self):
         s = det6_splitting()
         with pytest.raises(InvalidSplittingError, match="S1 generators exceed H1 rank"):
-            dataclasses.replace(s, g1=s.h1 + 1)
+            rebuilt(s, g1=s.h1 + 1)
 
     def test_no_validation_after_construction(self, monkeypatch):
         calls = []
@@ -140,7 +140,7 @@ class TestValidate:
     ], ids=["h1", "h2", "u", "g1", "k_source", "l_source", "l_target"])
     def test_each_violation_reported(self, change, message):
         with pytest.raises(InvalidSplittingError) as info:
-            dataclasses.replace(trivial_splitting(), **change)
+            rebuilt(trivial_splitting(), **change)
         assert message in info.value.violations
 
     def test_u_hat_genus_defaults_to_u(self):
@@ -380,7 +380,7 @@ class TestDocumentFormat:
     @pytest.mark.parametrize("value,expected", [("7", 7), ("007", 7), ("-0", 0), ("0", 0)])
     def test_integer_fields_in_exponent_syntax(self, value, expected):
         s, _ = parse_splitting_document(TRIVIAL_DOCUMENT + f"u_hat_genus = {value}\n")
-        assert s == dataclasses.replace(trivial_splitting(), u_hat_genus=expected)
+        assert s == rebuilt(trivial_splitting(), u_hat_genus=expected)
 
     def test_letters_past_target_rank_that_reduce_away(self):
         # k_map's target rank is h1 = 1: g5^0 and g5 g5^-1 leave no letter

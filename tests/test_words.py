@@ -120,6 +120,22 @@ class TestLettersKept:
         with pytest.raises(error, match=message):
             build([(2, 1), letter])
 
+    @pytest.mark.parametrize("build", [free_reduce, Word])
+    @pytest.mark.parametrize("letter", [(True, 1), (1, True), (1, False), [True, 2]])
+    def test_bool_letters_refused(self, build, letter):
+        # Word('gTrue') would print a document the parser refuses, and
+        # free_reduce would drop (1, False) as a zero exponent.
+        with pytest.raises(MalformedWordError) as err:
+            build([(2, 1), letter])
+        assert str(err.value) == "letters must be pairs of ints"
+
+    @pytest.mark.parametrize("build", [free_reduce, Word])
+    def test_int_subclass_letters_kept(self, build):
+        class Index(int):
+            pass
+        w = build([(Index(2), Index(-3))])
+        assert w == Word(((2, -3),)) and str(w) == "g2^-3"
+
 
 class TestAbelianize:
     def test_identity(self):
@@ -171,6 +187,25 @@ class TestWordOps:
             Word(((1, 0),))
         with pytest.raises(MalformedWordError):
             Word(((0, 1),))
+
+    def test_hom_names_the_first_image_past_the_target_rank(self):
+        images = (Word(((1, 1),)), Word(((3, 2), (1, 1))), Word(((4, 1),)))
+        with pytest.raises(MalformedWordError) as err:
+            FreeHom(3, 2, images)
+        assert str(err.value) == "image g3^2 g1 uses generator beyond target rank 2"
+
+    def test_hom_reads_each_image_once_when_in_range(self, monkeypatch):
+        # The target rank is checked in one pass over the letters; the
+        # word at fault is sought, word by word, only on failure.
+        calls = []
+        max_index = Word.max_index
+        monkeypatch.setattr(Word, "max_index", lambda w: calls.append(w) or max_index(w))
+        images = (Word(((1, 1),)), Word(((2, 2), (1, 1))), Word())
+        assert FreeHom(3, 2, images).images == images
+        assert calls == []
+        with pytest.raises(MalformedWordError, match="image g2\\^2 g1 uses"):
+            FreeHom(3, 1, images)
+        assert calls == list(images[:2])
 
     def test_hom_rejects_wrong_image_count(self):
         with pytest.raises(RankMismatchError):
