@@ -20,7 +20,7 @@ multiple of the pivot row to the entries the other rows carry on.  Least
 remainders are the classical remedy for that coefficient growth in
 integer echelon forms (Havas, Majewski & Matthews, Exp. Math. 7, 1998).
 The pivots are invariants of the row lattice, so the rounding does not
-change them, only how large the carried entries get.  An echelon of 10
+change them, only how large the carried entries get.  An echelon of 11
 columns or more runs with each row packed into one nonnegative int,
 entry j in bits [j w, (j + 1) w), so that one big-int subtraction does a
 row operation (Kronecker substitution; Harvey, J. Symb. Comput. 44,
@@ -38,10 +38,7 @@ Degenerate shapes are legal throughout: ``det`` of a 0x0 matrix is 1 and the
 cokernel of the empty map Z^0 -> Z^0 has order 1, which is what degenerate
 splittings produce.
 
-No function here mutates a matrix, and all functions are pure.  ``IntMat``
-is not frozen: its trusted constructor runs twice per invariant call and
-took 0.26-0.37 us with plain slots, 0.63-0.75 us frozen through
-``object.__setattr__`` (CPython 3.11, 2-vCPU Intel Xeon VM).
+No function here mutates a matrix, and all functions are pure.
 
 Two constructors.  ``IntMat(...)`` is the public one: it checks that every
 entry is an int and that the rows have one width, because matrices built
@@ -81,7 +78,8 @@ class _Frozen:
     refused.  Two values are equal when they are of one class with equal
     fields, and a value hashes as the tuple of its fields; ``repr`` names
     the fields.  Pickling and copying call the constructor again, so its
-    checks run on the copy too.
+    checks run on the copy too; ``IntMat``, whose constructor does not
+    take its fields, says how in its own ``__reduce__``.
     """
 
     __slots__ = ()
@@ -157,11 +155,12 @@ def format_int(x) -> str:
     return repr(x) if x is INFINITE else str(Decimal(x))
 
 
-class IntMat:
-    """Integer matrix, stored row major; nothing in the package mutates one.
+class IntMat(_Frozen):
+    """Integer matrix, stored row major, immutable.
 
     ``cols`` must be given explicitly when there are no rows, since the
-    width cannot be inferred from an empty row list.
+    width cannot be inferred from an empty row list.  Pickling and copying
+    call ``IntMat(data, cols)``.
 
     >>> IntMat([[1, 2], [3, 4]])[1, 0]
     3
@@ -190,18 +189,21 @@ class IntMat:
             cols = 0
         if cols < 0:
             raise ShapeError("negative column count")
-        self.rows = len(rows)
-        self.cols = cols
-        self.data = tuple(rows)
+        _set_rows(self, len(rows))
+        _set_cols(self, cols)
+        _set_data(self, tuple(rows))
 
     @classmethod
     def _trusted(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMat":
         """A matrix of ``data``, row tuples of ``cols`` ints each, unchecked."""
         m = object.__new__(cls)
-        m.rows = len(data)
-        m.cols = cols
-        m.data = data
+        _set_rows(m, len(data))
+        _set_cols(m, cols)
+        _set_data(m, data)
         return m
+
+    def __reduce__(self):
+        return type(self), (self.data, self.cols)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -225,14 +227,6 @@ class IntMat:
             )
         return IntMat(out, cols=other.cols)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntMat):
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
-
     def __repr__(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return f"IntMat({self.rows}x{self.cols})"
@@ -242,6 +236,9 @@ class IntMat:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+
+_set_rows, _set_cols, _set_data = _slot_setters(IntMat)
 
 
 def det(a: IntMat) -> int:

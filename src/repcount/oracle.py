@@ -8,15 +8,12 @@ counting uses plain Euclidean column reduction plus enumeration of a
 box.  That reduction's basis is also the rank test: a row left without a
 pivot is a free direction of the cokernel.  The basis is lower
 triangular, so the enumeration reduces the box's prefixes level by
-level, expands each distinct prefix state once, and counts the last
-coordinate under each prefix as cyclic windows of residues, without
-visiting its points.  When the last pivot is at most the box's side,
-every window holds every residue, so the last prefix level only collects
-labels.  Otherwise the box values of one residue class of the
-next-to-last coordinate have consecutive quotients, so their window
-starts are one arithmetic progression mod the last pivot: a state costs
-one progression per class, at most min(pivot, side) of them, not one
-division per box value.
+level and expands each distinct prefix state once.  The box's last
+coordinate runs over max(side, p) consecutive values, p the last pivot,
+so under every prefix it leaves all p residues: each prefix label counts
+p, and the last coordinate is never visited.  Widening the box does not
+change the count, since labels are class invariants and every class
+already has a point in the unwidened box.
 
 The torus oracle realizes the n = 1 case of the degree law.  A word map
 induces the self-map x -> A x of the torus R^N / Z^N, with A its
@@ -59,8 +56,10 @@ from .words import FreeHom, abelianize
 # 80-110 ms (best of 3, at the targets of seeds 0, 1, 2 and 7): dense 6x6
 # matrices with row sums 7, 8, 8, 8, 8, 8 (W = 472,392), under CPython
 # 3.11.7 on a 2-vCPU Intel Xeon VM shared with other work.  The cokernel
-# enumeration visits (2 * (entry * cols + 1) + 1)^(rows - 1) prefixes, at
-# most 27^2 = 729, and expands each distinct prefix state once.
+# enumeration's box has side 2 * (entry * cols + 1) + 1 in its first
+# rows - 1 coordinates, so it reduces at most 27^2 = 729 prefixes, each
+# distinct prefix state expanded once, and it counts the last coordinate
+# without visiting it.
 TORUS_MAX_WORK = 500_000
 COKER_MAX_DIM = 3
 COKER_MAX_ENTRY = 4
@@ -283,17 +282,18 @@ def cokernel_enumeration(a: IntMat):
     without a pivot in the Euclidean lattice basis, i.e. rank below the row
     count) gives INFINITE; otherwise every residue class has a
     representative in the box [-bound, bound]^rows with bound =
-    max|entry| * cols + 1, and the count is the number of distinct exact
+    max|entry| * cols + 1, since x = sum_j t_j a_j is congruent to
+    sum_j frac(t_j) a_j, and the count is the number of distinct exact
     canonical-reduction labels of the box's points.  Row r's reduction
     reads only coordinates 0..r, so only the first rows - 1 coordinates
     are walked, and a prefix's reduction state (its label and what it
-    added to the later coordinates) fixes everything under it, so each
-    distinct state is expanded once.  Under each prefix the last
-    coordinate's side = 2 * bound + 1 consecutive values leave residues
-    mod its pivot p that fill one cyclic window; a prefix label counts the
-    union of its windows, each cyclic gap between sorted window starts
-    counted up to side, so p when p <= side.  Here p = 20 exceeds the
-    side, 19:
+    added to the later coordinates before the last) fixes everything
+    under it, so each distinct state is expanded once.  The last
+    coordinate is widened to max(side, p) consecutive values, side =
+    2 * bound + 1 and p its pivot, so under each prefix it leaves all p
+    residues and the count is p times the number of prefix labels.  The
+    wider box sees no class the box misses, as labels are class
+    invariants.  Here p = 20 exceeds the side, 19:
 
     >>> cokernel_enumeration(IntMat([[-4, -3], [-4, 2]]))
     20
@@ -312,42 +312,22 @@ def cokernel_enumeration(a: IntMat):
     bound = max_entry * a.cols + 1
     box = range(-bound, bound + 1)
     last = a.rows - 1
+    p = basis[last][last]
+    if not last:
+        return p  # the last coordinate alone, over at least p values
     # A state is a prefix of r coordinates as (label, offsets): label its
     # residues, offsets[i - r] what their reductions added to coordinate
-    # i.  Equal states have equal subtrees, so each is expanded once.
-    states = {((), (0,) * a.rows)}
+    # i < last.  Equal states have equal subtrees, so each is expanded once.
+    states = {((), (0,) * last)}
     for r in range(last - 1):
         b = basis[r]
         states = {(label + (residue,),
                    tuple(o - q * b[i] for i, o in enumerate(offsets[1:], r + 1)))
                   for label, offsets in states
                   for x in box for q, residue in [divmod(x + offsets[0], b[r])]}
-    # Under a prefix the last coordinate's side values leave residues mod
-    # p in one cyclic window; a label counts the union of its windows.
-    # The last prefix level puts each window start under its label.
-    side = len(box)
-    p = basis[last][last]
-    if not last:
-        return min(p, side)  # one window, under the empty prefix
-    b = basis[last - 1]
-    pivot = b[last - 1]
-    classes = min(pivot, side)
-    if p <= side:  # every window holds all p residues
-        return p * len({label + (y % pivot,) for label, (first, _) in states
-                        for y in range(first - bound, first - bound + classes)})
-    step = b[last] % p
-    starts: dict[tuple[int, ...], set[int]] = {}
-    for label, (first, last_offset) in states:
-        # x + first runs over first - bound .. first + bound.  The values of
-        # one residue mod pivot have consecutive quotients q, so their
-        # window starts (last_offset - bound - q b[last]) mod p are one
-        # progression, here each reduced mod p by p.__rmod__.
-        low, high = first - bound, first + bound
-        for y in range(low, low + classes):
-            q, residue = divmod(y, pivot)
-            start = last_offset - bound - q * step
-            count = (high - y) // pivot + 1
-            progression = range(start, start - count * step, -step) if step else (start,)
-            starts.setdefault(label + (residue,), set()).update(map(p.__rmod__, progression))
-    return sum(min(hi - lo, side) for s in map(sorted, starts.values())
-               for lo, hi in zip(s, s[1:] + [s[0] + p]))
+    # The next-to-last coordinate's first min(pivot, side) values leave all
+    # the residues its box values do; under each, the last leaves all p.
+    pivot = basis[last - 1][last - 1]
+    classes = min(pivot, len(box))
+    return p * len({label + (y % pivot,) for label, (first,) in states
+                    for y in range(first - bound, first - bound + classes)})

@@ -14,9 +14,9 @@ freely reduced.  The empty word is the identity.
 All values are immutable and every operation is a pure function, so
 everything in this module is safe for concurrent use.  ``Word`` and
 ``FreeHom`` are plain slotted classes that refuse assignment, as are the
-package's other value classes but ``InvariantReport``, a frozen slotted
-dataclass, and ``IntMat``, which is slotted and not frozen: an instance
-holds its fields and no ``__dict__``.
+package's other value classes, ``IntMat`` among them, but
+``InvariantReport``, a frozen slotted dataclass: an instance holds its
+fields and no ``__dict__``.
 
 Letters are kept, not copied.  ``Word(...)`` and :func:`free_reduce` keep
 each letter given as an exact ``tuple`` and build a new ``(index,

@@ -1,5 +1,6 @@
 """Shared generators and fixtures for the test suite."""
 
+import inspect
 import itertools
 import math
 import random
@@ -22,9 +23,11 @@ from repcount import (
 
 
 def rebuilt(value, **changes):
-    """``value`` built again by its class's constructor, with ``changes``
-    to its fields, so the constructor's checks run on the result."""
-    fields = {name: getattr(value, name) for name in type(value).__slots__}
+    """``value`` built again by its class's constructor, each parameter
+    read from the field of its name, with ``changes`` to them, so the
+    constructor's checks run on the result."""
+    params = inspect.signature(type(value)).parameters
+    fields = {name: getattr(value, name) for name in params}
     fields.update(changes)
     return type(value)(**fields)
 
@@ -126,10 +129,10 @@ def cokernel_enumeration_reference(a: IntMat):
     """The cokernel oracle's class count, one point at a time: every point
     of the oracle's box is reduced from scratch against the oracle's own
     lattice basis, row by row, and the distinct results are counted.  The
-    size box is not applied.  Checks that the oracle's count, which walks
-    only the box's prefixes and counts the last coordinate as a union of
-    residue windows, equals the number of distinct labels of the box's
-    points."""
+    size box is not applied, nor is the last coordinate widened to its
+    pivot.  Checks that the oracle's count, which walks only the box's
+    prefixes and counts the last pivot once per prefix label, equals the
+    number of distinct labels of the box's points."""
     basis = oracle._triangular_lattice_basis(a)
     if None in basis:
         return INFINITE

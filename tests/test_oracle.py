@@ -452,12 +452,32 @@ class TestCokernelEnumeration:
         assert counts[:3] == [256, 65, 18]
         assert INFINITE in counts and sum(c is not INFINITE for c in counts) > 500
 
-    def test_windows_united_past_the_box_side(self):
+    def test_last_pivot_past_the_box_side(self):
         # The last pivot, 20, exceeds the box side 2 * (4 * 2 + 1) + 1 = 19,
-        # so no single prefix's window covers every class of the last row.
+        # so the box's 19 values of the last coordinate miss a residue
+        # under every prefix; the oracle widens it to 20 values.
         a = IntMat([[-4, -3], [-4, 2]])
         assert oracle._triangular_lattice_basis(a)[-1][-1] == 20
         assert cokernel_enumeration(a) == cokernel_enumeration_reference(a) == 20
+
+    def test_3x3_last_pivot_past_the_box_side(self):
+        # Seeded 3x3 draws, entry magnitudes up to 1..4, kept when the last
+        # pivot exceeds the box side 2 * (max|entry| * 3 + 1) + 1.  The
+        # per-point reference reads the box unwidened, about 25 ms each.
+        rng = random.Random(38)
+        matrices = []
+        for _ in range(1000):
+            m = rng.randint(1, 4)
+            a = random_int_mat(rng, 3, 3, -m, m)
+            basis = oracle._triangular_lattice_basis(a)
+            side = 2 * (max(abs(x) for row in a.data for x in row) * 3 + 1) + 1
+            if None not in basis and basis[-1][-1] > side:
+                matrices.append(a)
+        counts = [cokernel_enumeration(a) for a in matrices]
+        assert counts == [cokernel_order(a) for a in matrices]
+        checked = [cokernel_enumeration_reference(a) for a in matrices[:24]]
+        assert counts[:24] == checked
+        assert len(counts) == 120 and len(checked) == 24
 
     def test_every_small_shape_exhaustively(self):
         # Every 1x1, 1x2, 2x1, 2x2, 1x3 and 3x1 matrix with entries in

@@ -4,8 +4,11 @@ Each keeps what its frozen slotted dataclass form gave: the constructor's
 signature, defaults, checks and error text; ``__slots__`` naming the
 fields in order and no instance ``__dict__``; equality within one class
 over the fields, and the hash of the field tuple; the dataclass ``repr``;
-``__match_args__``; and pickle and copy round trips.  ``dataclasses``
-helpers no longer apply to them.
+``__match_args__``; and pickle and copy round trips, at every pickle
+protocol.  ``dataclasses`` helpers no longer apply to them.  ``IntMat``
+shares all of this but the ``repr``, and its fields, ``rows``, ``cols``
+and ``data``, are not its constructor's parameters, ``data`` and
+``cols``.
 """
 
 import copy
@@ -49,8 +52,12 @@ SIGNATURES = {
                          ("order_H2_pair", EMPTY), ("restriction_iso", EMPTY)),
     MultiIndex: (("I", ()), ("J", ())),
     SnfResult: (("U", EMPTY), ("D", EMPTY), ("V", EMPTY), ("diag", EMPTY)),
+    IntMat: (("data", EMPTY), ("cols", None)),
 }
 CLASSES = list(SIGNATURES)
+# Each class's fields, in order, where they are not its parameters.
+FIELDS = {IntMat: ("rows", "cols", "data")}
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
 
 
 def examples(cls):
@@ -67,11 +74,25 @@ def examples(cls):
         MultiIndex: lambda: (MultiIndex(I=((1, 2),), J=((2, 1),)), MultiIndex(I=((1, 2),))),
         SnfResult: lambda: (smith_normal_form(IntMat([[2, 4], [6, 8]])),
                             smith_normal_form(IntMat([[1]]))),
+        IntMat: lambda: (IntMat([[1, -2], [3, 4]]), IntMat([], cols=3)),
     }[cls]()
 
 
+def parameters(cls) -> tuple:
+    return tuple(name for name, _ in SIGNATURES[cls])
+
+
+def field_names(cls) -> tuple:
+    return FIELDS.get(cls, parameters(cls))
+
+
 def fields(value) -> tuple:
-    return tuple(getattr(value, name) for name, _ in SIGNATURES[type(value)])
+    return tuple(getattr(value, name) for name in field_names(type(value)))
+
+
+def arguments(value) -> tuple:
+    """The constructor's arguments, each read from the field of its name."""
+    return tuple(getattr(value, name) for name in parameters(type(value)))
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -82,14 +103,14 @@ class TestEachValueClass:
         assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
 
     def test_slots_name_the_fields_and_no_dict(self, cls):
-        assert cls.__slots__ == tuple(name for name, _ in SIGNATURES[cls])
+        assert cls.__slots__ == field_names(cls)
         for value in examples(cls):
             assert not hasattr(value, "__dict__")
 
     def test_keyword_and_positional_construction_agree(self, cls):
         value, _ = examples(cls)
-        names = cls.__slots__
-        assert cls(*fields(value)) == cls(**dict(zip(names, fields(value)))) == value
+        args = arguments(value)
+        assert cls(*args) == cls(**dict(zip(parameters(cls), args))) == value
 
     def test_equality_within_one_class_over_the_fields(self, cls):
         value, other = examples(cls)
@@ -101,7 +122,7 @@ class TestEachValueClass:
         class Sub(cls):
             __slots__ = ()
 
-        assert Sub(*fields(value)) != value
+        assert Sub(*arguments(value)) != value
 
     def test_hash_is_the_field_tuple_hash(self, cls):
         value, _ = examples(cls)
@@ -135,9 +156,11 @@ class TestEachValueClass:
 
     @pytest.mark.parametrize("round_trip", [
         lambda v: pickle.loads(pickle.dumps(v)),
+        *(lambda v, protocol=protocol: pickle.loads(pickle.dumps(v, protocol=protocol))
+          for protocol in PROTOCOLS),
         copy.copy,
         copy.deepcopy,
-    ], ids=["pickle", "copy", "deepcopy"])
+    ], ids=["pickle", *(f"pickle{protocol}" for protocol in PROTOCOLS), "copy", "deepcopy"])
     def test_pickle_and_copy_round_trips(self, cls, round_trip):
         for value in examples(cls):
             again = round_trip(value)
