@@ -22,7 +22,9 @@ Wedging on factor k flips the sign once per factor above k already in
 the term, and a term holding k drops.  Once no later row touches factor
 k, a term without k can never reach the top monomial, so it is dropped
 at once (the support dynamic program of Cifuentes & Parrilo, Linear
-Algebra Appl. 493, 2016).
+Algebra Appl. 493, 2016).  Only such a closing row filters the block: a
+term that cancels to 0 at a row closing no factor is carried, adding 0
+to every term it reaches, and dropped at the next row that closes one.
 The degree is the product of the blocks' top coefficients: moving the top
 class from factor-major to block-major order and back applies the same
 sign twice, so no sign is left.
@@ -41,7 +43,7 @@ worst case rank^2 * N * 2^N first and sums the exact F only when that
 could pass the limit, so it admits and refuses exactly the inputs the
 exact sum alone would.  The check is cheaper than the sum: on the 1,645
 maps of 2,000 corpus-shaped splittings that touch every factor, it took
-0.13-0.3 us a call and the sum 2.4-4.5 us, of 17-22 us for a whole U(2)
+0.13-0.3 us a call and the sum 2.4-4.5 us, of 17-18 us for a whole U(2)
 degree (CPython 3.11, 2-vCPU Intel Xeon VM).  The product-cylinder value
 runs through the same block loop, one block per y_j^(g-h) over 2(g-h)
 factors, and is boxed by the worst case, rank^2 * N * 2^N, N = g - h.
@@ -74,10 +76,11 @@ class ExteriorWorkLimitError(ValueError):
 
 
 # Term steps (times rank^2) an expansion may take.  A step on bitmask keys
-# took about 0.1-0.15 us under CPython 3.11 on an AMD EPYC vCPU, so the box
-# stops P2 within a second or two there (dense U(1) at N = 19: 1.5 s).  Both
-# expansions run on bitmask keys, so the rank^2 factor only caps the Lie
-# rank.  It does not bound the answer |det|^rank, whose size has no box yet.
+# took about 0.2-0.25 us under CPython 3.11.7 on a 2-vCPU Intel Xeon VM, so
+# the box stops P2 within a few seconds there (dense U(1) at N = 19, about
+# 10^7 steps: 2.1-2.4 s).  Both expansions run on bitmask keys, so the
+# rank^2 factor only caps the Lie rank.  It does not bound the answer
+# |det|^rank, whose size has no box yet.
 MAX_EXTERIOR_WORK = 10_000_000
 
 # The group families, by their text in documents, flags and output.
@@ -304,8 +307,9 @@ def _past_worst_case(n: int, rank: int) -> bool:
 
 
 def _wedge_row(block: dict[int, int], row: list, need: int) -> dict[int, int]:
-    """One row step of a block: wedge with the row's terms, then drop the
-    terms that lack a factor of the mask ``need``.
+    """One row step of a block: wedge with the row's terms, then, if the
+    row closes a factor (``need`` is not 0), drop the terms that lack a
+    factor of ``need`` or cancelled to 0.
 
     ``row`` holds (bits, k, e), the term e times the wedge of the factors in
     ``bits``.  A term sharing a factor with ``bits`` drops; otherwise the
@@ -313,6 +317,10 @@ def _wedge_row(block: dict[int, int], row: list, need: int) -> dict[int, int]:
     (1 << k, k, e): factor k moves past the factors above it.  The product
     cylinder passes an adjacent pair with k at the block's width: each
     factor above the pair is passed twice, so no sign flips.
+
+    A row that closes no factor skips the filter: a term that cancelled
+    there is carried, adding 0 to every term it reaches, until the next
+    row that closes a factor drops it.
     """
     out: dict[int, int] = {}
     for mask, coeff in block.items():
@@ -322,14 +330,20 @@ def _wedge_row(block: dict[int, int], row: list, need: int) -> dict[int, int]:
             key = mask | bits
             step = -e * coeff if (mask >> k).bit_count() & 1 else e * coeff
             out[key] = out.get(key, 0) + step
+    if not need:
+        return out
     return {m: c for m, c in out.items() if c and m & need == need}
 
 
 def _expand(steps: list, width: int, kind: GroupKind) -> int:
     """The product of one block per generator of ``kind``: the unit wedged
     along ``steps``, (row, need) pairs for :func:`_wedge_row`, then read at
-    the top monomial of ``width`` factors.  0 once a block empties.  Every
-    block is expanded in full; none is reused or raised to a power."""
+    the top monomial of ``width`` factors.  0 once a block empties.  A
+    term that cancels is dropped at the next row that closes a factor.
+    P2's last row closes every factor it touches, and the product
+    cylinder's pair terms never cancel, so the top coefficient read is
+    never a carried 0.  Every block is expanded in full; none is reused or
+    raised to a power."""
     value = 1
     for _ in kind.generator_range:
         block = {0: 1}

@@ -451,6 +451,23 @@ g2^-3 g3^-2 g4^-2 g6 ; g3^-2 g4 g5^-1 g6^-3
 l_map = g1^3 ;  ; g1^-1 ; g1^-3 ;  ; g1
 """
 
+# A U(2) document whose assembled word map has the dense pullback rows
+# (1, 2, 1), (2, 4, 1) and (1, 1, 1), so det = -1.  Only P2's last row
+# closes a factor, and after the second row the term on factors 1 and 2
+# cancels (its 2x2 minor is 0): it is carried to the last row, which
+# drops it.  The continuous-integration step on a carried zero reads it
+# from here.
+CARRIED_ZERO_DOCUMENT = """\
+n = 2
+group = U
+h1 = 2
+h2 = 1
+u = 3
+g1 = 0
+k_map = g1 g2^2 ; g1^2 g2^4 ; g1 g2
+l_map = g1^-1 ; g1^-1 ; g1^-1
+"""
+
 TRIVIAL_DOCUMENT = """\
 n = 2
 group = U

@@ -18,16 +18,25 @@ from repcount import (
     ShapeError,
     Word,
     abelianize,
+    assembled_word_map,
     cylinder_monomial_value,
     degree_of_word_map,
     det,
     free_reduce,
+    lambda_invariants,
+    parse_splitting_document,
     parse_word,
     special_unitary,
     unitary,
 )
 from repcount import exterior
-from support import composite, identity_hom, random_free_hom, reference_cylinder
+from support import (
+    CARRIED_ZERO_DOCUMENT,
+    composite,
+    identity_hom,
+    random_free_hom,
+    reference_cylinder,
+)
 
 U1, U2, U3 = unitary(1), unitary(2), unitary(3)
 SU2, SU3 = special_unitary(2), special_unitary(3)
@@ -431,6 +440,77 @@ class TestBlockOrderDegree:
         assert max(sizes) <= math.comb(8, 4) == 70
         # Blocks are expanded separately: a mask holds one generator's factors.
         assert max(masks) == 2 ** 8 - 1
+
+    def test_term_cancelled_at_a_row_closing_no_factor(self, monkeypatch):
+        # Dense pullback rows (1, 2, 1), (2, 4, 1), (1, 1, 1): only the
+        # last row closes a factor, and the term on factors 1 and 2 cancels
+        # after the second row, as the 2x2 minor on them is 0.  det = -1.
+        f = hom("g1 g2^2 g3", "g1^2 g2^4 g3", "g1 g2 g3")
+        assert exterior._row_supports(f)[1] == [0, 0, 0b111]
+        d = det(abelianize(f))
+        assert d == -1
+        blocks = []
+        original = exterior._wedge_row
+
+        def recording(block, row, need):
+            blocks.append(result := original(block, row, need))
+            return result
+
+        monkeypatch.setattr(exterior, "_wedge_row", recording)
+        kinds = (U1, U2, SU3)
+        for kind in kinds:
+            blocks.clear()
+            assert degree_of_word_map(f, kind) == d ** kind.lie_rank
+            assert len(blocks) == 3 * kind.lie_rank
+            for second, last in zip(blocks[1::3], blocks[2::3]):
+                assert second.get(0b011, 0) == 0
+                assert last == {0b111: d}
+        # The same glue through the whole invariant: every pipeline agrees.
+        s, _ = parse_splitting_document(CARRIED_ZERO_DOCUMENT)
+        assert assembled_word_map(s) == f
+        for kind, report in zip(kinds, lambda_invariants(s, kinds, use_sign_convention=True)):
+            assert report.abs_value == 1 and report.K == 1
+            assert report.vanishing_reason is None
+
+    def test_closing_rows_leave_nonzero_terms_holding_every_closed_factor(self, monkeypatch):
+        # The frontier bound C(open, i - closed), and so the work box, reads
+        # a block as it leaves a closing row: no zero coefficient is left
+        # there, and every key holds every factor closed so far.
+        calls = []
+        original = exterior._wedge_row
+
+        def recording(block, row, need):
+            calls.append((need, result := original(block, row, need)))
+            return result
+
+        monkeypatch.setattr(exterior, "_wedge_row", recording)
+        maps = [dense_hom(random.Random(47), 8)]
+        for seed in (10, 12, 41, 53, 59):
+            rng = random.Random(seed)
+            for _ in range(40):
+                n = rng.randint(1, 7)
+                maps.append(dense_hom(rng, n) if rng.random() < 0.3
+                            else random_free_hom(rng, n, n))
+        closing_rows = cancelled = 0
+        for f in maps:
+            closing = exterior._row_supports(f)[1]
+            for kind in (U1, U2, SU3):
+                calls.clear()
+                degree_of_word_map(f, kind)
+                closed = 0
+                for i, (need, block) in enumerate(calls):
+                    i %= f.source_rank
+                    closed = need if i == 0 else closed | need
+                    assert need == closing[i]
+                    if need:
+                        closing_rows += 1
+                        assert 0 not in block.values()
+                        assert all(mask & closed == closed for mask in block)
+                    else:
+                        cancelled += 0 in block.values()
+        assert closing_rows > 1000
+        # Some rows that close no factor carry a cancelled term.
+        assert cancelled > 0
 
     def test_work_box_above_benchmark_rungs(self):
         for kind, n in ((U2, 8), (SU3, 8), (U3, 6), (unitary(4), 5)):
