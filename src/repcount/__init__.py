@@ -14,8 +14,8 @@ from .exterior import (
     ExteriorWorkLimitError,
     GeneratorRangeError,
     GroupKind,
-    cylinder_monomial_value,
     degree_of_word_map,
+    lambda_polynomial_cylinder,
     special_unitary,
     unitary,
 )
@@ -40,7 +40,6 @@ from .invariants import (
     WrongCodimensionError,
     lambda_invariant,
     lambda_invariants,
-    lambda_polynomial_cylinder,
     multiindex_degree,
     orientation_flip_sign,
 )
@@ -79,11 +78,11 @@ _ORACLE_NAMES = ("cokernel_enumeration", "numeric_degree_u1", "torus_preimage_co
 def __getattr__(name: str):
     if name != "oracle" and name not in _ORACLE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # The import binds the oracle module here; its functions are bound beside it.
-    from .oracle import cokernel_enumeration, numeric_degree_u1, torus_preimage_count
-    globals().update(cokernel_enumeration=cokernel_enumeration,
-                     numeric_degree_u1=numeric_degree_u1,
-                     torus_preimage_count=torus_preimage_count)
+    # Binds the oracle module here, and its functions beside it; a relative
+    # ``from . import oracle`` would call this function again and recurse.
+    from importlib import import_module
+    oracle = import_module(".oracle", __name__)
+    globals().update({n: getattr(oracle, n) for n in _ORACLE_NAMES})
     return globals()[name]
 
 

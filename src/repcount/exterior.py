@@ -139,9 +139,11 @@ class ExtElement(_Frozen):
     pair at most once, to a nonzero integer coefficient; it is a read-only
     view, so no holder of an element can change it.  Arithmetic
     returns new elements.  No expansion here calls it: it is kept apart
-    from the bitmask kernel as an independent reference for the tests, and
-    the benchmark's tracer counts its wedges.  An element is not hashable,
-    as its ``terms`` view is not.
+    from the bitmask kernel as an independent reference for the tests.  The
+    benchmark's tracer wraps ``wedge``, which nothing else calls, so its
+    ``exterior.wedge_calls`` and ``peak_terms`` read 0 until the class
+    moves to the tests (ROADMAP item 7, after the benchmark's item 2(a)).
+    An element is not hashable, as its ``terms`` view is not.
     """
 
     __slots__ = ("kind", "n_factors", "terms")
@@ -392,28 +394,28 @@ def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
     return _expand(list(zip(rows, closing)), n_factors, kind)
 
 
-def cylinder_monomial_value(g_minus_h: int, kind: GroupKind) -> int:
-    """Evaluate the product of the paired-surface classes on the cycle
-    G^(2(g-h)).
+def lambda_polynomial_cylinder(g: int, h: int, kind: GroupKind) -> int:
+    """The worked product-cylinder value of the polynomial invariant.
 
-    The ambient is a product of 2(g-h) factors grouped into pairs
-    (a-side, b-side).  For each primitive generator index j the class
-    y_j = sum_p a_j^(p) ^ b_j^(p) is formed; the value is the coefficient
-    of the top monomial in prod_j y_j^(g-h).  Its absolute value is
-    ((g-h)!)^lie_rank.
+    For a product over a genus-g surface split along a genus-h subsurface
+    (h >= 2 so an irreducible representation killing the boundary exists),
+    the top monomial is evaluated on the cycle G^(2(g-h)), whose 2(g-h)
+    factors pair up (a-side, b-side): the value is the top coefficient of
+    prod_j y_j^(g-h), y_j = sum_p a_j^(p) ^ b_j^(p) for each primitive
+    generator index j.  Its absolute value is ((g-h)!)^lie_rank.
 
     Block j expands y_j^(g-h) on bitmasks over the 2(g-h) factors, one row
     of pair terms per power.  Moving the top class from block-major to
     factor-major order takes C(rank, 2) * C(2(g-h), 2) transpositions, of
-    the parity of C(rank, 2) * (g-h).
-
-    A block holds up to C(g-h, (g-h)/2) terms, so this raises
-    :class:`ExteriorWorkLimitError` before expanding when
-    rank^2 * (g-h) * 2^(g-h) exceeds ``MAX_EXTERIOR_WORK``.
+    the parity of C(rank, 2) * (g-h).  A block holds up to C(g-h, (g-h)/2)
+    terms, so this raises :class:`ExteriorWorkLimitError` before expanding
+    when rank^2 * (g-h) * 2^(g-h) exceeds ``MAX_EXTERIOR_WORK``.
     """
-    if g_minus_h < 1:
-        raise ValueError("g_minus_h must be at least 1")
-    m, rank = g_minus_h, kind.lie_rank
+    if h < 2:
+        raise ValueError(f"subsurface genus h={h} must be at least 2")
+    if g <= h:
+        raise ValueError(f"need g > h, got g={g}, h={h}")
+    m, rank = g - h, kind.lie_rank
     if _past_worst_case(m, rank):
         raise ExteriorWorkLimitError(
             f"product-cylinder expansion for {kind.label} at N = {m} is past the "

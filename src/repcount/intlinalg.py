@@ -78,8 +78,7 @@ class _Frozen:
     refused.  Two values are equal when they are of one class with equal
     fields, and a value hashes as the tuple of its fields; ``repr`` names
     the fields.  Pickling and copying call the constructor again, so its
-    checks run on the copy too; ``IntMat``, whose constructor does not
-    take its fields, says how in its own ``__reduce__``.
+    checks run on the copy too.
     """
 
     __slots__ = ()
@@ -127,14 +126,11 @@ def _slot_setters(cls) -> tuple:
 class _Infinite:
     """Order of an abelian group with a free direct summand."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
+        return "INFINITE"
+
+    def __reduce__(self):
+        # A global name: pickling and copying return the one instance.
         return "INFINITE"
 
 
@@ -159,8 +155,7 @@ class IntMat(_Frozen):
     """Integer matrix, stored row major, immutable.
 
     ``cols`` must be given explicitly when there are no rows, since the
-    width cannot be inferred from an empty row list.  Pickling and copying
-    call ``IntMat(data, cols)``.
+    width cannot be inferred from an empty row list.
 
     >>> IntMat([[1, 2], [3, 4]])[1, 0]
     3
@@ -168,7 +163,7 @@ class IntMat(_Frozen):
     3
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("data", "cols")
 
     def __init__(self, data: Sequence[Sequence[int]], cols: int | None = None):
         rows = []
@@ -189,21 +184,20 @@ class IntMat(_Frozen):
             cols = 0
         if cols < 0:
             raise ShapeError("negative column count")
-        _set_rows(self, len(rows))
-        _set_cols(self, cols)
         _set_data(self, tuple(rows))
+        _set_cols(self, cols)
 
     @classmethod
     def _trusted(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMat":
         """A matrix of ``data``, row tuples of ``cols`` ints each, unchecked."""
         m = object.__new__(cls)
-        _set_rows(m, len(data))
-        _set_cols(m, cols)
         _set_data(m, data)
+        _set_cols(m, cols)
         return m
 
-    def __reduce__(self):
-        return type(self), (self.data, self.cols)
+    @property
+    def rows(self) -> int:
+        return len(self.data)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -238,7 +232,7 @@ class IntMat(_Frozen):
         return self.rows == self.cols
 
 
-_set_rows, _set_cols, _set_data = _slot_setters(IntMat)
+_set_data, _set_cols = _slot_setters(IntMat)
 
 
 def det(a: IntMat) -> int:

@@ -51,7 +51,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .exterior import GroupKind, cylinder_monomial_value, degree_of_word_map
+# lambda_polynomial_cylinder is bound here for the CLI, beside the invariants.
+from .exterior import GroupKind, degree_of_word_map, lambda_polynomial_cylinder
 from .intlinalg import INFINITE, IntMat, _Frozen, _not_int, _slot_setters, det, format_int
 from .splitting import (
     AdaptedSplitting,
@@ -274,16 +275,3 @@ def multiindex_degree(m: MultiIndex) -> int:
     total += sum((4 * j - 2) * s for j, s in m.J)
     return total
 
-
-def lambda_polynomial_cylinder(g: int, h: int, kind: GroupKind) -> int:
-    """The worked product-cylinder value of the polynomial invariant.
-
-    For a product over a genus-g surface split along a genus-h subsurface
-    (h >= 2 so an irreducible representation killing the boundary exists),
-    the top monomial evaluates to ((g-h)!)^lie_rank up to sign.
-    """
-    if h < 2:
-        raise ValueError(f"subsurface genus h={h} must be at least 2")
-    if g <= h:
-        raise ValueError(f"need g > h, got g={g}, h={h}")
-    return cylinder_monomial_value(g - h, kind)

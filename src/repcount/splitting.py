@@ -250,15 +250,16 @@ def stabilize(s: AdaptedSplitting) -> AdaptedSplitting:
     The new separating-surface generator maps to the new H1 generator and
     to the identity in H2; all prior data is unchanged, so T is preserved.
     """
-    new_k_images = tuple(s.k_map.images) + (Word(((s.h1 + 1, 1),)),)
-    new_l_images = tuple(s.l_map.images) + (Word(),)
+    # The splitting is validated and g(h1+1) is within the new rank: no checks.
+    new_k_images = s.k_map.images + (Word._trusted(((s.h1 + 1, 1),)),)
+    new_l_images = s.l_map.images + (Word._trusted(()),)
     return AdaptedSplitting(
         h1=s.h1 + 1,
         h2=s.h2,
         u=s.u + 1,
         g1=s.g1,
-        k_map=FreeHom(s.u + 1, s.h1 + 1, new_k_images),
-        l_map=FreeHom(s.u + 1, s.h2, new_l_images),
+        k_map=FreeHom._trusted(s.u + 1, s.h1 + 1, new_k_images),
+        l_map=FreeHom._trusted(s.u + 1, s.h2, new_l_images),
         u_hat_genus=s.u_hat_genus + 1,
         orientation_reversed=s.orientation_reversed,
     )

@@ -27,16 +27,17 @@ letter per distinct token among the words of a map.
 Two ways to build each value.  ``Word(...)`` and ``FreeHom(...)`` are the
 public constructors and check their data: letters that are reduced pairs
 of ints, images within the target rank.  ``Word._trusted`` and
-``FreeHom._trusted`` check nothing.  The package uses them only
-where the checks are already done:
-:func:`free_reduce` has checked every letter and merged every run as it
-builds its word; ``_parse_word``, behind :func:`parse_word` and the
-document parser, builds letters only from tokens its regular expression
-matched and merges every run as :func:`free_reduce` does;
-``splitting.assembled_word_map`` re-indexes the letters of validated maps
-into its target range and merges the runs that deleting letters joins;
-and the document parser builds a map trusted when every token it read, a
-superset of the words' letters, is within the target rank.  A trusted
+``FreeHom._trusted`` check nothing.  The package uses them only where the
+checks are already done: :func:`free_reduce` has checked every letter
+and merged every run as it builds its word; ``_parse_word``, behind
+:func:`parse_word` and the document parser, builds letters only from
+tokens its regular expression matched and merges every run as
+:func:`free_reduce` does; ``splitting.assembled_word_map`` re-indexes
+the letters of validated maps into its target range and merges the runs
+that deleting letters joins; ``splitting.stabilize`` keeps a validated
+splitting's words and adds one letter, g(h1+1), within its new rank;
+and the document parser builds a map trusted when every token it read,
+a superset of the words' letters, is within the target rank.  A trusted
 value equals and hashes like the checked one of the same data.
 Otherwise the parser builds the map with the public ``FreeHom``, so a
 letter that reduced away is not refused and a refusal names the first

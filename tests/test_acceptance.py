@@ -19,12 +19,12 @@ from repcount import (
     assembled_word_map,
     cokernel_enumeration,
     cokernel_order,
-    cylinder_monomial_value,
     degree_of_word_map,
     det,
     glue_matrix,
     lambda_invariant,
     lambda_invariants,
+    lambda_polynomial_cylinder,
     multiindex_degree,
     numeric_degree_u1,
     orientation_flip_sign,
@@ -180,7 +180,7 @@ def test_criterion_07_cylinder_example():
     start = time.monotonic()
     for m in (1, 2, 3):
         for kind in KINDS:
-            value = cylinder_monomial_value(m, kind)
+            value = lambda_polynomial_cylinder(m + 2, 2, kind)
             assert abs(value) == math.factorial(m) ** kind.lie_rank
     report(7, time.monotonic() - start, 10.0,
            "|cylinder value(m)| == (m!)^rank for m in 1..3, U(1..3), SU(2..3)")

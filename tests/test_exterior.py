@@ -19,11 +19,11 @@ from repcount import (
     Word,
     abelianize,
     assembled_word_map,
-    cylinder_monomial_value,
     degree_of_word_map,
     det,
     free_reduce,
     lambda_invariants,
+    lambda_polynomial_cylinder,
     parse_splitting_document,
     parse_word,
     special_unitary,
@@ -226,26 +226,26 @@ class TestDegreeOfWordMap:
 class TestCylinderMonomialValue:
     def test_m1_is_unit(self):
         for kind in (U1, U2, U3, SU2, SU3):
-            assert abs(cylinder_monomial_value(1, kind)) == 1
+            assert abs(lambda_polynomial_cylinder(3, 2, kind)) == 1
 
     def test_m2_u1(self):
-        assert abs(cylinder_monomial_value(2, U1)) == 2
+        assert abs(lambda_polynomial_cylinder(4, 2, U1)) == 2
 
     def test_m2_u2(self):
-        assert abs(cylinder_monomial_value(2, U2)) == 4
+        assert abs(lambda_polynomial_cylinder(4, 2, U2)) == 4
 
     def test_m3_su2(self):
-        assert abs(cylinder_monomial_value(3, SU2)) == 6
+        assert abs(lambda_polynomial_cylinder(5, 2, SU2)) == 6
 
     def test_factorial_power_law(self):
         for m in (1, 2, 3, 4):
             for kind in (U1, U2, U3, SU2, SU3):
-                assert abs(cylinder_monomial_value(m, kind)) == \
+                assert abs(lambda_polynomial_cylinder(m + 2, 2, kind)) == \
                     math.factorial(m) ** kind.lie_rank
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            cylinder_monomial_value(0, U2)
+            lambda_polynomial_cylinder(2, 2, U2)
 
     @pytest.mark.parametrize("kind", [U1, U2, U3, unitary(4), SU2, SU3,
                                       special_unitary(4), special_unitary(5)],
@@ -254,7 +254,7 @@ class TestCylinderMonomialValue:
         # The signed value, against ExtElement's expansion in factor-major
         # order: the block-major sign is (-1)^(C(rank, 2) * m).
         for m in range(1, 7):
-            assert cylinder_monomial_value(m, kind) == reference_cylinder(m, kind)
+            assert lambda_polynomial_cylinder(m + 2, 2, kind) == reference_cylinder(m, kind)
 
     # The first m with rank^2 * m * 2^m past MAX_EXTERIOR_WORK, per Lie rank.
     FIRST_REFUSED = {1: 20, 2: 18, 3: 17, 4: 16}
@@ -266,19 +266,19 @@ class TestCylinderMonomialValue:
         for kind in (unitary(rank), special_unitary(rank + 1)):
             start = time.perf_counter()
             with pytest.raises(ExteriorWorkLimitError, match="product-cylinder"):
-                cylinder_monomial_value(m, kind)
+                lambda_polynomial_cylinder(m + 2, 2, kind)
             assert time.perf_counter() - start < 0.05
 
     def test_box_edge_u4(self):
         # 16 * 15 * 2^15 term steps: the last admitted m for Lie rank 4.
-        assert cylinder_monomial_value(15, unitary(4)) == math.factorial(15) ** 4
+        assert lambda_polynomial_cylinder(17, 2, unitary(4)) == math.factorial(15) ** 4
 
     @pytest.mark.parametrize("m,kind", [(28, U1), (10 ** 9, U1), (1, unitary(3000))],
                              ids=["g-h=28", "g-h=1e9", "U(3000)"])
     def test_work_box_refuses_before_expanding(self, m, kind):
         start = time.perf_counter()
         with pytest.raises(ExteriorWorkLimitError, match="product-cylinder"):
-            cylinder_monomial_value(m, kind)
+            lambda_polynomial_cylinder(m + 2, 2, kind)
         assert time.perf_counter() - start < 1.0
 
 

@@ -534,6 +534,24 @@ class TestStabilizationBehavior:
                 assert r2.sign == r1.sign
         assert nonzero >= 20
 
+    @pytest.mark.parametrize("kind", [unitary(1), unitary(2), unitary(3), special_unitary(2),
+                                      special_unitary(4)], ids=lambda k: k.label)
+    def test_u_hat_genus_term_alone(self, kind):
+        # Raising u_hat_genus alone, with no new handle, moves only that
+        # term of the sign parity: the sign is multiplied by (-1)^lie_rank.
+        rng = random.Random(17)
+        splittings = [det6_splitting()]
+        while len(splittings) < 61:
+            s = random_t0_splitting(rng)
+            if lambda_invariant(s, unitary(1)).abs_value:
+                splittings.append(s)
+        for s in splittings:
+            plain = lambda_invariant(s, kind, use_sign_convention=True)
+            raised = lambda_invariant(rebuilt(s, u_hat_genus=s.u_hat_genus + 1), kind,
+                                      use_sign_convention=True)
+            assert plain.abs_value > 0 and raised.abs_value == plain.abs_value
+            assert raised.sign == plain.sign * (-1) ** kind.lie_rank
+
 
 class TestOrientation:
     @pytest.mark.parametrize("kind,expected", [

@@ -147,6 +147,28 @@ class TestOneAssembly:
             lambda_invariant(s, unitary(1))
         assert calls == []
 
+    def test_stabilize_uses_no_checking_constructor(self, monkeypatch):
+        splittings = [det6_splitting(), rebuilt(det6_splitting(), orientation_reversed=True)]
+        splittings += seeded_splittings(15, 20)
+        checked = [rebuilt(
+            s, h1=s.h1 + 1, u=s.u + 1, u_hat_genus=s.u_hat_genus + 1,
+            k_map=FreeHom(s.u + 1, s.h1 + 1, s.k_map.images + (Word(((s.h1 + 1, 1),)),)),
+            l_map=FreeHom(s.u + 1, s.h2, s.l_map.images + (Word(),)),
+        ) for s in splittings]
+        calls = []
+        for cls in (Word, FreeHom):
+            def counted(self, *args, original=cls.__init__, **kwargs):
+                calls.append(args)
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        stabilized = [stabilize(s) for s in splittings]
+        twice = stabilize(stabilized[0])
+        assert calls == []
+        assert stabilized == checked
+        assert [hash(s) for s in stabilized] == [hash(s) for s in checked]
+        assert twice.k_map.images[-1].letters == ((4, 1),) and twice.u == 4
+
     def test_p1_is_det_of_the_glue_matrix(self):
         # P1 reads the transpose of the glue matrix; the sign must survive.
         for s in seeded_splittings(13):

@@ -6,9 +6,8 @@ fields in order and no instance ``__dict__``; equality within one class
 over the fields, and the hash of the field tuple; the dataclass ``repr``;
 ``__match_args__``; and pickle and copy round trips, at every pickle
 protocol.  ``dataclasses`` helpers no longer apply to them.  ``IntMat``
-shares all of this but the ``repr``, and its fields, ``rows``, ``cols``
-and ``data``, are not its constructor's parameters, ``data`` and
-``cols``.
+shares all of this but the ``repr``; its fields are its constructor's
+parameters, ``data`` and ``cols``, and it reads ``rows`` off ``data``.
 """
 
 import copy
@@ -19,6 +18,7 @@ import pickle
 import pytest
 
 from repcount import (
+    INFINITE,
     AdaptedSplitting,
     ExtElement,
     FreeHom,
@@ -35,6 +35,7 @@ from repcount import (
     smith_normal_form,
     unitary,
 )
+from repcount.intlinalg import _Frozen
 from support import det6_splitting, rebuilt, trivial_splitting
 
 EMPTY = inspect.Parameter.empty
@@ -55,9 +56,16 @@ SIGNATURES = {
     IntMat: (("data", EMPTY), ("cols", None)),
 }
 CLASSES = list(SIGNATURES)
-# Each class's fields, in order, where they are not its parameters.
-FIELDS = {IntMat: ("rows", "cols", "data")}
 PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+# Each way to pickle or copy a value, by its test id.
+ROUND_TRIPS = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    **{f"pickle{protocol}": lambda v, protocol=protocol: pickle.loads(
+        pickle.dumps(v, protocol=protocol)) for protocol in PROTOCOLS},
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+round_trips = pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
 
 
 def examples(cls):
@@ -82,16 +90,8 @@ def parameters(cls) -> tuple:
     return tuple(name for name, _ in SIGNATURES[cls])
 
 
-def field_names(cls) -> tuple:
-    return FIELDS.get(cls, parameters(cls))
-
-
 def fields(value) -> tuple:
-    return tuple(getattr(value, name) for name in field_names(type(value)))
-
-
-def arguments(value) -> tuple:
-    """The constructor's arguments, each read from the field of its name."""
+    """The value's fields, which are its constructor's arguments."""
     return tuple(getattr(value, name) for name in parameters(type(value)))
 
 
@@ -103,13 +103,13 @@ class TestEachValueClass:
         assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
 
     def test_slots_name_the_fields_and_no_dict(self, cls):
-        assert cls.__slots__ == field_names(cls)
+        assert cls.__slots__ == parameters(cls)
         for value in examples(cls):
             assert not hasattr(value, "__dict__")
 
     def test_keyword_and_positional_construction_agree(self, cls):
         value, _ = examples(cls)
-        args = arguments(value)
+        args = fields(value)
         assert cls(*args) == cls(**dict(zip(parameters(cls), args))) == value
 
     def test_equality_within_one_class_over_the_fields(self, cls):
@@ -122,7 +122,7 @@ class TestEachValueClass:
         class Sub(cls):
             __slots__ = ()
 
-        assert Sub(*arguments(value)) != value
+        assert Sub(*fields(value)) != value
 
     def test_hash_is_the_field_tuple_hash(self, cls):
         value, _ = examples(cls)
@@ -154,24 +154,39 @@ class TestEachValueClass:
             case _:
                 pytest.fail("no match")
 
-    @pytest.mark.parametrize("round_trip", [
-        lambda v: pickle.loads(pickle.dumps(v)),
-        *(lambda v, protocol=protocol: pickle.loads(pickle.dumps(v, protocol=protocol))
-          for protocol in PROTOCOLS),
-        copy.copy,
-        copy.deepcopy,
-    ], ids=["pickle", *(f"pickle{protocol}" for protocol in PROTOCOLS), "copy", "deepcopy"])
+    @round_trips
     def test_pickle_and_copy_round_trips(self, cls, round_trip):
         for value in examples(cls):
             again = round_trip(value)
             assert type(again) is cls and again == value and again is not value
             assert repr(again) == repr(value)
 
+    def test_pickles_through_the_base_reduce(self, cls):
+        # ExtElement's read-only terms view does not pickle; it passes a dict.
+        assert (cls.__reduce__ is _Frozen.__reduce__) is (cls is not ExtElement)
+
     def test_not_a_dataclass(self, cls):
         assert not dataclasses.is_dataclass(cls)
         value, _ = examples(cls)
         with pytest.raises(TypeError):
             dataclasses.replace(value)
+
+
+class TestInfinite:
+    """``INFINITE`` is one value: code compares it with ``is``."""
+
+    @round_trips
+    def test_identity_kept(self, round_trip):
+        assert round_trip(INFINITE) is INFINITE
+
+    @round_trips
+    def test_identity_kept_in_a_report(self, round_trip):
+        empty = FreeHom(1, 1, (Word(),))
+        report = pair_cohomology(AdaptedSplitting(1, 1, 1, 1, empty, empty))
+        assert report.order_H2_M is INFINITE and report.order_H2_pair is INFINITE
+        again = round_trip(report)
+        assert again == report and again is not report
+        assert again.order_H2_M is INFINITE and again.order_H2_pair is INFINITE
 
 
 class TestRepr:
