@@ -27,26 +27,27 @@ term that cancels to 0 at a row closing no factor is carried, adding 0
 to every term it reaches, and dropped at the next row that closes one.
 The degree is the product of the blocks' top coefficients: moving the top
 class from factor-major to block-major order and back applies the same
-sign twice, so no sign is left.
+sign twice, so no sign is left.  Primitivity gives every block the same
+rows, so one block is expanded and its value raised to the Lie rank.
 
-The expansion is done in full here, never shortcut to a determinant power:
-every block is expanded term by term, none is reused or raised to the
-rank-th power, so that it stays an independent pipeline and produces
-an orientation sign.  Its work is boxed before expanding by a frontier
-bound read off the support: after i rows a block holds at most
-C(open, i - closed) terms, where a factor is closed once no later row
-touches it and open if touched but not closed.  Inputs whose rank^2 times
-the sum F of those counts (each times the next row's support) is past
-``MAX_EXTERIOR_WORK`` are refused.  F is at most N * 2^N; it is 103 for
-the determinant-6 example stabilized to N = 102.  The box reads the
-worst case rank^2 * N * 2^N first and sums the exact F only when that
-could pass the limit, so it admits and refuses exactly the inputs the
-exact sum alone would.  The check is cheaper than the sum: on the 1,645
-maps of 2,000 corpus-shaped splittings that touch every factor, it took
-0.13-0.3 us a call and the sum 2.4-4.5 us, of 17-18 us for a whole U(2)
-degree (CPython 3.11, 2-vCPU Intel Xeon VM).  The product-cylinder value
-runs through the same block loop, one block per y_j^(g-h) over 2(g-h)
-factors, and is boxed by the worst case, rank^2 * N * 2^N, N = g - h.
+The block is expanded in full here, term by term, never shortcut to a
+determinant, so that it stays an independent pipeline and produces an
+orientation sign, which is compared with P1's at every rank.  Its work is
+boxed before expanding by a frontier bound read off the support: after i
+rows the block holds at most C(open, i - closed) terms, where a factor is
+closed once no later row touches it and open if touched but not closed.
+Inputs whose rank^2 times the sum F of those counts (each times the next
+row's support) is past ``MAX_EXTERIOR_WORK`` are refused.  F is at most
+N * 2^N; it is 103 for the determinant-6 example stabilized to N = 102.
+The box reads the worst case rank^2 * N * 2^N first and sums the exact F
+only when that could pass the limit, so it admits and refuses exactly the
+inputs the exact sum alone would.  The check is cheaper than the sum: on
+the 1,645 maps of 2,000 corpus-shaped splittings that touch every factor,
+it took 0.13-0.3 us a call and the sum 2.4-4.5 us, of 17-18 us for a
+whole U(2) degree of two blocks (CPython 3.11, 2-vCPU Intel Xeon VM).  The
+product-cylinder value runs through the same block loop, one block
+y_j^(g-h) over 2(g-h) factors raised to the rank, and is boxed by the
+worst case, rank^2 * N * 2^N, N = g - h.
 
 Signs are relative to the lexicographic ordering of (factor, generator)
 pairs; no claim is made about a preferred global orientation.
@@ -78,9 +79,9 @@ class ExteriorWorkLimitError(ValueError):
 # Term steps (times rank^2) an expansion may take.  A step on bitmask keys
 # took about 0.2-0.25 us under CPython 3.11.7 on a 2-vCPU Intel Xeon VM, so
 # the box stops P2 within a few seconds there (dense U(1) at N = 19, about
-# 10^7 steps: 2.1-2.4 s).  Both expansions run on bitmask keys, so the
-# rank^2 factor only caps the Lie rank.  It does not bound the answer
-# |det|^rank, whose size has no box yet.
+# 10^7 steps: 2.1-2.4 s).  Both expansions expand one block on bitmask
+# keys, F steps at any rank, so the rank^2 factor only caps the Lie rank.
+# It does not bound the answer |det|^rank, whose size has no box yet.
 MAX_EXTERIOR_WORK = 10_000_000
 
 # The group families, by their text in documents, flags and output.
@@ -337,43 +338,28 @@ def _wedge_row(block: dict[int, int], row: list, need: int) -> dict[int, int]:
     return {m: c for m, c in out.items() if c and m & need == need}
 
 
-def _expand(steps: list, width: int, kind: GroupKind) -> int:
-    """The product of one block per generator of ``kind``: the unit wedged
-    along ``steps``, (row, need) pairs for :func:`_wedge_row`, then read at
-    the top monomial of ``width`` factors.  0 once a block empties.  A
-    term that cancels is dropped at the next row that closes a factor.
-    P2's last row closes every factor it touches, and the product
-    cylinder's pair terms never cancel, so the top coefficient read is
-    never a carried 0.  Every block is expanded in full; none is reused or
-    raised to a power."""
-    value = 1
-    for _ in kind.generator_range:
-        block = {0: 1}
-        for row, need in steps:
-            block = _wedge_row(block, row, need)
-            if not block:
-                return 0
-        value *= block[(1 << width) - 1]
-    return value
+def _expand(steps: list, width: int) -> int:
+    """One block: the unit wedged along ``steps``, (row, need) pairs for
+    :func:`_wedge_row`, then read at the top monomial of ``width``
+    factors.  0 once it empties.  A term that cancels is dropped at the
+    next row that closes a factor.  P2's last row closes every factor it
+    touches, and the product cylinder's pair terms never cancel, so the
+    top coefficient read is never a carried 0."""
+    block = {0: 1}
+    for row, need in steps:
+        block = _wedge_row(block, row, need)
+        if not block:
+            return 0
+    return block[(1 << width) - 1]
 
 
-def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
-    """Signed mapping degree of the self-map of G^N induced by ``f``.
-
-    Computed by pulling the top cohomology class back through the map and
-    expanding symbolically, one block per generator j: the unit wedged
-    with the pullbacks of x[j] on all N factors, which leaves one
-    monomial.  A block maps a bitmask of factors to its coefficient; a
-    factor no later row touches must already be in a term, or the term is
-    dropped.  The degree is the product of the blocks' top coefficients,
-    each read at ((1, j), ..., (N, j)); no reordering sign is left over.
-    The sign is relative to the lexicographic generator ordering; the
-    absolute value equals |det| of the abelianization raised to the number
-    of primitive generators.
-
-    Raises :class:`ExteriorWorkLimitError` before expanding when rank^2
-    times the support's frontier bound exceeds ``MAX_EXTERIOR_WORK``.
-    """
+def _degree_block(f: FreeHom, kinds: tuple[GroupKind, ...]) -> int:
+    """The signed top coefficient of one block of ``f``'s degree: the
+    unit wedged with the pullbacks of one generator on all N factors, a
+    term dropped once it lacks a factor no later row touches.  Each group
+    of ``kinds``, in order, has its box read before anything is expanded;
+    the first past ``MAX_EXTERIOR_WORK`` raises
+    :class:`ExteriorWorkLimitError`."""
     if f.source_rank != f.target_rank:
         raise ShapeError(
             f"word map must be endomorphism-shaped, got {f.source_rank} -> {f.target_rank}"
@@ -382,16 +368,33 @@ def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
     rows, closing = _row_supports(f)
     if closing is None:
         return 0  # no pullback holds an untouched factor's generators
-    limit = MAX_EXTERIOR_WORK // kind.lie_rank ** 2
-    # F <= N * 2^N, so the exact sum is needed only when that could pass
-    # the limit.
-    if _past_worst_case(n_factors, kind.lie_rank) and _frontier_work(rows, closing, limit) > limit:
-        raise ExteriorWorkLimitError(
-            f"degree expansion for {kind.label} at N = {n_factors} is past the "
-            f"limit of {MAX_EXTERIOR_WORK} term steps (rank^2 * F, F from the "
-            "support frontier)"
-        )
-    return _expand(list(zip(rows, closing)), n_factors, kind)
+    for kind in kinds:
+        limit = MAX_EXTERIOR_WORK // kind.lie_rank ** 2
+        if _past_worst_case(n_factors, kind.lie_rank) and _frontier_work(rows, closing, limit) > limit:
+            raise ExteriorWorkLimitError(
+                f"degree expansion for {kind.label} at N = {n_factors} is past the "
+                f"limit of {MAX_EXTERIOR_WORK} term steps (rank^2 * F, F from the "
+                "support frontier)"
+            )
+    return _expand(list(zip(rows, closing)), n_factors)
+
+
+def degree_of_word_map(f: FreeHom, kind: GroupKind) -> int:
+    """Signed mapping degree of the self-map of G^N induced by ``f``.
+
+    Computed by pulling the top cohomology class back through the map and
+    expanding symbolically, one block per generator j: the unit wedged
+    with the pullbacks of x[j] on all N factors, which leaves one
+    monomial.  The blocks are one computation, :func:`_degree_block`, so
+    the degree is its top coefficient raised to the number of primitive
+    generators; no reordering sign is left over.  The sign is relative to
+    the lexicographic generator ordering; the absolute value equals |det|
+    of the abelianization raised to the number of primitive generators.
+
+    Raises :class:`ExteriorWorkLimitError` before expanding when rank^2
+    times the support's frontier bound exceeds ``MAX_EXTERIOR_WORK``.
+    """
+    return _degree_block(f, (kind,)) ** kind.lie_rank
 
 
 def lambda_polynomial_cylinder(g: int, h: int, kind: GroupKind) -> int:
@@ -405,12 +408,17 @@ def lambda_polynomial_cylinder(g: int, h: int, kind: GroupKind) -> int:
     generator index j.  Its absolute value is ((g-h)!)^lie_rank.
 
     Block j expands y_j^(g-h) on bitmasks over the 2(g-h) factors, one row
-    of pair terms per power.  Moving the top class from block-major to
+    of pair terms per power; the blocks are one computation, expanded once
+    and raised to the rank.  Moving the top class from block-major to
     factor-major order takes C(rank, 2) * C(2(g-h), 2) transpositions, of
     the parity of C(rank, 2) * (g-h).  A block holds up to C(g-h, (g-h)/2)
     terms, so this raises :class:`ExteriorWorkLimitError` before expanding
-    when rank^2 * (g-h) * 2^(g-h) exceeds ``MAX_EXTERIOR_WORK``.
+    when rank^2 * (g-h) * 2^(g-h) exceeds ``MAX_EXTERIOR_WORK``.  A ``g``
+    or ``h`` that is not an int, a bool included, raises ``TypeError``.
     """
+    for name, value in (("g", g), ("h", h)):
+        if type(value) is not int and _not_int(value):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if h < 2:
         raise ValueError(f"subsurface genus h={h} must be at least 2")
     if g <= h:
@@ -422,5 +430,5 @@ def lambda_polynomial_cylinder(g: int, h: int, kind: GroupKind) -> int:
             f"limit of {MAX_EXTERIOR_WORK} term steps (rank^2 * N * 2^N)"
         )
     row = [(3 << 2 * p, 2 * m, 1) for p in range(m)]
-    value = _expand([(row, 0)] * m, 2 * m, kind)
+    value = _expand([(row, 0)] * m, 2 * m) ** rank
     return -value if comb(rank, 2) * m & 1 else value

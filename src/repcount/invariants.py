@@ -15,13 +15,11 @@ The three values must agree exactly; disagreement is an internal fault,
 never expected.  P1 and P3 read one assembly of the Mayer-Vietoris rows;
 P2 reads the assembled word map instead, so a wrong assembly still shows
 as P1 != P2.  P3 is always computed even though P1 is cheaper: the
-agreement is the point.  The groups differ only in the Lie rank, so
-:func:`lambda_invariants` runs all but P2 once per splitting, after P2
-has run for every group: a group past P2's box is refused before P1 or P3.
-P1's signed determinant power must also equal P2's signed degree.  That
-degree is a product of Lie-rank many blocks, each +-det, so a sign error
-in P1's determinant or in every block cancels at even rank: the sign
-check only has teeth at odd Lie rank.
+agreement is the point.  Each value is the Lie-rank-th power of one that
+no group changes: P1's determinant, P2's block and P3's K.  So
+:func:`lambda_invariants` reads P2's box for every group, then runs each
+pipeline and compares those values once per splitting.  The block must
+equal the determinant, sign included, so a sign error shows at any rank.
 
 Sign policy.  The true sign of the invariant depends on orientation data
 that is not pinned down to a computable convention, so the absolute value
@@ -52,7 +50,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 # lambda_polynomial_cylinder is bound here for the CLI, beside the invariants.
-from .exterior import GroupKind, degree_of_word_map, lambda_polynomial_cylinder
+from .exterior import GroupKind, _degree_block, lambda_polynomial_cylinder
 from .intlinalg import INFINITE, IntMat, _Frozen, _not_int, _slot_setters, det, format_int
 from .splitting import (
     AdaptedSplitting,
@@ -75,16 +73,16 @@ class WrongCodimensionError(ValueError):
 class PipelineDisagreementError(RuntimeError):
     """The independent pipelines disagreed; indicates a bug, never data.
 
-    Carries what a replay needs: the group ``kind``, the three ``values``
-    (P1's signed determinant power, P2's signed degree and P3's K power),
-    the ``mv_rows`` of MV^T that P1 and P3 read (P1 is |det| of the last u
-    of them, u being the row length) and the ``word_map`` P2 read.
+    Carries what a replay needs: the three ``values``, which no group
+    raises to a power (P1's signed determinant, P2's signed block and P3's
+    K, 0 when K is INFINITE), the ``mv_rows`` of MV^T that P1 and P3 read
+    (P1 is det of the last u of them, u being the row length) and the
+    ``word_map`` P2 read, whose block is its U(1) degree.
     """
 
-    def __init__(self, message: str, kind: GroupKind, values: tuple[int, int, int],
+    def __init__(self, message: str, values: tuple[int, int, int],
                  mv_rows: tuple[tuple[int, ...], ...], word_map: FreeHom):
         super().__init__(message)
-        self.kind = kind
         self.values = values
         self.mv_rows = mv_rows
         self.word_map = word_map
@@ -144,9 +142,9 @@ def lambda_invariants(
 ) -> tuple[InvariantReport, ...]:
     """Compute the counting invariant of a T == 0 splitting for each kind.
 
-    Runs all three pipelines, asserts exact agreement, and returns one
-    report per entry of ``kinds``, in order.  Only P2 depends on the
-    group, so P1, P3 and the vanishing reason are computed once.
+    Runs all three pipelines once, asserts exact agreement, and returns
+    one report per entry of ``kinds``, in order.  The pipelines' values
+    do not depend on the group, so they are compared once, unpowered.
     ``use_sign_convention=True`` opts into the declared sign convention;
     otherwise the sign is reported UNDETERMINED.
     """
@@ -155,10 +153,10 @@ def lambda_invariants(
     if not kinds:
         return ()
 
-    # P2 first, for every kind: its work box refuses a huge Lie rank
-    # before P1's determinant runs and is raised to it.
+    # P2 first: every kind's box is read before anything is expanded, so
+    # a huge Lie rank is refused before P1's determinant runs.
     word_map = assembled_word_map(s)
-    degrees = [degree_of_word_map(word_map, kind) for kind in kinds]
+    block = _degree_block(word_map, kinds)
 
     # P1 and P3 read one assembly of the Mayer-Vietoris rows.  Its rows
     # past the first g1 form the transpose of the glue matrix, which has
@@ -167,46 +165,36 @@ def lambda_invariants(
     glue_det = det(IntMat._trusted(mv_rows[s.g1:], s.u))
     pair = _pair_cohomology(s, mv_rows)
     k_order = pair.order_H2_pair
+    k = 0 if k_order is INFINITE else k_order
+    if block != glue_det or abs(glue_det) != k:
+        raise PipelineDisagreementError(
+            f"pipelines disagree: det={glue_det} ext={block} K={k}",
+            (glue_det, block, k), mv_rows, word_map,
+        )
     reason = None
-    if pair.order_H2_M is INFINITE:
-        reason = VANISH_H2_NONZERO
-    elif not pair.restriction_iso:
-        reason = VANISH_RESTRICTION
-
-    reports = []
-    for kind, degree in zip(kinds, degrees):
-        lie_rank = kind.lie_rank
-        det_power = glue_det**lie_rank
-        p1 = abs(det_power)
-        p2 = abs(degree)
-        p3 = 0 if k_order is INFINITE else k_order**lie_rank
-        if det_power != degree or p2 != p3:
-            raise PipelineDisagreementError(
-                f"pipelines disagree: det-power={det_power} ext={degree} K-power={p3}",
-                kind, (det_power, degree, p3), mv_rows, word_map,
-            )
-        if p1 == 0 and reason is None:
+    if k == 0:
+        if pair.order_H2_M is INFINITE:
+            reason = VANISH_H2_NONZERO
+        elif not pair.restriction_iso:
+            reason = VANISH_RESTRICTION
+        else:
             raise PipelineDisagreementError(
                 "vanishing invariant without a rational vanishing reason",
-                kind, (0, 0, 0), mv_rows, word_map,
+                (0, 0, 0), mv_rows, word_map,
             )
 
-        sign: int | None = None
-        if use_sign_convention and p1 > 0:
-            # The declared convention; see the module docstring.  Its
-            # (h1 - g1)(h2 + 1) term makes one stabilization (h1 -> h1+1,
-            # u -> u+1) flip the cycle sign by (-1)^lie_rank: the
-            # lexicographic degree sign alone picks up (-1)^(lie_rank*h2)
-            # from the position of the new row and column.
-            parity = lie_rank * ((s.h1 - s.g1) * (s.h2 + 1) + s.u_hat_genus
-                                 + s.orientation_reversed)
-            sign = -1 if (degree < 0) ^ (parity & 1) else 1
-
-        reports.append(InvariantReport(
-            kind=kind, abs_value=p1, sign=sign, K=k_order,
-            vanishing_reason=reason if p1 == 0 else None,
-        ))
-    return tuple(reports)
+    # The declared convention; see the module docstring.  The degree's
+    # sign is the block's to the Lie rank.  The (h1 - g1)(h2 + 1) term
+    # makes one stabilization (h1 -> h1+1, u -> u+1) flip the cycle sign by
+    # (-1)^lie_rank: the lexicographic degree sign alone picks up
+    # (-1)^(lie_rank*h2) from the position of the new row and column.
+    twist = ((block < 0) + (s.h1 - s.g1) * (s.h2 + 1) + s.u_hat_genus
+             + s.orientation_reversed)
+    return tuple(InvariantReport(
+        kind=kind, abs_value=k ** kind.lie_rank,
+        sign=(-1 if kind.lie_rank * twist & 1 else 1) if use_sign_convention and k else None,
+        K=k_order, vanishing_reason=reason,
+    ) for kind in kinds)
 
 
 def lambda_invariant(s: AdaptedSplitting, kind: GroupKind,

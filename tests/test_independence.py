@@ -102,7 +102,7 @@ def test_graph_sees_the_pipelines():
     # Guards the checks below against a graph that reaches nothing.
     reached = GRAPH.reach(["invariants.lambda_invariants"])
     assert DET | ECHELON <= reached
-    assert {"exterior.degree_of_word_map", "exterior._wedge_row",
+    assert {"exterior._degree_block", "exterior._wedge_row",
             "splitting._mayer_vietoris_rows"} <= reached
     assert {"oracle.torus_preimage_count", "oracle.cokernel_enumeration",
             "oracle._count_offsets"} <= GRAPH.reach(["cli.cmd_oracle"])
@@ -121,7 +121,7 @@ def test_oracle_reaches_no_pipeline():
 
 def test_p2_reaches_no_elimination_and_no_mayer_vietoris_rows():
     reached = GRAPH.reach(["exterior.degree_of_word_map"])
-    assert "exterior._wedge_row" in reached
+    assert {"exterior._degree_block", "exterior._wedge_row"} <= reached
     assert not reached & (DET | ECHELON | SNF | {"splitting._mayer_vietoris_rows"})
 
 

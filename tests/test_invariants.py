@@ -208,14 +208,15 @@ class TestVanishingCheck:
 
 class TestDisagreementReplay:
     """A PipelineDisagreementError carries enough to recompute P1 and P2
-    with the public det and degree_of_word_map."""
+    with the public det and degree_of_word_map.  Its values are the
+    group-independent ones: P1's determinant, P2's block (the U(1)
+    degree) and P3's K."""
 
     @staticmethod
     def replay(exc):
-        rank = exc.kind.lie_rank
         u = len(exc.mv_rows[0])
-        p1 = abs(det(IntMat(exc.mv_rows[-u:], cols=u))) ** rank
-        p2 = abs(degree_of_word_map(exc.word_map, exc.kind))
+        p1 = det(IntMat(exc.mv_rows[-u:], cols=u))
+        p2 = degree_of_word_map(exc.word_map, unitary(1))
         return p1, p2
 
     def test_wrong_det(self, monkeypatch):
@@ -223,21 +224,22 @@ class TestDisagreementReplay:
         with pytest.raises(PipelineDisagreementError) as info:
             lambda_invariant(det6_splitting(), unitary(2))
         exc = info.value
-        assert exc.kind == unitary(2)
-        assert exc.values == (49, 36, 36)
-        assert self.replay(exc) == (36, 36)
-        assert "det-power=49" in str(exc)
+        assert exc.values == (7, 6, 6)
+        assert self.replay(exc) == (6, 6)
+        assert "det=7 ext=6 K=6" in str(exc)
 
     def test_wrong_det_sign(self, monkeypatch):
         # The magnitudes agree, so only the signed check between P1 and P2
-        # sees the error, and only at odd Lie rank.
+        # sees the error; it compares the unpowered values, so it sees it
+        # at every Lie rank.
         monkeypatch.setattr("repcount.invariants.det", lambda a: -det(a))
-        assert lambda_invariant(det6_splitting(), unitary(2)).abs_value == 36
-        with pytest.raises(PipelineDisagreementError) as info:
-            lambda_invariant(det6_splitting(), unitary(3))
-        exc = info.value
-        assert exc.values == (-216, 216, 216)
-        assert self.replay(exc) == (216, 216)
+        for kind in (unitary(2), unitary(3)):
+            with pytest.raises(PipelineDisagreementError) as info:
+                lambda_invariant(det6_splitting(), kind)
+            exc = info.value
+            assert exc.values == (-6, 6, 6)
+            assert self.replay(exc) == (6, 6)
+            assert "det=-6 ext=6 K=6" in str(exc)
 
     def test_vanishing_without_reason(self, monkeypatch):
         # K is made INFINITE with H^2(M) finite and the restriction an
@@ -250,6 +252,42 @@ class TestDisagreementReplay:
         exc = info.value
         assert exc.values == (0, 0, 0)
         assert self.replay(exc) == (0, 0)
+        assert "vanishing invariant without a rational vanishing reason" in str(exc)
+
+
+def det_without_swap_sign(a):
+    """Bareiss elimination, as ``intlinalg.det``, with the sign of its row
+    swaps dropped: a P1 mutant that only the signed check can see."""
+    m = [list(row) for row in a.data]
+    n, prev = len(m), 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot_row is None:
+                return 0
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return m[n - 1][n - 1] if n else 1
+
+
+def test_row_swap_sign_mutant_caught_at_every_rank(monkeypatch):
+    # The signed check compares P1's determinant with P2's block before
+    # any power is taken, so even Lie ranks catch a sign error too.
+    monkeypatch.setattr("repcount.invariants.det", det_without_swap_sign)
+    rng = random.Random(2000)
+    caught = {kind: set() for kind in KINDS}
+    for draw in range(2000):
+        s = random_t0_splitting(rng)
+        for kind in KINDS:
+            try:
+                lambda_invariant(s, kind)
+            except PipelineDisagreementError:
+                caught[kind].add(draw)
+    assert caught[KINDS[0]]
+    assert all(draws == caught[KINDS[0]] for draws in caught.values())
 
 
 class TestLambdaInvariants:

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import repcount.exterior
 import repcount.invariants
 import repcount.splitting
 from repcount import (
@@ -110,14 +111,14 @@ class TestOneAssembly:
             monkeypatch.setattr(repcount.invariants, name, counted)
 
         for name in ("assembled_word_map", "_mayer_vietoris_rows", "det",
-                     "_pair_cohomology", "degree_of_word_map"):
+                     "_pair_cohomology", "_degree_block"):
             count(name)
         for s in [det6_splitting()] + seeded_splittings(14, 10):
             calls.clear()
             lambda_invariants(s, kinds)
             assert sorted(calls) == sorted(
-                ["assembled_word_map", "_mayer_vietoris_rows", "det", "_pair_cohomology"]
-                + ["degree_of_word_map"] * len(kinds))
+                ["assembled_word_map", "_mayer_vietoris_rows", "det", "_pair_cohomology",
+                 "_degree_block"])
 
     def test_p2_box_refuses_before_p1_and_p3(self, monkeypatch):
         s = det6_splitting()
@@ -132,6 +133,35 @@ class TestOneAssembly:
         monkeypatch.setattr(repcount.invariants, "_pair_cohomology", refuse)
         with pytest.raises(ExteriorWorkLimitError):
             lambda_invariants(s, (unitary(1), unitary(3000)))
+
+    def test_p2_box_names_the_first_group_past_it(self, monkeypatch):
+        s = det6_splitting()
+        for _ in range(400):
+            s = stabilize(s)
+
+        def refuse(*args):
+            raise AssertionError("a block was expanded before every box was read")
+
+        monkeypatch.setattr(repcount.exterior, "_wedge_row", refuse)
+        kinds = (unitary(1), special_unitary(3001), unitary(3000), unitary(4000))
+        with pytest.raises(ExteriorWorkLimitError, match=r"^degree expansion for SU\(3001\)"):
+            lambda_invariants(s, kinds)
+
+    def test_one_row_step_per_row_whatever_the_groups(self, monkeypatch):
+        kinds = [unitary(1), unitary(2), unitary(3), special_unitary(2), special_unitary(3)]
+        steps = []
+        original = repcount.exterior._wedge_row
+
+        def counted(*args):
+            steps.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(repcount.exterior, "_wedge_row", counted)
+        for s in [det6_splitting()] + seeded_splittings(14, 10):
+            steps.clear()
+            reports = lambda_invariants(s, kinds)
+            # A nonzero degree takes every row; a block that empties stops.
+            assert len(steps) == s.u if reports[0].abs_value else len(steps) <= s.u
 
     def test_lambda_invariant_uses_no_checking_constructor(self, monkeypatch):
         calls = []
